@@ -3,8 +3,9 @@
 Subcommands: check, cp-check, enumerate, realize, verify-fixtures, lift.
 Exit codes are a stable contract: 0 success, 1 verification or search
 failure, 2 input error.  Output is deterministic byte for byte given the
-same inputs and seeds.  NMFR_THREADS (default 1) caps the worker processes
-used by verify-fixtures; results are printed in fixture order regardless.
+same inputs and seeds.  NMFR_THREADS (a positive integer, default 1) caps
+the worker processes used by verify-fixtures at no more than one per
+fixture; results are printed in fixture order regardless.
 """
 
 from __future__ import annotations
@@ -182,8 +183,16 @@ def _verify_one(index: int) -> tuple[int, bool, str]:
 
 
 def cmd_verify_fixtures(_args) -> int:
-    threads = int(os.environ.get("NMFR_THREADS", "1"))
+    raw = os.environ.get("NMFR_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        return _fail_input(f"NMFR_THREADS must be a positive integer, got {raw!r}")
     indices = range(len(RIGID_5X5))
+    # One worker per fixture at most: the pool starts all its processes up front.
+    threads = min(threads, len(RIGID_5X5))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -206,14 +215,11 @@ def cmd_lift(args) -> int:
         pair = formats.load_factorization(_read_text(args.path))
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
-    base = certify(pair, kruskal_budget=0)
-    if base.classification is not Classification.INFINITESIMALLY_RIGID:
-        return _fail_input(
-            f"lift needs an infinitesimally rigid input, got {base.classification.value}"
-        )
     try:
         lifted = lift_partially_rigid(pair)
-    except (ValueError, LiftInfeasibleError) as exc:
+    except ValueError as exc:  # the input is not infinitesimally rigid
+        return _fail_input(str(exc))
+    except LiftInfeasibleError as exc:
         print(f"lift failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     cert = certify(lifted, kruskal_budget=args.kruskal_budget)
@@ -231,6 +237,16 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmfr",
@@ -242,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="certify a factorization file")
     check.add_argument("path")
     check.add_argument("--symmetric", action="store_true", help="input is a symmetric factor")
-    check.add_argument("--kruskal-budget", type=int, default=DEFAULT_KRUSKAL_BUDGET)
+    check.add_argument("--kruskal-budget", type=_budget, default=DEFAULT_KRUSKAL_BUDGET)
     check.add_argument("--json", action="store_true", help="emit the certificate document")
     check.set_defaults(func=cmd_check)
 
     cp_check = sub.add_parser("cp-check", help="certify a symmetric factor file")
     cp_check.add_argument("path")
-    cp_check.add_argument("--kruskal-budget", type=int, default=DEFAULT_KRUSKAL_BUDGET)
+    cp_check.add_argument("--kruskal-budget", type=_budget, default=DEFAULT_KRUSKAL_BUDGET)
     cp_check.add_argument("--json", action="store_true")
     cp_check.set_defaults(func=cmd_check, symmetric=True)
 
@@ -269,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     real.add_argument("--seed", type=int, default=1)
     real.add_argument("--range", nargs=2, type=int, default=(1, 1000), metavar=("LO", "HI"))
     real.add_argument("--max-samples", type=int, default=10000)
-    real.add_argument("--kruskal-budget", type=int, default=DEFAULT_KRUSKAL_BUDGET)
+    real.add_argument("--kruskal-budget", type=_budget, default=DEFAULT_KRUSKAL_BUDGET)
     real.add_argument("--out", help="write the factorization here instead of stdout")
     real.set_defaults(func=cmd_realize)
 
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lift = sub.add_parser("lift", help="lift a rigid pair to a partially rigid pair")
     lift.add_argument("path")
-    lift.add_argument("--kruskal-budget", type=int, default=DEFAULT_KRUSKAL_BUDGET)
+    lift.add_argument("--kruskal-budget", type=_budget, default=DEFAULT_KRUSKAL_BUDGET)
     lift.add_argument("--out", help="write the lifted factorization here instead of stdout")
     lift.set_defaults(func=cmd_lift)
     return parser

@@ -6,7 +6,11 @@ bounds have a feasible point, is a vector a nonnegative combination of the
 generators, and is zero a strictly positive combination of all generators
 (which holds exactly when the cone is a linear subspace).  The lineality
 space of the cone is found by testing which generators have their negatives
-inside the cone.
+inside the cone.  The certification in `rigidity` reads the
+relative-interior witness and the lineality off the generator kernel when
+that kernel has dimension at most one, so these LPs run there only when it
+has dimension two or more; they remain the reference the kernel answers
+are tested against.
 
 No facet or vertex description is ever computed; rank plus membership plus
 the relative-interior test cover everything callers need, and the simplex

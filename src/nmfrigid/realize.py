@@ -84,9 +84,10 @@ def realize_pattern(
         ]
         a = RationalMatrix(pattern.m, r, tuple(a_data))
         b = RationalMatrix(r, pattern.n, tuple(b_data))
-        if rank(a) != r or rank(b) != r:
+        try:
+            pair = FactorizationPair(a, b)  # ranks both factors
+        except ValueError:
             continue
-        pair = FactorizationPair(a, b)
         if is_infinitesimally_rigid(pair):
             return pair
     return None

@@ -7,7 +7,10 @@ the i-th coordinate column with column j of B.  The factorization is
 infinitesimally rigid exactly when that cone is the full (r^2-r)-dimensional
 space of zero-diagonal matrices, which reduces to a rank computation, a
 lineality computation and one relative-interior feasibility test, all in
-exact arithmetic.
+exact arithmetic.  All three start from the kernel of the generator matrix:
+when it has dimension at most one (the tight zero count r^2-r+1 of every
+rigid pattern), it answers the relative-interior and lineality questions
+and the top Kruskal level by itself, and no LP runs.
 
 The first-order deformation cone W is dual to the generator cone, so its
 dimension is r^2 minus the lineality dimension of the generators.  When W
@@ -31,7 +34,7 @@ from .cone import (
     lineality_dimension,
     zero_in_relative_interior,
 )
-from .exactlin import RationalMatrix, Vector, matmul, nullspace_basis, rank
+from .exactlin import RationalMatrix, Vector, matmul, nullspace_basis, rank, vec_neg
 
 DEFAULT_KRUSKAL_BUDGET = 10**6
 
@@ -259,13 +262,17 @@ def _certify_generators(
     kruskal_budget: int,
     symmetric: bool,
 ) -> RigidityCertificate:
-    cone = ConeByGenerators(ambient_dim, gens.vectors)
-    span_rank = rank(gens.matrix()) if gens.count else 0
-    witness = zero_in_relative_interior(cone)
-    if witness is not None:
-        lin_dim = span_rank  # the cone is its span
+    kernel = nullspace_basis(gens.matrix())
+    span_rank = gens.count - len(kernel)
+    if len(kernel) <= 1:
+        witness, lin_dim = _cone_from_kernel(kernel, gens.count)
     else:
-        lin_dim = lineality_dimension(cone)
+        cone = ConeByGenerators(ambient_dim, gens.vectors)
+        witness = zero_in_relative_interior(cone)
+        if witness is not None:
+            lin_dim = span_rank  # the cone is its span
+        else:
+            lin_dim = lineality_dimension(cone)
     dim_w = ambient_dim - lin_dim
 
     v_basis = None
@@ -290,7 +297,14 @@ def _certify_generators(
     else:
         classification = Classification.UNDETERMINED
 
-    kruskal = kruskal_rank_of_columns(gens.vectors, kruskal_budget)
+    if len(kernel) == 1 and all(kernel[0]):
+        # The only dependency uses every column, so dropping any one leaves
+        # c-1 independent columns: level c-1 holds, after the same c subset
+        # tests the descending search would charge.
+        c = gens.count
+        kruskal = c - 1 if c == 1 or kruskal_budget >= c else None
+    else:
+        kruskal = kruskal_rank_of_columns(gens.vectors, kruskal_budget)
     return RigidityCertificate(
         r=r,
         ambient_dim=ambient_dim,
@@ -310,21 +324,58 @@ def is_infinitesimally_rigid(pair: FactorizationPair) -> bool:
     """Cheap accept test: span rank r^2-r plus a relative-interior witness.
 
     Skips the lineality and Kruskal computations, so per-sample search loops
-    pay one rank and at most one feasibility LP.
+    pay one kernel and, only when it has dimension two or more, one
+    feasibility LP.
     """
     gens = build_dual_generators(pair)
     target = pair.r * pair.r - pair.r
     if target > 0 and gens.count < target + 1:
         return False
-    if rank(gens.matrix()) != target:
+    kernel = nullspace_basis(gens.matrix())
+    if gens.count - len(kernel) != target:
         return False
+    if len(kernel) <= 1:
+        return _cone_from_kernel(kernel, gens.count)[0] is not None
     return zero_in_relative_interior(gens.cone()) is not None
 
 
 def dim_w(pair: FactorizationPair) -> int:
     """Dimension of the deformation cone W: r^2 minus the dual lineality."""
     gens = build_dual_generators(pair)
+    kernel = nullspace_basis(gens.matrix())
+    if len(kernel) <= 1:
+        return pair.r * pair.r - _cone_from_kernel(kernel, gens.count)[1]
     return pair.r * pair.r - lineality_dimension(gens.cone())
+
+
+def _cone_from_kernel(
+    kernel: list[Vector], count: int
+) -> tuple[PositiveCombinationWitness | None, int]:
+    """Relative-interior witness and lineality dimension of the generator
+    cone, read off a kernel of dimension at most one.
+
+    Zero is a positive combination of the generators exactly when some
+    kernel vector is positive, and -g_i lies in the cone exactly when some
+    nonnegative kernel vector is positive at i.  With kernel span(v), v
+    oriented to a positive first nonzero entry: v > 0 gives the witness
+    v / min(v), the only vertex of {x >= 1, Gx = 0} and so the point the
+    simplex would return; v >= 0 makes the generators on its support
+    two-sided, spanning rank |supp v| - 1; mixed signs leave no two-sided
+    generator.  A trivial kernel gives lineality 0 and a witness only for
+    the empty generator list, whose cone {0} is a linear space.
+    """
+    if not kernel:
+        return (PositiveCombinationWitness(()) if count == 0 else None), 0
+    (v,) = kernel
+    if next(x for x in v if x) < 0:
+        v = vec_neg(v)
+    if any(x < 0 for x in v):
+        return None, 0
+    lin_dim = sum(1 for x in v if x) - 1
+    low = min(v)
+    if low == 0:
+        return None, lin_dim
+    return PositiveCombinationWitness(tuple(x / low for x in v)), lin_dim
 
 
 # ---------------------------------------------------------------------------

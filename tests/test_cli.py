@@ -165,6 +165,50 @@ def test_verify_fixtures_threaded(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "15/15 fixtures pass"
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_verify_fixtures_rejects_bad_thread_count(capsys, monkeypatch, value):
+    monkeypatch.setenv("NMFR_THREADS", value)
+    code, out, err = run(capsys, "verify-fixtures")
+    assert code == 2 and out == ""
+    assert err == f"error: NMFR_THREADS must be a positive integer, got {value!r}\n"
+
+
+def test_verify_fixtures_caps_workers_at_fixture_count(capsys, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        # Runs the work in this process: no pool is ever started.
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("NMFR_THREADS", "100000")
+    code, out, _ = run(capsys, "verify-fixtures")
+    assert code == 0
+    assert started == [len(RIGID_5X5)]
+    assert out.strip().splitlines()[-1] == "15/15 fixtures pass"
+
+
+def test_negative_kruskal_budget_is_input_error(capsys, fixture_file):
+    for command in ("check", "cp-check", "realize", "lift"):
+        target = ["--pattern", str(fixture_file)] if command == "realize" else [str(fixture_file)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, "--kruskal-budget", "-1"])
+        assert exc.value.code == 2
+        assert "--kruskal-budget: must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_verify_fixtures_reports_corruption_with_entry_diff(capsys, monkeypatch):
     import dataclasses
 
@@ -201,9 +245,9 @@ def test_lift_demo(capsys, tmp_path):
 def test_lift_refuses_non_rigid(capsys, tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text(formats.dump_factorization(circulant_pair()))
-    code, _, err = run(capsys, "lift", str(path))
-    assert code == 2
-    assert "undetermined" in err
+    code, out, err = run(capsys, "lift", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: lift needs an infinitesimally rigid input, got undetermined\n"
 
 
 def test_outputs_deterministic(capsys, fixture_file):

@@ -12,9 +12,16 @@ from nmfrigid.cone import (
     verify_witness,
     zero_in_relative_interior,
 )
-from nmfrigid.exactlin import RationalMatrix, rank, vec_dot, vec_neg
+from nmfrigid.exactlin import (
+    RationalMatrix,
+    nullspace_basis,
+    rank,
+    vec_dot,
+    vec_neg,
+    zero_vector,
+)
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair
-from nmfrigid.rigidity import build_dual_generators
+from nmfrigid.rigidity import FactorizationPair, build_dual_generators, certify
 
 
 def frac_vec(*values):
@@ -191,3 +198,50 @@ def test_member_matches_caratheodory_oracle():
         assert member(cone, probe) == oracle_member(cone, probe)
         checked += 1
     assert checked == 200
+
+
+# ---------------------------------------------------------------------------
+# Kernel shortcut of the certification against the LP reference
+# ---------------------------------------------------------------------------
+
+def realizations_of_fixture_patterns(seed, per_pattern):
+    """Seeded full-rank realizations of every fixture's zero pattern, half
+    with integer entries and half with rational ones."""
+    rng = random.Random(seed)
+
+    def draw(rational):
+        if rational:
+            return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        return Fraction(rng.randint(1, 1000))
+
+    pairs = []
+    for fx in RIGID_5X5:
+        pattern = fx.pair().zero_pattern()
+        made = 0
+        while made < per_pattern:
+            rational = made % 2 == 1
+            a = [[0 if z else draw(rational) for z in row] for row in pattern.zeros_a]
+            b = [[0 if z else draw(rational) for z in row] for row in pattern.zeros_b]
+            try:
+                pairs.append(
+                    FactorizationPair(RationalMatrix.from_rows(a), RationalMatrix.from_rows(b))
+                )
+            except ValueError:
+                continue
+            made += 1
+    return pairs
+
+
+def test_kernel_witness_equals_lp_witness_on_fixture_patterns():
+    pairs = [fx.pair() for fx in RIGID_5X5] + realizations_of_fixture_patterns(17, 4)
+    verdicts = set()
+    for pair in pairs:
+        gens = build_dual_generators(pair)
+        assert len(nullspace_basis(gens.matrix())) == 1
+        reference = lp_feasible(
+            gens.matrix(), zero_vector(gens.ambient_dim), (Fraction(1),) * gens.count
+        )
+        witness = certify(pair, kruskal_budget=0).relint_witness
+        assert (None if witness is None else witness.coefficients) == reference
+        verdicts.add(reference is not None)
+    assert verdicts == {True, False}

@@ -230,3 +230,29 @@ def test_enumerate_symmetric_small():
         ((True, False), (False, True)),
         ((False, True), (True, False)),
     )
+
+
+def test_fixture_factors_match_lp_reference_across_kernel_dimensions():
+    # A and B^T of every fixture as symmetric factors cover kernel
+    # dimensions 0 to 3, so both the kernel shortcut (<= 1) and the LP path
+    # (>= 2) run here.
+    from nmfrigid.cone import lineality_dimension, lp_feasible
+    from nmfrigid.exactlin import nullspace_basis, zero_vector
+    from nmfrigid.fixtures import RIGID_5X5
+
+    dims = {}
+    for fx in RIGID_5X5:
+        pair = fx.pair()
+        for a in (pair.a, pair.b.transpose()):
+            factor = SymmetricFactor(a)
+            gens = build_skew_generators(factor)
+            d = len(nullspace_basis(gens.matrix()))
+            dims[d] = dims.get(d, 0) + 1
+            cert = certify_cp(factor, kruskal_budget=0)
+            assert cert.lineality_dim == lineality_dimension(gens.cone())
+            reference = lp_feasible(
+                gens.matrix(), zero_vector(gens.ambient_dim), (Fraction(1),) * gens.count
+            )
+            witness = cert.relint_witness
+            assert (None if witness is None else witness.coefficients) == reference
+    assert dims == {0: 15, 1: 4, 2: 8, 3: 3}

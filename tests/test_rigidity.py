@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nmfrigid.exactlin import RationalMatrix, matmul, rank
+from nmfrigid.exactlin import RationalMatrix, matmul, nullspace_basis, rank
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
 from nmfrigid.rigidity import (
     Classification,
@@ -340,3 +340,93 @@ def test_witness_reverification():
             assert verify_witness(gens.cone(), cert.relint_witness)
             seen += 1
     assert seen > 0
+
+
+# ---------------------------------------------------------------------------
+# Kernel shortcut (kernel dimension <= 1) against the LP and loop references
+# ---------------------------------------------------------------------------
+
+def test_twelve_zero_variants_have_trivial_kernel_and_reference_lineality():
+    from nmfrigid.cone import lineality_dimension
+
+    for index, fx in enumerate(RIGID_5X5):
+        pair = fx.pair()
+        # Fill in one zero of A, a different one for each fixture.
+        zeros = [(i, j) for i in range(pair.m) for j in range(pair.r) if pair.a[i, j] == 0]
+        i, j = zeros[index % len(zeros)]
+        a = [list(row) for row in pair.a.row_list()]
+        a[i][j] = Fraction(index + 2)
+        variant = FactorizationPair(RationalMatrix.from_rows(a), pair.b)
+        gens = build_dual_generators(variant)
+        assert gens.count == 12 and nullspace_basis(gens.matrix()) == []
+        cert = certify(variant, kruskal_budget=0)
+        assert cert.relint_witness is None
+        assert cert.lineality_dim == lineality_dimension(gens.cone()) == 0
+        assert dim_w(variant) == variant.r ** 2
+
+
+def opposite_pair():
+    # Generators e10, e01 and -e10 (in r x r coordinates): the kernel is
+    # spanned by (1, 0, 1), nonnegative with a zero entry.
+    return pair_from([[0, 1], [1, 0]], [[1, 1], [0, 1]])
+
+
+def test_nonnegative_kernel_with_zero_entry_gives_support_lineality():
+    from nmfrigid.cone import lineality_dimension
+
+    pair = opposite_pair()
+    gens = build_dual_generators(pair)
+    (v,) = nullspace_basis(gens.matrix())
+    assert v == (Fraction(1), Fraction(0), Fraction(1))
+    cert = certify(pair)
+    assert cert.relint_witness is None
+    assert cert.lineality_dim == lineality_dimension(gens.cone()) == 1
+    assert dim_w(pair) == 3
+    assert cert.classification is Classification.UNDETERMINED
+
+
+def test_kernel_answers_do_not_depend_on_the_sign_of_the_basis_vector():
+    from nmfrigid.rigidity import _cone_from_kernel
+
+    for pair in (RIGID_5X5[0].pair(), opposite_pair()):
+        gens = build_dual_generators(pair)
+        (v,) = nullspace_basis(gens.matrix())
+        negated = tuple(-x for x in v)
+        assert _cone_from_kernel([negated], gens.count) == _cone_from_kernel([v], gens.count)
+
+
+def test_kernel_with_zero_entry_falls_through_to_kruskal_loop(monkeypatch):
+    from nmfrigid import rigidity
+
+    calls = []
+
+    def recording(columns, budget):
+        calls.append(budget)
+        return kruskal_rank_of_columns(columns, budget)
+
+    monkeypatch.setattr(rigidity, "kruskal_rank_of_columns", recording)
+    pair = opposite_pair()
+    gens = build_dual_generators(pair)
+    for budget in (0, 2, 3, 4):
+        assert certify(pair, kruskal_budget=budget).kruskal_rank == kruskal_rank_of_columns(
+            gens.vectors, budget
+        )
+    assert calls == [0, 2, 3, 4]
+
+
+def test_kruskal_shortcut_matches_loop_around_the_count(monkeypatch):
+    from nmfrigid import rigidity
+
+    def forbidden(columns, budget):
+        raise AssertionError("full-support kernel must not run the subset loop")
+
+    for fx in RIGID_5X5:
+        pair = fx.pair()
+        gens = build_dual_generators(pair)
+        c = gens.count
+        expected = {b: kruskal_rank_of_columns(gens.vectors, b) for b in (c - 1, c, c + 1)}
+        assert expected == {c - 1: None, c: c - 1, c + 1: c - 1}
+        with monkeypatch.context() as patch:
+            patch.setattr(rigidity, "kruskal_rank_of_columns", forbidden)
+            for budget, kruskal in expected.items():
+                assert certify(pair, kruskal_budget=budget).kruskal_rank == kruskal
