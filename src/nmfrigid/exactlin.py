@@ -1,9 +1,12 @@
 """Exact rational dense linear algebra.
 
-Everything in the certification path runs on ``fractions.Fraction``: rank and
-feasibility verdicts are yes/no facts that floating point can flip, so no
-float ever enters these routines.  Matrices are small (a few hundred entries
-at most), dense and immutable; elimination uses the first nonzero pivot in
+Rank and feasibility verdicts are yes/no facts that floating point can
+flip, so no float ever enters these routines.  Matrix entries are
+``fractions.Fraction`` (plain ints are accepted too), but elimination clears
+each row of denominators and then runs fraction-free on Python ints, so
+Fraction appears only at the boundary: in the entries passed in and in the
+kernel vectors handed back.  Matrices are small (a few hundred entries at
+most), dense and immutable; elimination uses the first nonzero pivot in
 column order so kernels and ranks are bit-identical across runs.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -124,16 +128,32 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(a.rows, b.cols, tuple(out))
 
 
-def _echelon(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce a copy of `m`; returns (reduced rows, pivot column list).
+def integer_multiple(v: Sequence) -> list[int]:
+    """`v` times the lcm of its denominators: a positive multiple of `v`
+    with integer entries, zero exactly where `v` is zero."""
+    den = lcm(*[x.denominator for x in v])
+    return [x.numerator * (den // x.denominator) for x in v]
 
-    Pivot choice is the first nonzero entry in column order, which makes the
-    reduced form and everything derived from it deterministic.
+
+def _echelon(m: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan reduction of a copy of `m`.
+
+    Returns (integer rows, pivot column list, scale): the reduced row
+    echelon form of `m` is the integer rows divided by `scale`, the last
+    pivot.  Each row is first cleared of denominators by the lcm of its
+    own (`integer_multiple`); that positive row scaling changes neither the row space nor where
+    zeros fall, so the pivot choice -- the first nonzero entry in column
+    order -- and the reduced form are the same as for rational elimination.
+    Each update (p*row_i - f*row_p) // previous_pivot divides exactly by
+    Sylvester's identity (Bareiss 1968), which keeps every entry a minor of
+    the input instead of letting numbers grow through fractions.
     """
-    work = [list(m.row(i)) for i in range(m.rows)]
+    cols = m.cols
+    work = [integer_multiple(m.data[i * cols : (i + 1) * cols]) for i in range(m.rows)]
     pivots: list[int] = []
+    prev = 1
     piv_row = 0
-    for col in range(m.cols):
+    for col in range(cols):
         found = None
         for i in range(piv_row, m.rows):
             if work[i][col]:
@@ -143,34 +163,37 @@ def _echelon(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
             continue
         if found != piv_row:
             work[piv_row], work[found] = work[found], work[piv_row]
-        pivot = work[piv_row][col]
-        if pivot != 1:
-            work[piv_row] = [x / pivot for x in work[piv_row]]
-        for i in range(m.rows):
+        row_p = work[piv_row]
+        p = row_p[col]
+        for i, row_i in enumerate(work):
             if i == piv_row:
                 continue
-            factor = work[i][col]
-            if factor:
-                row_i = work[i]
-                row_p = work[piv_row]
-                for j in range(col, m.cols):
-                    row_i[j] -= factor * row_p[j]
+            f = row_i[col]
+            if f:
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row_i, row_p)]
+            elif p != prev:
+                work[i] = [p * x // prev for x in row_i]
+        prev = p
         pivots.append(col)
         piv_row += 1
         if piv_row == m.rows:
             break
-    return work, pivots
+    return work, pivots, prev
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals."""
-    _, pivots = _echelon(m)
+    _, pivots, _ = _echelon(m)
     return len(pivots)
 
 
 def nullspace_basis(m: RationalMatrix) -> list[Vector]:
-    """Deterministic basis of the right kernel; empty iff rank equals cols."""
-    work, pivots = _echelon(m)
+    """Deterministic basis of the right kernel; empty iff rank equals cols.
+
+    The vector for free column j has 1 at j and minus column j of the
+    reduced row echelon form at the pivot columns.
+    """
+    work, pivots, scale = _echelon(m)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
@@ -178,7 +201,7 @@ def nullspace_basis(m: RationalMatrix) -> list[Vector]:
         vec = [Fraction(0)] * m.cols
         vec[free] = Fraction(1)
         for row_idx, piv_col in enumerate(pivots):
-            vec[piv_col] = -work[row_idx][free]
+            vec[piv_col] = Fraction(-work[row_idx][free], scale)
         basis.append(tuple(vec))
     return basis
 

@@ -16,16 +16,16 @@ import re
 from fractions import Fraction
 
 from . import __version__
-from .cone import PositiveCombinationWitness
-from .cpr import SymmetricFactor, build_skew_generators
-from .exactlin import RationalMatrix, matvec
+from .cone import PositiveCombinationWitness, verify_witness
+from .cpr import SymmetricFactor, build_skew_generators, certify_cp
+from .exactlin import RationalMatrix
 from .patterns import ZeroPattern
 from .rigidity import (
     Classification,
     FactorizationPair,
     RigidityCertificate,
     build_dual_generators,
-    rank,
+    certify,
 )
 
 
@@ -239,38 +239,48 @@ def document_to_certificate(doc: dict) -> RigidityCertificate:
 def verify_certificate_document(doc: dict, subject) -> bool:
     """Re-check a document against the factorization it certifies.
 
-    Recomputes the generators from `subject` (a FactorizationPair or
-    SymmetricFactor), confirms the recorded span rank, confirms that the
-    recorded witness combines the generators exactly to zero with all
-    coefficients >= 1, and checks dim_w consistency.  Raises ValueError
-    with the first discrepancy, returns True otherwise.
+    Certifies `subject` (a FactorizationPair or SymmetricFactor) again, so
+    no recorded field is taken on trust: the shape, span rank, lineality,
+    dim_w, classification and V-basis are always compared with the
+    recomputed ones, the Kruskal rank only when the document's flags record
+    the `kruskal_budget` it was computed under.  A recorded witness must
+    re-verify by plain arithmetic (it combines the generators exactly to
+    zero with all coefficients >= 1), and one must be recorded whenever the
+    recomputation finds one.  Raises ValueError with the first discrepancy,
+    returns True otherwise.
     """
     cert = document_to_certificate(doc)
     if isinstance(subject, SymmetricFactor):
-        gens = build_skew_generators(subject)
+        gens, recertify = build_skew_generators(subject), certify_cp
     else:
-        gens = build_dual_generators(subject)
+        gens, recertify = build_dual_generators(subject), certify
     if gens.count != cert.generator_count:
         raise ValueError(
             f"generator count mismatch: document {cert.generator_count}, input {gens.count}"
         )
-    span = rank(gens.matrix()) if gens.count else 0
-    if span != cert.span_rank:
-        raise ValueError(f"span rank mismatch: document {cert.span_rank}, recomputed {span}")
-    if cert.dim_w != cert.ambient_dim - cert.lineality_dim:
-        raise ValueError("dim_w inconsistent with ambient_dim - lineality_dim")
-    if cert.relint_witness is not None:
-        coeffs = cert.relint_witness.coefficients
-        if len(coeffs) != gens.count:
-            raise ValueError("witness length does not match generator count")
-        if any(c < 1 for c in coeffs):
-            raise ValueError("witness coefficient below 1")
-        if gens.count:
-            combo = matvec(gens.matrix(), coeffs)
-            if any(x != 0 for x in combo):
-                raise ValueError("witness combination is not exactly zero")
-        if cert.lineality_dim != cert.span_rank:
-            raise ValueError("witness present but lineality differs from span rank")
+    budget = (doc.get("flags") or {}).get("kruskal_budget")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {budget!r}")
+    recomputed = recertify(subject, kruskal_budget=budget or 0)
+    if cert.span_rank != recomputed.span_rank:
+        raise ValueError(
+            f"span rank mismatch: document {cert.span_rank}, recomputed {recomputed.span_rank}"
+        )
+    if cert.relint_witness is not None and not verify_witness(gens.cone(), cert.relint_witness):
+        raise ValueError(
+            "witness does not combine the generators exactly to zero with coefficients >= 1"
+        )
+    if cert.relint_witness is None and recomputed.relint_witness is not None:
+        raise ValueError("document records no witness, recomputation finds one")
+    fields = [
+        "symmetric", "r", "ambient_dim", "lineality_dim", "dim_w", "classification", "v_basis"
+    ]
+    if budget is not None:
+        fields.append("kruskal_rank")
+    for name in fields:
+        recorded, derived = getattr(cert, name), getattr(recomputed, name)
+        if recorded != derived:
+            raise ValueError(f"{name} mismatch: document {recorded!r}, recomputed {derived!r}")
     return True
 
 

@@ -94,6 +94,15 @@ class ZeroPattern:
         )
 
 
+def _require_attainable_rank(m: int, n: int, r: int) -> None:
+    # A full-rank m x r factor needs r <= m and an r x n one needs r <= n.
+    if r > min(m, n):
+        raise ValueError(
+            f"inner rank {r} exceeds min(m, n) = {min(m, n)}: "
+            "no full-rank factorization has that inner size"
+        )
+
+
 def pattern_of_factorization(a_rows: list, b_rows: list) -> ZeroPattern:
     """Zero pattern of explicit factor matrices given as row lists."""
     m, r, n = len(a_rows), len(b_rows), len(b_rows[0]) if b_rows else 0
@@ -491,6 +500,7 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
         raise ValueError("zero count must be nonnegative")
     if m < 1 or n < 1 or r < 1:
         raise ValueError("dimensions must be positive")
+    _require_attainable_rank(m, n, r)
     if wpoint and zeros < r * r - r + 1:
         return []
 

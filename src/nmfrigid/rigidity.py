@@ -34,7 +34,15 @@ from .cone import (
     lineality_dimension,
     zero_in_relative_interior,
 )
-from .exactlin import RationalMatrix, Vector, matmul, nullspace_basis, rank, vec_neg
+from .exactlin import (
+    RationalMatrix,
+    Vector,
+    integer_multiple,
+    matmul,
+    nullspace_basis,
+    rank,
+    vec_neg,
+)
 
 DEFAULT_KRUSKAL_BUDGET = 10**6
 
@@ -385,18 +393,28 @@ def _cone_from_kernel(
 def kruskal_rank_of_columns(columns: tuple[Vector, ...], budget: int) -> int | None:
     """Largest k such that every k columns are linearly independent.
 
-    Descends from min(count, rank): the first level whose subsets are all
-    independent is the answer.  Every subset rank test counts against
-    `budget`; when the budget runs out the result is reported as unknown
-    (None) rather than approximated.  An empty column list has Kruskal rank
-    zero by convention.
+    Descends from min(count, rank) = count - d, d the kernel dimension: the
+    first level whose subsets are all independent is the answer.  Each
+    subset is tested on the dual side: a column set S is dependent exactly
+    when some nonzero kernel vector is supported inside S, that is when the
+    d rows of a kernel basis become dependent once the columns in S are
+    dropped.  So S is independent iff the d x (count - |S|) kernel block
+    outside S has rank d, a small rank in place of a tall one.  The kernel
+    is computed once, each basis vector scaled to integers.  Every subset test counts
+    one unit against `budget`; when the budget runs out the result is
+    reported as unknown (None) rather than approximated.  An empty column
+    list has Kruskal rank zero by convention.
     """
     c = len(columns)
     if c == 0:
         return 0
     height = len(columns[0])
-    full_rank = rank(RationalMatrix.from_columns(columns, height))
-    k = min(c, full_rank)
+    kernel = [
+        integer_multiple(v)
+        for v in nullspace_basis(RationalMatrix.from_columns(columns, height))
+    ]
+    d = len(kernel)
+    k = c - d
     used = 0
     while k >= 1:
         level_ok = True
@@ -404,8 +422,14 @@ def kruskal_rank_of_columns(columns: tuple[Vector, ...], budget: int) -> int | N
             if used >= budget:
                 return None
             used += 1
-            sub = RationalMatrix.from_columns([columns[i] for i in subset], height)
-            if rank(sub) != k:
+            outside = [j for j in range(c) if j not in subset]
+            # Lists, not generators, feed tuple() and lcm(*...) here and in
+            # rank: a tuple grown from a generator is resized on the way,
+            # and 30,000 of them fill the tuple free lists (~3 MB of RSS).
+            block = RationalMatrix(
+                d, len(outside), tuple([row[j] for row in kernel for j in outside])
+            )
+            if rank(block) != d:
                 level_ok = False
                 break
         if level_ok:

@@ -264,3 +264,47 @@ def test_realize_output_deterministic(capsys, tmp_path):
     _, out1, _ = run(capsys, "realize", "--pattern", str(path), "--seed", "3")
     _, out2, _ = run(capsys, "realize", "--pattern", str(path), "--seed", "3")
     assert out1 == out2
+
+
+def test_enumerate_rank_above_shape_is_input_error(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--shape", "5", "5", "--rank", "6", "--zeros", "31",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: inner rank 6 exceeds min(m, n) = 5: "
+        "no full-rank factorization has that inner size\n"
+    )
+
+
+def test_realize_rank_above_shape_is_input_error(capsys, tmp_path):
+    # m = 6, n = 4, r = 5: the columns of the A-pattern are five distinct
+    # 3-subsets of the six rows and the rows of the B-pattern five distinct
+    # 2-subsets of the four columns, 25 zeros in all, so the pattern passes
+    # the zero-count and pair conditions but no 5 x 4 factor has rank 5.
+    a_cols = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (0, 1, 5))
+    b_rows = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+    a_lines = ["".join("0" if i in col else "." for col in a_cols) for i in range(6)]
+    b_lines = ["".join("0" if l in row else "." for l in range(4)) for row in b_rows]
+    path = tmp_path / "wide.txt"
+    path.write_text("6 4 5\n" + "\n".join(a_lines) + "\n\n" + "\n".join(b_lines) + "\n")
+    pattern = formats.load_pattern(path.read_text())
+    from nmfrigid.patterns import check_wpoint
+
+    assert pattern.zero_count == 25 and check_wpoint(pattern)
+    code, out, err = run(capsys, "realize", "--pattern", str(path), "--max-samples", "5")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: inner rank 5 exceeds min(m, n) = 4: "
+        "no full-rank factorization has that inner size\n"
+    )
+
+
+def test_lift_of_fixture_01_reports_kruskal_rank_4(capsys, fixture_file):
+    # The lifted 5 x 6 pair has 18 generators, a 2-dimensional kernel and
+    # Kruskal rank 4, reached after 30,185 subset tests (default budget 10^6).
+    code, out, err = run(capsys, "lift", str(fixture_file))
+    assert code == 0 and err == ""
+    doc = json.loads(out[out.index("\n{\n") + 1 :])
+    assert doc["certificate"]["kruskal_rank"] == 4
+    assert doc["certificate"]["classification"] == "partially-infinitesimally-rigid"

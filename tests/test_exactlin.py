@@ -106,3 +106,124 @@ def test_matmul_associativity():
         b = rand_matrix(rng, q, s)
         c = rand_matrix(rng, s, t)
         assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination against rational Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+def fraction_echelon(m):
+    # Reference: Gauss-Jordan over Fraction with the library's pivot rule
+    # (first nonzero entry in column order), normalizing each pivot to 1.
+    work = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    piv_row = 0
+    for col in range(m.cols):
+        found = next((i for i in range(piv_row, m.rows) if work[i][col]), None)
+        if found is None:
+            continue
+        work[piv_row], work[found] = work[found], work[piv_row]
+        pivot = work[piv_row][col]
+        work[piv_row] = [x / pivot for x in work[piv_row]]
+        for i in range(m.rows):
+            factor = work[i][col]
+            if i != piv_row and factor:
+                work[i] = [x - factor * y for x, y in zip(work[i], work[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+        if piv_row == m.rows:
+            break
+    return work, pivots
+
+
+def oracle_rank(m):
+    return len(fraction_echelon(m)[1])
+
+
+def oracle_nullspace(m):
+    work, pivots = fraction_echelon(m)
+    basis = []
+    for free in (j for j in range(m.cols) if j not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for row_idx, piv_col in enumerate(pivots):
+            vec[piv_col] = -work[row_idx][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def assert_same_as_oracle(m):
+    assert rank(m) == oracle_rank(m)
+    basis = nullspace_basis(m)
+    assert basis == oracle_nullspace(m)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def sparse_rational_matrix(rng, rows, cols):
+    # Mostly zeros and repeated rows, so that rank deficiency and free
+    # columns are common, with denominators up to 7 and signed entries.
+    base = [
+        [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.5 else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    for i in range(rows):
+        if i and rng.random() < 0.2:
+            scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            base[i] = [scale * x for x in base[rng.randrange(i)]]
+    return RationalMatrix.from_rows(base) if rows else RationalMatrix.zeros(0, cols)
+
+
+def test_elimination_matches_rational_reference_on_random_matrices():
+    rng = random.Random(300)
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        assert_same_as_oracle(sparse_rational_matrix(rng, rows, cols))
+
+
+def test_elimination_matches_rational_reference_on_wide_and_tall_matrices():
+    rng = random.Random(301)
+    for _ in range(150):
+        short, long = rng.randint(1, 3), rng.randint(8, 14)
+        assert_same_as_oracle(sparse_rational_matrix(rng, short, long))
+        assert_same_as_oracle(sparse_rational_matrix(rng, long, short))
+        assert_same_as_oracle(rand_matrix(rng, short, long, lo=-50, hi=50, denom=11))
+
+
+def test_elimination_matches_rational_reference_on_zero_and_empty_matrices():
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)):
+        assert_same_as_oracle(RationalMatrix.zeros(rows, cols))
+    assert nullspace_basis(RationalMatrix.zeros(0, 2)) == [
+        (Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(1)),
+    ]
+    assert rank(RationalMatrix.zeros(3, 0)) == 0
+
+
+def test_elimination_matches_rational_reference_on_fixture_generators():
+    rng = random.Random(302)
+    for fx in RIGID_5X5:
+        g = build_dual_generators(fx.pair()).matrix()
+        assert_same_as_oracle(g)
+        assert_same_as_oracle(g.transpose())
+        for _ in range(3):
+            row_s = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                for _ in range(g.rows)
+            ]
+            col_s = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(g.cols)]
+            scaled = RationalMatrix(
+                g.rows,
+                g.cols,
+                tuple(row_s[i] * g[i, j] * col_s[j] for i in range(g.rows) for j in range(g.cols)),
+            )
+            assert_same_as_oracle(scaled)
+            assert rank(scaled) == 12 and len(nullspace_basis(scaled)) == 1
+
+
+def test_elimination_accepts_integer_entries():
+    m = RationalMatrix(2, 3, (2, 4, 6, 1, 3, 5))
+    assert rank(m) == 2
+    assert nullspace_basis(m) == nullspace_basis(RationalMatrix.from_rows([[2, 4, 6], [1, 3, 5]]))

@@ -123,3 +123,76 @@ def test_certificate_verify_detects_tampering():
     doc["certificate"]["relint_witness"][0] = "1/2"
     with pytest.raises(ValueError, match="witness"):
         formats.verify_certificate_document(doc, pair)
+
+
+def _rigid_document(budget=10**6):
+    pair = RIGID_5X5[0].pair()
+    flags = {} if budget is None else {"kruskal_budget": budget}
+    cert = certify(pair, kruskal_budget=budget or 0)
+    shape = {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n}
+    return pair, formats.certificate_to_document(cert, shape, flags=flags)
+
+
+def test_forged_interior_certificate_is_rejected():
+    # A rigid fixture's document rewritten to claim the opposite verdict,
+    # with every field consistent with every other field.
+    pair, doc = _rigid_document()
+    body = doc["certificate"]
+    body.update(
+        classification="interior-certified",
+        lineality_dim=0,
+        dim_w=16,
+        relint_witness=None,
+        kruskal_rank=3,
+    )
+    with pytest.raises(ValueError, match="witness"):
+        formats.verify_certificate_document(doc, pair)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("classification", "undetermined", "classification"),
+        ("lineality_dim", 11, "lineality_dim"),
+        ("dim_w", 5, "dim_w"),
+        ("inner_rank", 3, "r mismatch"),
+        ("v_basis", [[["0"] * 4] * 4], "v_basis"),
+        ("kruskal_rank", 11, "kruskal_rank"),
+    ],
+)
+def test_verify_rederives_every_recorded_field(field, value, message):
+    pair, doc = _rigid_document()
+    doc["certificate"][field] = value
+    with pytest.raises(ValueError, match=message):
+        formats.verify_certificate_document(doc, pair)
+
+
+def test_verify_checks_kruskal_rank_only_under_a_recorded_budget():
+    pair, doc = _rigid_document(budget=None)
+    assert doc["certificate"]["kruskal_rank"] is None
+    doc["certificate"]["kruskal_rank"] = 3
+    assert formats.verify_certificate_document(doc, pair)
+    doc["flags"]["kruskal_budget"] = 13
+    with pytest.raises(ValueError, match="kruskal_rank"):
+        formats.verify_certificate_document(doc, pair)
+    doc["certificate"]["kruskal_rank"] = 12
+    assert formats.verify_certificate_document(doc, pair)
+    doc["flags"]["kruskal_budget"] = 12  # one short of the 13 subset tests
+    with pytest.raises(ValueError, match="kruskal_rank"):
+        formats.verify_certificate_document(doc, pair)
+    for bad in (-1, "13", 1.5, True):
+        doc["flags"]["kruskal_budget"] = bad
+        with pytest.raises(ValueError, match="kruskal_budget"):
+            formats.verify_certificate_document(doc, pair)
+
+
+def test_verify_rejects_forged_symmetric_verdict():
+    factor = SymmetricFactor(RIGID_5X5[0].pair().b.transpose())
+    cert = certify_cp(factor)
+    doc = formats.certificate_to_document(
+        cert, {"symmetric": True, "n": factor.n, "r": factor.r}, flags={"kruskal_budget": 10**6}
+    )
+    assert doc["certificate"]["classification"] == "not-rigid"
+    doc["certificate"]["classification"] = "infinitesimally-rigid"
+    with pytest.raises(ValueError, match="classification"):
+        formats.verify_certificate_document(doc, factor)

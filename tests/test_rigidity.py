@@ -430,3 +430,107 @@ def test_kruskal_shortcut_matches_loop_around_the_count(monkeypatch):
             patch.setattr(rigidity, "kruskal_rank_of_columns", forbidden)
             for budget, kruskal in expected.items():
                 assert certify(pair, kruskal_budget=budget).kruskal_rank == kruskal
+
+
+# ---------------------------------------------------------------------------
+# Kernel-side Kruskal search against the column-side search
+# ---------------------------------------------------------------------------
+
+def primal_kruskal(columns, budget):
+    # Reference: rank every k-subset of columns directly, descending from
+    # min(count, rank), one unit of budget per subset.  Returns the answer
+    # (None when the budget runs out) and the subsets charged.
+    c = len(columns)
+    if c == 0:
+        return 0, 0
+    height = len(columns[0])
+    k = min(c, rank(RationalMatrix.from_columns(columns, height)))
+    used = 0
+    while k >= 1:
+        for subset in itertools.combinations(range(c), k):
+            if used >= budget:
+                return None, used
+            used += 1
+            sub = RationalMatrix.from_columns([columns[i] for i in subset], height)
+            if rank(sub) != k:
+                break
+        else:
+            return k, used
+        k -= 1
+    return 0, used
+
+
+def assert_kruskal_matches_primal(columns):
+    # The charge threshold is the number of subsets a full search charges:
+    # the least budget that gets an answer instead of None.
+    answer, threshold = primal_kruskal(columns, 10**6)
+    for budget in sorted({0, 1, max(threshold - 1, 0), threshold, 10**6}):
+        expected = primal_kruskal(columns, budget)[0]
+        assert kruskal_rank_of_columns(columns, budget) == expected, (budget, threshold)
+    if threshold:
+        assert kruskal_rank_of_columns(columns, threshold - 1) is None
+    assert kruskal_rank_of_columns(columns, threshold) == answer
+
+
+def twelve_zero_variants(pair):
+    # Every pair obtained by filling in one zero of A or of B.
+    for name in ("a", "b"):
+        mat = getattr(pair, name)
+        for i in range(mat.rows):
+            for j in range(mat.cols):
+                if mat[i, j] == 0:
+                    rows = [list(row) for row in mat.row_list()]
+                    rows[i][j] = Fraction(i + j + 2, 3)
+                    filled = RationalMatrix.from_rows(rows)
+                    if name == "a":
+                        yield FactorizationPair(filled, pair.b)
+                    else:
+                        yield FactorizationPair(pair.a, filled)
+
+
+def test_kernel_kruskal_matches_primal_search_on_random_columns():
+    rng = random.Random(400)
+    for _ in range(300):
+        height = rng.randint(1, 5)
+        count = rng.randint(0, 8)
+        pool = [
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(height))
+            for _ in range(3)
+        ]
+        cols = tuple(
+            rng.choice(pool)
+            if rng.random() < 0.15
+            else tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(height))
+            for _ in range(count)
+        )
+        assert_kruskal_matches_primal(cols)
+
+
+def test_kernel_kruskal_matches_primal_search_on_fixture_and_cp_generators():
+    from nmfrigid.cpr import SymmetricFactor, build_skew_generators
+
+    for fx in RIGID_5X5:
+        pair = fx.pair()
+        assert_kruskal_matches_primal(build_dual_generators(pair).vectors)
+        for factor in (pair.a, pair.b.transpose()):
+            assert_kruskal_matches_primal(build_skew_generators(SymmetricFactor(factor)).vectors)
+
+
+def test_kernel_kruskal_matches_primal_search_on_twelve_zero_variants():
+    seen = 0
+    for fx in RIGID_5X5:
+        for variant in twelve_zero_variants(fx.pair()):
+            gens = build_dual_generators(variant)
+            assert gens.count == 12
+            assert_kruskal_matches_primal(gens.vectors)
+            seen += 1
+    assert seen == 15 * 13
+
+
+def test_lifted_fixture_kruskal_rank_and_charge_are_pinned():
+    from nmfrigid.realize import lift_partially_rigid
+
+    gens = build_dual_generators(lift_partially_rigid(RIGID_5X5[0].pair()))
+    assert gens.count == 18 and len(nullspace_basis(gens.matrix())) == 2
+    assert kruskal_rank_of_columns(gens.vectors, 30184) is None
+    assert kruskal_rank_of_columns(gens.vectors, 30185) == 4
