@@ -127,13 +127,13 @@ def cmd_realize(args) -> int:
         return _fail_input(
             "pattern fails the zero-count/pair conditions, no rigid realization exists"
         )
-    config = RealizationSearchConfig(
-        entry_low=args.range[0],
-        entry_high=args.range[1],
-        max_samples=args.max_samples,
-        seed=args.seed,
-    )
     try:
+        config = RealizationSearchConfig(
+            entry_low=args.range[0],
+            entry_high=args.range[1],
+            max_samples=args.max_samples,
+            seed=args.seed,
+        )
         pair = realize_pattern(pattern, config)
     except ValueError as exc:
         return _fail_input(str(exc))

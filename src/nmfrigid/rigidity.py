@@ -10,7 +10,9 @@ lineality computation and one relative-interior feasibility test, all in
 exact arithmetic.  All three start from the kernel of the generator matrix:
 when it has dimension at most one (the tight zero count r^2-r+1 of every
 rigid pattern), it answers the relative-interior and lineality questions
-and the top Kruskal level by itself, and no LP runs.
+by itself, and no LP runs.  The same kernel gives the Kruskal rank: at
+dimension at most two its circuits are read off directly and the subset
+search is counted instead of run.
 
 The first-order deformation cone W is dual to the generator cone, so its
 dimension is r^2 minus the lineality dimension of the generators.  When W
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import patterns
 from .cone import (
@@ -305,14 +308,7 @@ def _certify_generators(
     else:
         classification = Classification.UNDETERMINED
 
-    if len(kernel) == 1 and all(kernel[0]):
-        # The only dependency uses every column, so dropping any one leaves
-        # c-1 independent columns: level c-1 holds, after the same c subset
-        # tests the descending search would charge.
-        c = gens.count
-        kruskal = c - 1 if c == 1 or kruskal_budget >= c else None
-    else:
-        kruskal = kruskal_rank_of_columns(gens.vectors, kruskal_budget)
+    kruskal = kruskal_rank_of_columns(gens.vectors, kruskal_budget, kernel=kernel)
     return RigidityCertificate(
         r=r,
         ambient_dim=ambient_dim,
@@ -390,30 +386,48 @@ def _cone_from_kernel(
 # Kruskal rank
 # ---------------------------------------------------------------------------
 
-def kruskal_rank_of_columns(columns: tuple[Vector, ...], budget: int) -> int | None:
+def kruskal_rank_of_columns(
+    columns: tuple[Vector, ...], budget: int, *, kernel: list[Vector] | None = None
+) -> int | None:
     """Largest k such that every k columns are linearly independent.
 
-    Descends from min(count, rank) = count - d, d the kernel dimension: the
-    first level whose subsets are all independent is the answer.  Each
-    subset is tested on the dual side: a column set S is dependent exactly
-    when some nonzero kernel vector is supported inside S, that is when the
-    d rows of a kernel basis become dependent once the columns in S are
-    dropped.  So S is independent iff the d x (count - |S|) kernel block
-    outside S has rank d, a small rank in place of a tall one.  The kernel
-    is computed once, each basis vector scaled to integers.  Every subset test counts
-    one unit against `budget`; when the budget runs out the result is
-    reported as unknown (None) rather than approximated.  An empty column
-    list has Kruskal rank zero by convention.
+    Defined by a descending search from min(count, rank) = count - d, d the
+    kernel dimension: the first level whose subsets, taken in
+    `combinations` order, are all independent is the answer, and every
+    subset tested counts one unit against `budget`.  When the budget runs
+    out the result is reported as unknown (None) rather than approximated.
+    An empty column list has Kruskal rank zero by convention.  `kernel`, a
+    basis of the right kernel of the columns, saves recomputing it when the
+    caller already holds one; each basis vector is scaled to integers.
+
+    For d <= 2 the subsets are counted, not tested.  The circuits (minimal
+    dependent sets) of the columns are the minimal supports of kernel
+    vectors: none for d = 0, the support of the kernel vector for d = 1,
+    and for d = 2 one circuit per parallel class P of nonzero kernel
+    columns, the columns outside P and outside the zero kernel columns Z.
+    The answer is g - 1, g the smallest circuit size (count, after one
+    subset, when there is no circuit), and the search would charge, at each
+    failing level k from count - d down to g, the position of the lex-first
+    k-subset containing a circuit plus one, then all C(count, g - 1)
+    subsets of the passing level (if g >= 2).  This costs
+    O(count^2 * classes) integer operations and no elimination.
+
+    For d >= 3 each subset is tested on the dual side: a column set S is
+    dependent exactly when some nonzero kernel vector is supported inside S,
+    that is when the d rows of the kernel basis become dependent once the
+    columns in S are dropped.  So S is independent iff the d x (count - |S|)
+    kernel block outside S has rank d, a small rank in place of a tall one.
     """
     c = len(columns)
     if c == 0:
         return 0
-    height = len(columns[0])
-    kernel = [
-        integer_multiple(v)
-        for v in nullspace_basis(RationalMatrix.from_columns(columns, height))
-    ]
+    if kernel is None:
+        kernel = nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))
+    kernel = [integer_multiple(v) for v in kernel]
     d = len(kernel)
+    if d <= 2:
+        answer, charge = _counted_kruskal(_small_kernel_circuits(kernel), c, d)
+        return answer if budget >= charge else None
     k = c - d
     used = 0
     while k >= 1:
@@ -436,6 +450,66 @@ def kruskal_rank_of_columns(columns: tuple[Vector, ...], budget: int) -> int | N
             return k
         k -= 1
     return 0
+
+
+def _small_kernel_circuits(kernel: list[list[int]]) -> list[list[int]]:
+    """Circuits of the columns, as sorted index lists, from an integer
+    kernel basis of dimension at most two."""
+    if len(kernel) < 2:
+        return [[j for j, x in enumerate(v) if x] for v in kernel]
+    top, bottom = kernel
+    c = len(top)
+    classes: list[list[int]] = []  # parallel classes of nonzero kernel columns
+    for j in range(c):
+        x, y = top[j], bottom[j]
+        if not (x or y):
+            continue
+        for cls in classes:
+            i = cls[0]
+            if top[i] * y == bottom[i] * x:
+                cls.append(j)
+                break
+        else:
+            classes.append([j])
+    return [
+        [j for j in range(c) if (top[j] or bottom[j]) and j not in cls]
+        for cls in classes
+    ]
+
+
+def _counted_kruskal(circuits: list[list[int]], c: int, d: int) -> tuple[int, int]:
+    """Kruskal rank of c columns with kernel dimension d, and the subsets
+    the descending search charges to reach it, from the circuits alone."""
+    if not circuits:
+        return c, 1
+    g = min(len(circuit) for circuit in circuits)
+    charge = comb(c, g - 1) if g >= 2 else 0
+    for k in range(g, c - d + 1):
+        first = min(_first_superset(circuit, k, c) for circuit in circuits if len(circuit) <= k)
+        charge += _lex_index(first, c) + 1
+    return g - 1, charge
+
+
+def _first_superset(circuit: list[int], k: int, c: int) -> list[int]:
+    # The lex-first k-subset of range(c) containing `circuit`: the circuit
+    # plus the smallest indices outside it.
+    inside = set(circuit)
+    extra = [j for j in range(c) if j not in inside][: k - len(circuit)]
+    return sorted(circuit + extra)
+
+
+def _lex_index(subset: list[int], c: int) -> int:
+    # Position of the sorted `subset` in combinations(range(c), len(subset)):
+    # for each slot, the subsets that agree before it and hold a smaller
+    # index there.
+    k = len(subset)
+    index = 0
+    prev = -1
+    for slot, s in enumerate(subset):
+        for x in range(prev + 1, s):
+            index += comb(c - 1 - x, k - 1 - slot)
+        prev = s
+    return index
 
 
 def kruskal_rank(gens: DualConeGenerators, budget: int = DEFAULT_KRUSKAL_BUDGET) -> int | None:

@@ -149,6 +149,23 @@ def test_realize_budget_exhausted(capsys, tmp_path):
     assert "no rigid realization" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--range", "5", "1"), "need 0 < entry_low <= entry_high"),
+        (("--range", "-1", "3"), "need 0 < entry_low <= entry_high"),
+        (("--range", "0", "0"), "need 0 < entry_low <= entry_high"),
+        (("--max-samples", "-1"), "max_samples must be nonnegative"),
+    ],
+    ids=["range-reversed", "range-negative", "range-zero", "max-samples-negative"],
+)
+def test_realize_bad_search_settings_are_input_errors(capsys, tmp_path, flags, message):
+    path = tmp_path / "pattern.txt"
+    path.write_text(formats.dump_pattern(RIGID_5X5[0].pair().zero_pattern()))
+    code, out, err = run(capsys, "realize", "--pattern", str(path), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_fixtures(capsys):
     code, out, _ = run(capsys, "verify-fixtures")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nmfrigid.exactlin import RationalMatrix, matmul, nullspace_basis, rank
+from nmfrigid.exactlin import RationalMatrix, integer_multiple, matmul, nullspace_basis, rank
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
 from nmfrigid.rigidity import (
     Classification,
@@ -395,14 +395,14 @@ def test_kernel_answers_do_not_depend_on_the_sign_of_the_basis_vector():
         assert _cone_from_kernel([negated], gens.count) == _cone_from_kernel([v], gens.count)
 
 
-def test_kernel_with_zero_entry_falls_through_to_kruskal_loop(monkeypatch):
+def test_kernel_with_zero_entry_is_handed_to_kruskal_rank_of_columns(monkeypatch):
     from nmfrigid import rigidity
 
     calls = []
 
-    def recording(columns, budget):
-        calls.append(budget)
-        return kruskal_rank_of_columns(columns, budget)
+    def recording(columns, budget, *, kernel=None):
+        calls.append((budget, kernel))
+        return kruskal_rank_of_columns(columns, budget, kernel=kernel)
 
     monkeypatch.setattr(rigidity, "kruskal_rank_of_columns", recording)
     pair = opposite_pair()
@@ -411,25 +411,20 @@ def test_kernel_with_zero_entry_falls_through_to_kruskal_loop(monkeypatch):
         assert certify(pair, kruskal_budget=budget).kruskal_rank == kruskal_rank_of_columns(
             gens.vectors, budget
         )
-    assert calls == [0, 2, 3, 4]
+    kernel = nullspace_basis(gens.matrix())
+    assert calls == [(budget, kernel) for budget in (0, 2, 3, 4)]
 
 
-def test_kruskal_shortcut_matches_loop_around_the_count(monkeypatch):
-    from nmfrigid import rigidity
-
-    def forbidden(columns, budget):
-        raise AssertionError("full-support kernel must not run the subset loop")
-
+def test_kruskal_shortcut_matches_loop_around_the_count():
     for fx in RIGID_5X5:
         pair = fx.pair()
         gens = build_dual_generators(pair)
         c = gens.count
-        expected = {b: kruskal_rank_of_columns(gens.vectors, b) for b in (c - 1, c, c + 1)}
+        expected = {b: kernel_subset_kruskal(gens.vectors, b)[0] for b in (c - 1, c, c + 1)}
         assert expected == {c - 1: None, c: c - 1, c + 1: c - 1}
-        with monkeypatch.context() as patch:
-            patch.setattr(rigidity, "kruskal_rank_of_columns", forbidden)
-            for budget, kruskal in expected.items():
-                assert certify(pair, kruskal_budget=budget).kruskal_rank == kruskal
+        for budget, kruskal in expected.items():
+            assert kruskal_rank_of_columns(gens.vectors, budget) == kruskal
+            assert certify(pair, kruskal_budget=budget).kruskal_rank == kruskal
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +452,30 @@ def primal_kruskal(columns, budget):
         else:
             return k, used
         k -= 1
+    return 0, used
+
+
+def kernel_subset_kruskal(columns, budget):
+    # Reference: the same descending search testing each k-subset S by the
+    # rank of the integer kernel block outside S (independent iff it is d).
+    c = len(columns)
+    if c == 0:
+        return 0, 0
+    basis = nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))
+    kernel = [integer_multiple(v) for v in basis]
+    d = len(kernel)
+    used = 0
+    for k in range(c - d, 0, -1):
+        for subset in itertools.combinations(range(c), k):
+            if used >= budget:
+                return None, used
+            used += 1
+            outside = [j for j in range(c) if j not in subset]
+            block = RationalMatrix(d, len(outside), tuple(row[j] for row in kernel for j in outside))
+            if rank(block) != d:
+                break
+        else:
+            return k, used
     return 0, used
 
 
@@ -534,3 +553,107 @@ def test_lifted_fixture_kruskal_rank_and_charge_are_pinned():
     assert gens.count == 18 and len(nullspace_basis(gens.matrix())) == 2
     assert kruskal_rank_of_columns(gens.vectors, 30184) is None
     assert kruskal_rank_of_columns(gens.vectors, 30185) == 4
+
+
+# ---------------------------------------------------------------------------
+# Counted Kruskal search (kernel dimension <= 2) against the subset searches
+# ---------------------------------------------------------------------------
+
+def small_kernel_columns(rng):
+    # c <= 10 columns whose kernel has dimension d <= 2: independent random
+    # columns plus d extra ones, each a zero column, a scaled copy of another
+    # column or a combination of a random subset of the independent ones.
+    # Columns left out of every combination lie outside every dependency.
+    d = rng.randint(0, 2)
+    free = rng.randint(1, 10 - d)
+    height = free + rng.randint(0, 2)
+    cols = [
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(height))
+        for _ in range(free)
+    ]
+    kinds = []
+    for _ in range(d):
+        kind = rng.choice(("zero", "copy", "combination", "combination"))
+        kinds.append(kind)
+        if kind == "zero":
+            cols.append((Fraction(0),) * height)
+        elif kind == "copy":
+            scale = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2))
+            cols.append(tuple(scale * x for x in rng.choice(cols)))
+        else:
+            part = rng.sample(cols[:free], rng.randint(1, free))
+            weights = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)) for _ in part]
+            cols.append(tuple(sum(w * col[i] for w, col in zip(weights, part)) for i in range(height)))
+    rng.shuffle(cols)
+    return tuple(cols), kinds
+
+
+def test_counted_kruskal_matches_primal_search_on_small_kernels():
+    from nmfrigid.rigidity import _small_kernel_circuits
+
+    e1, e2, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0),) * 2
+    for cols in ((zero,), (e1, zero, e2), (zero, e1, zero)):
+        assert primal_kruskal(cols, 10**6)[0] == 0
+        assert_kruskal_matches_primal(cols)
+
+    rng = random.Random(404)
+    seen = {"zero": 0, "copy": 0, "combination": 0, "outside": 0, "three classes": 0}
+    checked = 0
+    for _ in range(250):
+        cols, kinds = small_kernel_columns(rng)
+        basis = nullspace_basis(RationalMatrix.from_columns(cols, len(cols[0])))
+        if len(basis) > 2:  # the random columns happened to be dependent
+            continue
+        assert_kruskal_matches_primal(cols)
+        checked += 1
+        for kind in kinds:
+            seen[kind] += 1
+        kernel = [integer_multiple(v) for v in basis]
+        if kernel and any(not any(row[j] for row in kernel) for j in range(len(cols))):
+            seen["outside"] += 1
+        if len(basis) == 2 and len(_small_kernel_circuits(kernel)) >= 3:
+            seen["three classes"] += 1
+    assert checked >= 240
+    assert min(seen.values()) >= 10, seen
+
+
+def test_lifted_fixture_charge_thresholds_match_the_kernel_subset_loop():
+    from nmfrigid.realize import lift_partially_rigid
+
+    for fx in RIGID_5X5[:3]:
+        gens = build_dual_generators(lift_partially_rigid(fx.pair()))
+        assert len(nullspace_basis(gens.matrix())) == 2
+        answer, threshold = kernel_subset_kruskal(gens.vectors, 10**6)
+        assert answer is not None and threshold > 10**4
+        assert kruskal_rank_of_columns(gens.vectors, threshold - 1) is None
+        assert kruskal_rank_of_columns(gens.vectors, threshold) == answer
+        assert kruskal_rank_of_columns(gens.vectors, 10**6) == answer
+
+
+def test_kernel_of_dimension_three_still_runs_the_subset_loop(monkeypatch):
+    from nmfrigid import rigidity
+    from nmfrigid.cpr import SymmetricFactor, build_skew_generators
+
+    factors = [
+        build_skew_generators(SymmetricFactor(factor)).vectors
+        for fx in RIGID_5X5
+        for factor in (fx.pair().a, fx.pair().b.transpose())
+    ]
+    cols = next(
+        v for v in factors if len(nullspace_basis(RationalMatrix.from_columns(v, len(v[0])))) == 3
+    )
+    answer, threshold = kernel_subset_kruskal(cols, 10**6)
+    ranks = []
+
+    def counting(m):
+        ranks.append(m.rows)
+        return rank(m)
+
+    monkeypatch.setattr(rigidity, "rank", counting)
+    for budget in sorted({0, 1, threshold - 1, threshold, 10**6}):
+        ranks.clear()
+        expected, used = kernel_subset_kruskal(cols, budget)
+        assert kruskal_rank_of_columns(cols, budget) == expected
+        # One rank of the 3-row kernel block per subset the loop tests.
+        assert ranks == [3] * used
+    assert answer is not None and threshold > 1
