@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import RationalMatrix, Vector, rank
-from .patterns import _pairwise_separating, _perms
+from .patterns import (
+    _col_masks,
+    _decode_rows,
+    _pairwise_separating,
+    _row_masks,
+    _side_classes,
+    _side_key,
+    rectangle_violation_from_masks,
+)
 from .rigidity import (
     DEFAULT_KRUSKAL_BUDGET,
     ConditionResult,
@@ -26,7 +34,7 @@ from .rigidity import (
     NecessaryConditionsReport,
     RigidityCertificate,
     _certify_generators,
-    kruskal_rank_of_columns,
+    _kruskal_report,
 )
 
 
@@ -112,12 +120,11 @@ def certify_cp(
 
 def cp_necessary_conditions(factor: SymmetricFactor) -> NecessaryConditionsReport:
     """Combinatorial necessary conditions on the zero pattern of A."""
-    r, n = factor.r, factor.n
-    a = factor.a
-    col_masks = tuple(
-        sum(1 << i for i in range(n) if a[i, j] == 0) for j in range(r)
-    )
-    row_zero_counts = [sum(1 for x in a.row(i) if x == 0) for i in range(n)]
+    r = factor.r
+    zeros = [[x == 0 for x in row] for row in factor.a.row_list()]
+    col_masks = _col_masks(zeros, r)
+    row_masks = _row_masks(zeros)
+    row_zero_counts = [mask.bit_count() for mask in row_masks]
     c = sum(row_zero_counts)
     tight = r * (r - 1) // 2 + 1
     results: list[ConditionResult] = []
@@ -162,28 +169,17 @@ def cp_necessary_conditions(factor: SymmetricFactor) -> NecessaryConditionsRepor
             "at most r-1 zeros per column of A (tight zero count)",
         )
     )
-    rect_detail = ""
-    rect_ok = None
-    if tight_case:
-        rect_ok = True
-        row_masks = [
-            sum(1 << j for j in range(r) if a[i, j] == 0) for i in range(n)
-        ]
-        for alpha in range(1, 1 << r):
-            size = alpha.bit_count()
-            k = sum(1 for mask in row_masks if mask & alpha == alpha)
-            if k > r - size:
-                rect_ok = False
-                rect_detail = (
-                    f"{k} rows zero on columns {tuple(j for j in range(r) if (alpha >> j) & 1)}"
-                )
-                break
+    # With no B side the pair search fires exactly when k > r - |alpha|,
+    # at the first such alpha and with beta empty.
+    rect = rectangle_violation_from_masks(r, row_masks, ()) if tight_case else None
     results.append(
         ConditionResult(
             "zero-rectangles",
             tight_case,
-            rect_ok,
-            rect_detail or "no k x |alpha| zero block with k > r - |alpha| (tight zero count)",
+            (rect is None) if tight_case else None,
+            "no k x |alpha| zero block with k > r - |alpha| (tight zero count)"
+            if rect is None
+            else f"{rect.k} rows zero on columns {rect.alpha}",
         )
     )
     # Positivity of the Gram matrix is necessary only for r >= 3: at r = 2
@@ -206,33 +202,19 @@ def cp_kruskal_criterion(
     factor: SymmetricFactor, budget: int = DEFAULT_KRUSKAL_BUDGET
 ) -> KruskalReport:
     """Whether the skew generator matrix reaches Kruskal rank min(c, r(r-1)/2)."""
-    gens = build_skew_generators(factor)
-    bound = min(gens.count, factor.r * (factor.r - 1) // 2) if gens.count else 0
-    k = kruskal_rank_of_columns(gens.vectors, budget)
-    holds = None if k is None else (k == bound)
-    return KruskalReport(gens.count, bound, k, holds)
+    return _kruskal_report(build_skew_generators(factor), factor.r * (factor.r - 1) // 2, budget)
 
 
 def canonical_symmetric_pattern(zeros_a: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
     """Canonical form of a factor zero pattern under row and column permutations.
 
-    No transpose and no second factor here; the encoding is the row-major
-    reading with rows sorted, minimized over all column permutations.
+    No transpose and no second factor here: a symmetric factor is one side
+    of a pair pattern, so this is the side key of `patterns` (rows sorted,
+    row-major reading minimized over all column permutations), decoded.
     """
     n = len(zeros_a)
     r = len(zeros_a[0]) if n else 0
-    best = None
-    for perm in _perms(r):
-        rows = sorted(
-            sum((1 if zeros_a[i][perm[j]] else 0) << (r - 1 - j) for j in range(r))
-            for i in range(n)
-        )
-        enc = tuple(rows)
-        if best is None or enc < best:
-            best = enc
-    return tuple(
-        tuple(bool((best[i] >> (r - 1 - j)) & 1) for j in range(r)) for i in range(n)
-    )
+    return _decode_rows(_side_key(_col_masks(zeros_a, r), n, r)[0], r)
 
 
 def enumerate_symmetric_patterns(
@@ -243,47 +225,14 @@ def enumerate_symmetric_patterns(
     `require_pairs` imposes the one-sided boundary-closed condition (some
     row zero at i and nonzero at j for every ordered pair), which is the
     symmetric counterpart of the rigidity count filter; `column_bound`
-    imposes at most r-1 zeros per column.  No published counts exist for
-    this case, so the enumeration is provided as a generic tool only.
+    imposes at most r-1 zeros per column.  The columns of A are generated
+    and reduced to orbit representatives by the side generator of
+    `patterns`, which also rejects an all-zero row of A (it drops no rank
+    but is never realizable).  No published counts exist for this case, so
+    the enumeration is provided as a generic tool only.
     """
     if n < 1 or r < 1 or zeros < 0:
         raise ValueError("dimensions must be positive and zeros nonnegative")
     cap = min(n, r - 1 if column_bound else n)
-    masks = sorted(
-        (m for m in range(1 << n) if m.bit_count() <= cap),
-        key=lambda m: (m.bit_count(), m),
-    )
-    found: set[tuple[tuple[bool, ...], ...]] = set()
-    chosen: list[int] = []
-
-    def emit(total: int) -> None:
-        if total != zeros:
-            return
-        if require_pairs and not _pairwise_separating(tuple(chosen)):
-            return
-        full = (1 << n) - 1
-        acc = full
-        for c in chosen:
-            acc &= c
-        if acc:
-            return  # an all-zero row of A drops no rank but is never realizable
-        zeros_a = tuple(
-            tuple(bool((chosen[j] >> i) & 1) for j in range(r)) for i in range(n)
-        )
-        found.add(canonical_symmetric_pattern(zeros_a))
-
-    def rec(start: int, total: int) -> None:
-        if len(chosen) == r:
-            emit(total)
-            return
-        remaining = r - len(chosen)
-        for idx in range(start, len(masks)):
-            pc = masks[idx].bit_count()
-            if total + remaining * pc > zeros:
-                break
-            chosen.append(masks[idx])
-            rec(idx, total + pc)
-            chosen.pop()
-
-    rec(0, 0)
-    return sorted(found)
+    sides = _side_classes(n, r, cap, require_pairs, False, zeros, zeros)
+    return sorted(_decode_rows(key, r) for _, key, _ in sides.get(zeros, ()))

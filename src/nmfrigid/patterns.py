@@ -42,7 +42,8 @@ class ZeroPattern:
 
     True marks a forced zero.  An all-true row of `zeros_a` or all-true
     column of `zeros_b` is rejected: it would force a zero row of A or zero
-    column of B, which no valid factorization pair realizes.
+    column of B, which no valid factorization pair realizes.  An inner size
+    r above min(m, n) is rejected too.
     """
 
     m: int
@@ -52,6 +53,7 @@ class ZeroPattern:
     zeros_b: BoolMatrix
 
     def __post_init__(self):
+        _require_attainable_rank(self.m, self.n, self.r)
         if len(self.zeros_a) != self.m or any(len(row) != self.r for row in self.zeros_a):
             raise ValueError(f"zeros_a must be {self.m}x{self.r}")
         if len(self.zeros_b) != self.r or any(len(row) != self.n for row in self.zeros_b):
@@ -69,29 +71,30 @@ class ZeroPattern:
             x for row in self.zeros_b for x in row
         )
 
-    @classmethod
-    def from_masks(
-        cls, m: int, n: int, r: int, cols_a: tuple[int, ...], rows_b: tuple[int, ...]
-    ) -> "ZeroPattern":
-        zeros_a = tuple(
-            tuple(bool((cols_a[j] >> i) & 1) for j in range(r)) for i in range(m)
-        )
-        zeros_b = tuple(
-            tuple(bool((rows_b[i] >> l) & 1) for l in range(n)) for i in range(r)
-        )
-        return cls(m, n, r, zeros_a, zeros_b)
-
     def cols_a_masks(self) -> tuple[int, ...]:
         """Column j of the A-pattern as a bit mask over rows."""
-        return tuple(
-            sum(1 << i for i in range(self.m) if self.zeros_a[i][j]) for j in range(self.r)
-        )
+        return _col_masks(self.zeros_a, self.r)
 
     def rows_b_masks(self) -> tuple[int, ...]:
         """Row i of the B-pattern as a bit mask over columns."""
-        return tuple(
-            sum(1 << l for l in range(self.n) if self.zeros_b[i][l]) for i in range(self.r)
-        )
+        return _row_masks(self.zeros_b)
+
+
+def _row_masks(zeros) -> tuple[int, ...]:
+    # Row i of a boolean zero matrix as a bit mask, bit j for column j.
+    return tuple(sum(1 << j for j, z in enumerate(row) if z) for row in zeros)
+
+
+def _col_masks(zeros, cols: int) -> tuple[int, ...]:
+    # Column j of a boolean zero matrix with `cols` columns as a bit mask,
+    # bit i for row i.
+    return tuple(sum(1 << i for i, row in enumerate(zeros) if row[j]) for j in range(cols))
+
+
+def _decode_rows(rows: tuple[int, ...], width: int) -> BoolMatrix:
+    # Inverse of the key encodings: each int is one row, column 0 as the
+    # most significant of `width` bits.
+    return tuple(tuple(bool((v >> (width - 1 - j)) & 1) for j in range(width)) for v in rows)
 
 
 def _require_attainable_rank(m: int, n: int, r: int) -> None:
@@ -184,14 +187,9 @@ def forces_product_zero(pattern: ZeroPattern) -> bool:
     count has a strictly positive product, so such patterns admit no rigid
     realization.
     """
-    r = pattern.r
-    full = (1 << r) - 1
-    row_masks_a = [
-        sum(1 << j for j in range(r) if pattern.zeros_a[i][j]) for i in range(pattern.m)
-    ]
-    col_masks_b = [
-        sum(1 << i for i in range(r) if pattern.zeros_b[i][l]) for l in range(pattern.n)
-    ]
+    row_masks_a = _row_masks(pattern.zeros_a)
+    col_masks_b = _col_masks(pattern.zeros_b, pattern.n)
+    full = (1 << pattern.r) - 1
     return any(sa | tb == full for sa in row_masks_a for tb in col_masks_b)
 
 
@@ -239,18 +237,13 @@ def check_zero_rectangles(pattern: ZeroPattern) -> RectangleViolation | None:
     None if the pattern passes.
     """
     _require_tight_count(pattern)
-    r = pattern.r
-    row_masks_a = [
-        sum(1 << j for j in range(r) if pattern.zeros_a[i][j]) for i in range(pattern.m)
-    ]
-    col_masks_b = [
-        sum(1 << i for i in range(r) if pattern.zeros_b[i][l]) for l in range(pattern.n)
-    ]
-    return rectangle_violation_from_masks(r, row_masks_a, col_masks_b)
+    return rectangle_violation_from_masks(
+        pattern.r, _row_masks(pattern.zeros_a), _col_masks(pattern.zeros_b, pattern.n)
+    )
 
 
 def rectangle_violation_from_masks(
-    r: int, row_masks_a: list[int], col_masks_b: list[int]
+    r: int, row_masks_a: tuple[int, ...], col_masks_b: tuple[int, ...]
 ) -> RectangleViolation | None:
     """Rectangle search on raw zero supports (rows of A, columns of B)."""
     for alpha in range(1 << r):
@@ -340,13 +333,7 @@ def _pattern_from_key(
     m: int, n: int, r: int, key: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> ZeroPattern:
     enc_a, enc_b = key
-    zeros_a = tuple(
-        tuple(bool((enc_a[i] >> (r - 1 - j)) & 1) for j in range(r)) for i in range(m)
-    )
-    zeros_b = tuple(
-        tuple(bool((enc_b[j] >> (n - 1 - l)) & 1) for l in range(n)) for j in range(r)
-    )
-    return ZeroPattern(m, n, r, zeros_a, zeros_b)
+    return ZeroPattern(m, n, r, _decode_rows(enc_a, r), _decode_rows(enc_b, n))
 
 
 def canonical_form(pattern: ZeroPattern) -> ZeroPattern:

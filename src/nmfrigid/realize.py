@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cone import lp_feasible
 from .exactlin import RationalMatrix, rank
-from .patterns import ZeroPattern, _require_attainable_rank, check_wpoint
+from .patterns import ZeroPattern, check_wpoint
 from .rigidity import (
     Classification,
     FactorizationPair,
@@ -60,7 +60,6 @@ def realize_pattern(
     max_samples is exhausted.
     """
     r = pattern.r
-    _require_attainable_rank(pattern.m, pattern.n, r)
     for j in range(r):
         if all(pattern.zeros_a[i][j] for i in range(pattern.m)):
             raise ValueError(f"pattern forces column {j} of A to be zero")

@@ -345,11 +345,7 @@ def is_infinitesimally_rigid(pair: FactorizationPair) -> bool:
 
 def dim_w(pair: FactorizationPair) -> int:
     """Dimension of the deformation cone W: r^2 minus the dual lineality."""
-    gens = build_dual_generators(pair)
-    kernel = nullspace_basis(gens.matrix())
-    if len(kernel) <= 1:
-        return pair.r * pair.r - _cone_from_kernel(kernel, gens.count)[1]
-    return pair.r * pair.r - lineality_dimension(gens.cone())
+    return certify(pair, kruskal_budget=0).dim_w
 
 
 def _cone_from_kernel(
@@ -535,9 +531,12 @@ class KruskalReport:
 def check_kruskal_criterion(
     pair: FactorizationPair, budget: int = DEFAULT_KRUSKAL_BUDGET
 ) -> KruskalReport:
-    gens = build_dual_generators(pair)
-    target = pair.r * pair.r - pair.r
-    bound = min(gens.count, target) if gens.count else 0
+    return _kruskal_report(build_dual_generators(pair), pair.r * pair.r - pair.r, budget)
+
+
+def _kruskal_report(gens: DualConeGenerators, target: int, budget: int) -> KruskalReport:
+    # Shared by pairs (target r^2 - r) and symmetric factors (r(r-1)/2).
+    bound = min(gens.count, target)
     k = kruskal_rank_of_columns(gens.vectors, budget)
     holds = None if k is None else (k == bound)
     return KruskalReport(gens.count, bound, k, holds)
@@ -574,19 +573,13 @@ def necessary_conditions_report(pair: FactorizationPair) -> NecessaryConditionsR
     of A or column of B (valid inputs that no realizable pattern object
     represents) still get a report instead of an error.
     """
-    r, m, n = pair.r, pair.m, pair.n
-    cols_a = tuple(
-        sum(1 << i for i in range(m) if pair.a[i, j] == 0) for j in range(r)
-    )
-    rows_b = tuple(
-        sum(1 << l for l in range(n) if pair.b[i, l] == 0) for i in range(r)
-    )
-    row_masks_a = [
-        sum(1 << j for j in range(r) if pair.a[i, j] == 0) for i in range(m)
-    ]
-    col_masks_b = [
-        sum(1 << i for i in range(r) if pair.b[i, l] == 0) for l in range(n)
-    ]
+    r = pair.r
+    zeros_a = [[x == 0 for x in row] for row in pair.a.row_list()]
+    zeros_b = [[x == 0 for x in row] for row in pair.b.row_list()]
+    cols_a = patterns._col_masks(zeros_a, r)
+    rows_b = patterns._row_masks(zeros_b)
+    row_masks_a = patterns._row_masks(zeros_a)
+    col_masks_b = patterns._col_masks(zeros_b, pair.n)
     c = sum(mask.bit_count() for mask in cols_a) + sum(mask.bit_count() for mask in rows_b)
     tight = r * r - r + 1
     results: list[ConditionResult] = []

@@ -280,7 +280,7 @@ def test_criterion_8_property_suites():
 
     for _ in range(n_instances):
         m = n = rng.randint(2, 4)
-        r = rng.randint(2, 3)
+        r = rng.randint(2, min(3, m, n))
         while True:
             try:
                 pattern = ZeroPattern(

@@ -305,10 +305,14 @@ def test_realize_rank_above_shape_is_input_error(capsys, tmp_path):
     b_lines = ["".join("0" if l in row else "." for l in range(4)) for row in b_rows]
     path = tmp_path / "wide.txt"
     path.write_text("6 4 5\n" + "\n".join(a_lines) + "\n\n" + "\n".join(b_lines) + "\n")
-    pattern = formats.load_pattern(path.read_text())
-    from nmfrigid.patterns import check_wpoint
+    # The pattern object cannot be built (r > min(m, n)), so the premise is
+    # checked on the raw zero masks instead.
+    from nmfrigid.patterns import _pairwise_separating
 
-    assert pattern.zero_count == 25 and check_wpoint(pattern)
+    a_masks = tuple(sum(1 << i for i in col) for col in a_cols)
+    b_masks = tuple(sum(1 << l for l in row) for row in b_rows)
+    assert sum(mask.bit_count() for mask in a_masks + b_masks) == 25
+    assert _pairwise_separating(a_masks) and _pairwise_separating(b_masks)
     code, out, err = run(capsys, "realize", "--pattern", str(path), "--max-samples", "5")
     assert code == 2 and out == ""
     assert err == (

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -256,3 +257,128 @@ def test_fixture_factors_match_lp_reference_across_kernel_dimensions():
             witness = cert.relint_witness
             assert (None if witness is None else witness.coefficients) == reference
     assert dims == {0: 15, 1: 4, 2: 8, 3: 3}
+
+
+# ---------------------------------------------------------------------------
+# The CP pattern routines against their former stand-alone versions
+# ---------------------------------------------------------------------------
+
+def _reference_canonical(zeros_a):
+    # Rows packed with column 0 most significant, sorted, minimized over
+    # column permutations.
+    n = len(zeros_a)
+    r = len(zeros_a[0]) if n else 0
+    best = min(
+        tuple(sorted(
+            sum((1 if zeros_a[i][perm[j]] else 0) << (r - 1 - j) for j in range(r))
+            for i in range(n)
+        ))
+        for perm in itertools.permutations(range(r))
+    )
+    return tuple(tuple(bool((best[i] >> (r - 1 - j)) & 1) for j in range(r)) for i in range(n))
+
+
+def _reference_enumerate(n, r, zeros, require_pairs, column_bound):
+    # Recursive multiset generation of the columns of A, filtered and
+    # canonicalized one complete choice at a time.
+    cap = min(n, r - 1 if column_bound else n)
+    masks = sorted(
+        (m for m in range(1 << n) if m.bit_count() <= cap), key=lambda m: (m.bit_count(), m)
+    )
+    found = set()
+    chosen = []
+
+    def rec(start, total):
+        if len(chosen) == r:
+            if total != zeros:
+                return
+            if require_pairs and any(
+                chosen[i] & ~chosen[j] == 0 for i in range(r) for j in range(r) if i != j
+            ):
+                return
+            acc = (1 << n) - 1
+            for c in chosen:
+                acc &= c
+            if acc:
+                return
+            zeros_a = tuple(tuple(bool((chosen[j] >> i) & 1) for j in range(r)) for i in range(n))
+            found.add(_reference_canonical(zeros_a))
+            return
+        for idx in range(start, len(masks)):
+            pc = masks[idx].bit_count()
+            if total + (r - len(chosen)) * pc > zeros:
+                break
+            chosen.append(masks[idx])
+            rec(idx, total + pc)
+            chosen.pop()
+
+    rec(0, 0)
+    return sorted(found)
+
+
+def _reference_rectangles(rows):
+    # First alpha, in increasing mask order, with more than r - |alpha|
+    # rows of A zero on all of alpha.
+    r = len(rows[0])
+    row_masks = [sum(1 << j for j in range(r) if row[j] == 0) for row in rows]
+    for alpha in range(1, 1 << r):
+        k = sum(1 for mask in row_masks if mask & alpha == alpha)
+        if k > r - alpha.bit_count():
+            return False, f"{k} rows zero on columns {tuple(j for j in range(r) if (alpha >> j) & 1)}"
+    return True, "no k x |alpha| zero block with k > r - |alpha| (tight zero count)"
+
+
+def test_enumerate_symmetric_patterns_matches_reference_grid():
+    settings = 0
+    for n in range(1, 5):
+        for r in range(1, 5):
+            for zeros in range(min(10, n * r) + 1):
+                for require_pairs in (False, True):
+                    for column_bound in (False, True):
+                        assert enumerate_symmetric_patterns(
+                            n, r, zeros, require_pairs, column_bound
+                        ) == _reference_enumerate(n, r, zeros, require_pairs, column_bound)
+                        settings += 1
+    assert settings == 424
+
+
+def test_canonical_symmetric_pattern_matches_reference():
+    rng = random.Random(35)
+    for _ in range(500):
+        n, r = rng.randint(1, 6), rng.randint(1, 4)
+        zeros = tuple(tuple(rng.random() < 0.4 for _ in range(r)) for _ in range(n))
+        assert canonical_symmetric_pattern(zeros) == _reference_canonical(zeros)
+
+
+def test_cp_zero_rectangles_matches_reference_at_tight_count():
+    # Factors with exactly r(r-1)/2 + 1 zeros, so the check always applies.
+    rng = random.Random(36)
+    violations = 0
+    for _ in range(300):
+        r = rng.randint(2, 4)
+        n = rng.randint(r, 6)
+        while True:
+            cells = rng.sample(range(n * r), r * (r - 1) // 2 + 1)
+            rows = [
+                [0 if i * r + j in cells else rng.randint(1, 9) for j in range(r)]
+                for i in range(n)
+            ]
+            try:
+                factor = factor_from(rows)
+                break
+            except ValueError:
+                continue
+        (cond,) = [c for c in cp_necessary_conditions(factor).conditions if c.name == "zero-rectangles"]
+        assert cond.applicable
+        assert (cond.passed, cond.detail) == _reference_rectangles(rows)
+        violations += not cond.passed
+    assert 0 < violations < 300
+
+
+def test_cp_zero_rectangles_detail_names_first_block():
+    # r = 3, tight count 4: two rows zero on columns {0, 1} exceed r - 2 = 1,
+    # while no single column carries more than r - 1 = 2 zero rows.
+    report = cp_necessary_conditions(factor_from([[0, 0, 1], [0, 0, 2], [1, 2, 1], [2, 1, 1]]))
+    (cond,) = [c for c in report.conditions if c.name == "zero-rectangles"]
+    assert (cond.applicable, cond.passed) == (True, False)
+    assert cond.detail == "2 rows zero on columns (0, 1)"

@@ -70,6 +70,18 @@ def test_all_zero_column_of_b_rejected():
         )
 
 
+def test_rank_above_shape_rejected():
+    with pytest.raises(ValueError) as info:
+        ZeroPattern(
+            2, 2, 3,
+            ((True, False, False), (False, True, False)),
+            ((False, False), (True, False), (False, True)),
+        )
+    assert str(info.value) == (
+        "inner rank 3 exceeds min(m, n) = 2: no full-rank factorization has that inner size"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Filters
 # ---------------------------------------------------------------------------
@@ -174,7 +186,8 @@ def test_filters_invariant_under_group():
 def test_canonical_idempotent():
     rng = random.Random(22)
     for _ in range(200):
-        pattern = rand_pattern(rng, m=rng.randint(2, 4), n=rng.randint(2, 4), r=rng.randint(2, 3))
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        pattern = rand_pattern(rng, m=m, n=n, r=rng.randint(2, min(3, m, n)))
         canon = canonical_form(pattern)
         assert canonical_form(canon) == canon
 
@@ -183,7 +196,7 @@ def test_canonical_constant_on_orbits():
     rng = random.Random(23)
     for _ in range(200):
         m = n = rng.randint(2, 4)
-        pattern = rand_pattern(rng, m=m, n=n, r=rng.randint(2, 3))
+        pattern = rand_pattern(rng, m=m, n=n, r=rng.randint(2, min(3, m, n)))
         g = rand_group_element(rng, m, n, pattern.r, allow_transpose=True)
         assert canonical_form(g.apply(pattern)) == canonical_form(pattern)
 

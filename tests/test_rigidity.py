@@ -262,6 +262,28 @@ def test_conditions_fail_for_zero_free_column():
     assert by_name["boundary-closed-a"].passed is False
 
 
+def test_conditions_report_pair_with_all_zero_row_of_a():
+    # Row 0 of A is zero, so no ZeroPattern represents this pair; the report
+    # still evaluates all eight conditions on the raw zero supports.
+    pair = pair_from(
+        [[0, 0, 0, 0], [1, 0, 2, 3], [0, 1, 1, 2], [2, 3, 0, 1], [1, 1, 1, 0]],
+        [[0, 1, 2, 3, 1], [1, 0, 1, 2, 3], [2, 1, 0, 1, 1], [1, 2, 3, 0, 0]],
+    )
+    report = necessary_conditions_report(pair)
+    assert [(c.name, c.applicable, c.passed) for c in report.conditions] == [
+        ("zero-count", True, True),
+        ("boundary-closed-a", True, True),
+        ("boundary-closed-b", True, True),
+        ("inner-coverage", True, True),
+        ("row-zero-bound", False, None),
+        ("column-zero-bound", True, True),
+        ("zero-rectangles", True, False),
+        ("product-positive", True, False),
+    ]
+    assert report.conditions[0].detail == "13 zeros, need at least 13"
+    assert report.conditions[6].detail == "violated by alpha=(0, 1, 2) beta=(3,) k=1 l=2"
+
+
 def test_rigid_with_tight_count_has_positive_product():
     for fixture in RIGID_5X5:
         pair = fixture.pair()
