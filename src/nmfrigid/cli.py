@@ -52,21 +52,15 @@ def _print_certificate(cert, heading: str) -> None:
 
 
 def cmd_check(args) -> int:
-    try:
-        text = _read_text(args.path)
-    except OSError as exc:
-        return _fail_input(str(exc))
-    try:
-        if args.symmetric:
-            factor = formats.load_symmetric_factor(text)
-            cert = certify_cp(factor, kruskal_budget=args.kruskal_budget)
-            shape = {"symmetric": True, "n": factor.n, "r": factor.r}
-        else:
-            pair = formats.load_factorization(text)
-            cert = certify(pair, kruskal_budget=args.kruskal_budget)
-            shape = {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n}
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    text = _read_text(args.path)
+    if args.symmetric:
+        factor = formats.load_symmetric_factor(text)
+        cert = certify_cp(factor, kruskal_budget=args.kruskal_budget)
+        shape = {"symmetric": True, "n": factor.n, "r": factor.r}
+    else:
+        pair = formats.load_factorization(text)
+        cert = certify(pair, kruskal_budget=args.kruskal_budget)
+        shape = {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n}
     if args.json:
         doc = formats.certificate_to_document(
             cert, shape, flags={"kruskal_budget": args.kruskal_budget}
@@ -102,44 +96,46 @@ def _parse_filters(spec: str, m: int, n: int) -> frozenset[PatternFilter]:
 
 def cmd_enumerate(args) -> int:
     m, n = args.shape
-    try:
-        filters = _parse_filters(args.filters, m, n)
-        reps = enumerate_patterns(m, n, args.rank, args.zeros, filters)
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    print(len(reps))
+    filters = _parse_filters(args.filters, m, n)
+    reps = enumerate_patterns(m, n, args.rank, args.zeros, filters)
     if args.out is not None:
+        # Written before the count, so an unwritable directory leaves stdout
+        # empty; the width keeps the names sorting past 999 patterns.
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        width = max(3, len(str(len(reps))))
         for idx, pattern in enumerate(reps, start=1):
-            (out_dir / f"pattern-{idx:03d}.txt").write_text(
+            (out_dir / f"pattern-{idx:0{width}d}.txt").write_text(
                 formats.dump_pattern(pattern), encoding="utf-8"
             )
+    print(len(reps))
     return EXIT_OK
 
 
 def cmd_realize(args) -> int:
-    try:
-        pattern = formats.load_pattern(_read_text(args.pattern))
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    pattern = formats.load_pattern(_read_text(args.pattern))
     if not check_wpoint(pattern):
         return _fail_input(
             "pattern fails the zero-count/pair conditions, no rigid realization exists"
         )
-    try:
-        config = RealizationSearchConfig(
-            entry_low=args.range[0],
-            entry_high=args.range[1],
-            max_samples=args.max_samples,
-            seed=args.seed,
-        )
-        pair = realize_pattern(pattern, config)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    config = RealizationSearchConfig(
+        entry_low=args.range[0],
+        entry_high=args.range[1],
+        max_samples=args.max_samples,
+        seed=args.seed,
+    )
+    pair = realize_pattern(pattern, config)
     if pair is None:
         print(f"no rigid realization within {args.max_samples} samples", file=sys.stderr)
         return EXIT_FAILURE
+    flags = {"range": list(args.range), "max_samples": args.max_samples}
+    _write_certified_pair(pair, args, flags, seed=args.seed)
+    return EXIT_OK
+
+
+def _write_certified_pair(pair, args, flags: dict, seed: int | None = None) -> None:
+    # The factorization goes to --out or stdout, then its certificate
+    # document to stdout.
     cert = certify(pair, kruskal_budget=args.kruskal_budget)
     text = formats.dump_factorization(pair)
     if args.out is not None:
@@ -149,15 +145,10 @@ def cmd_realize(args) -> int:
     doc = formats.certificate_to_document(
         cert,
         {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n},
-        flags={
-            "range": list(args.range),
-            "max_samples": args.max_samples,
-            "kruskal_budget": args.kruskal_budget,
-        },
-        seed=args.seed,
+        flags={**flags, "kruskal_budget": args.kruskal_budget},
+        seed=seed,
     )
     sys.stdout.write(formats.dump_json(doc))
-    return EXIT_OK
 
 
 def _verify_one(index: int) -> tuple[int, bool, str]:
@@ -211,29 +202,13 @@ def cmd_verify_fixtures(_args) -> int:
 
 
 def cmd_lift(args) -> int:
-    try:
-        pair = formats.load_factorization(_read_text(args.path))
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    pair = formats.load_factorization(_read_text(args.path))
     try:
         lifted = lift_partially_rigid(pair)
-    except ValueError as exc:  # the input is not infinitesimally rigid
-        return _fail_input(str(exc))
     except LiftInfeasibleError as exc:
         print(f"lift failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    cert = certify(lifted, kruskal_budget=args.kruskal_budget)
-    text = formats.dump_factorization(lifted)
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    doc = formats.certificate_to_document(
-        cert,
-        {"symmetric": False, "m": lifted.m, "r": lifted.r, "n": lifted.n},
-        flags={"kruskal_budget": args.kruskal_budget},
-    )
-    sys.stdout.write(formats.dump_json(doc))
+    _write_certified_pair(lifted, args, {})
     return EXIT_OK
 
 
@@ -303,7 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # Unreadable, non-UTF-8 (UnicodeDecodeError is a ValueError) or
+        # malformed input, an unwritable --out, and inputs the library
+        # refuses (a non-rigid pair to lift, say).
+        return _fail_input(str(exc))
 
 
 def entry_point() -> None:

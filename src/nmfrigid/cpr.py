@@ -110,11 +110,8 @@ def certify_cp(
     not rigid.  For r <= 1 the tangent space is trivial and the factor is
     rigid vacuously.
     """
-    gens = build_skew_generators(factor)
-    r = factor.r
-    ambient = r * (r - 1) // 2
     return _certify_generators(
-        gens, r=r, ambient_dim=ambient, kruskal_budget=kruskal_budget, symmetric=True
+        build_skew_generators(factor), kruskal_budget=kruskal_budget, symmetric=True
     )
 
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
@@ -96,9 +95,6 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         data = tuple(self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         return RationalMatrix(self.cols, self.rows, data)
-
-    def is_nonnegative(self) -> bool:
-        return all(x >= 0 for x in self.data)
 
     def is_strictly_positive(self) -> bool:
         return all(x > 0 for x in self.data)
@@ -205,15 +201,6 @@ def nullspace_basis(m: RationalMatrix) -> list[Vector]:
         basis.append(tuple(vec))
     return basis
 
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
 
 def vec_neg(a: Vector) -> Vector:
     return tuple(-x for x in a)

@@ -311,22 +311,19 @@ def _enc_b(rows_b: tuple[int, ...], order: tuple[int, ...], n: int, r: int) -> t
     return tuple(out)
 
 
-def _full_key(
-    m: int, n: int, r: int, cols_a: tuple[int, ...], rows_b: tuple[int, ...]
+def _pair_key(
+    m: int, n: int, r: int, side_a: tuple, side_b: tuple
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    best = None
-    for perm in _perms(r):
-        enc = (_enc_a(cols_a, perm, m, r), _enc_b(rows_b, perm, n, r))
-        if best is None or enc < best:
-            best = enc
+    # Canonical key of a pair from its two sides, each given as (masks,
+    # side key, argmin inner permutations) of `_side_key`.  The A side is
+    # minimized first, so only its argmins can order the B side; for m = n
+    # the transposed pair, whose A side is built from rows_b, competes too.
+    a_masks, a_key, a_mins = side_a
+    b_masks, b_key, b_mins = side_b
+    key = (a_key, min(_enc_b(b_masks, perm, n, r) for perm in a_mins))
     if m == n:
-        # Transposition is an automorphism of the shape only for square
-        # products; the A side of the swapped pattern is built from rows_b.
-        for perm in _perms(r):
-            enc = (_enc_a(rows_b, perm, n, r), _enc_b(cols_a, perm, m, r))
-            if enc < best:
-                best = enc
-    return best
+        key = min(key, (b_key, min(_enc_b(a_masks, perm, m, r) for perm in b_mins)))
+    return key
 
 
 def _pattern_from_key(
@@ -344,10 +341,12 @@ def canonical_form(pattern: ZeroPattern) -> ZeroPattern:
     permutations, the optimal row sort of A, the optimal column sort of B,
     and (for m = n) the transposition swap.  Idempotent by construction.
     """
-    key = _full_key(
-        pattern.m, pattern.n, pattern.r, pattern.cols_a_masks(), pattern.rows_b_masks()
+    m, n, r = pattern.m, pattern.n, pattern.r
+    cols_a, rows_b = pattern.cols_a_masks(), pattern.rows_b_masks()
+    key = _pair_key(
+        m, n, r, (cols_a, *_side_key(cols_a, m, r)), (rows_b, *_side_key(rows_b, n, r))
     )
-    return _pattern_from_key(pattern.m, pattern.n, pattern.r, key)
+    return _pattern_from_key(m, n, r, key)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +470,10 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     subsets with the pairwise non-containment and per-slot bounds pruned in
     during generation; the two sides are bucketed by zero count, reduced to
     per-side orbit representatives, paired in every inner alignment, and
-    finally deduplicated by the full canonical form.  The cheap
-    POSITIVE_PRODUCT test and the expensive zero rectangle filter run last,
-    on representatives only (both are invariant under the full group).
+    finally deduplicated on the pair key that `canonical_form` decodes.
+    The cheap POSITIVE_PRODUCT test and the expensive zero rectangle filter
+    run last, on representatives only (both are invariant under the full
+    group).
 
     Coverage filters are literal: ROW_COVERAGE_A means every row of A
     contains a zero, COLUMN_COVERAGE_B means every column of B contains a
@@ -503,32 +503,24 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     a_sides = _side_classes(m, r, cap_a, wpoint, cover_a, a_min, zeros - b_min)
     b_sides = _side_classes(n, r, cap_b, wpoint, cover_b, b_min, zeros - a_min)
 
-    square = m == n
     perms = _perms(r)
     found: dict = {}
     for z_a, a_list in sorted(a_sides.items()):
         b_list = b_sides.get(zeros - z_a)
         if not b_list:
             continue
-        for a_masks, a_key, a_mins in a_list:
+        for side_a in a_list:
             for b_masks, b_key, b_mins in b_list:
                 seen_orders = set()
                 for pi in perms:
+                    # Align the B side by pi; its argmins move with it.
                     ordered = tuple(b_masks[pi[j]] for j in range(r))
                     if ordered in seen_orders:
                         continue
                     seen_orders.add(ordered)
-                    enc_b = min(_enc_b(b_masks, _compose(pi, s), n, r) for s in a_mins)
-                    key = (a_key, enc_b)
-                    if square:
-                        inv = _invert(pi)
-                        enc_b2 = min(
-                            _enc_b(a_masks, _compose(inv, rho), m, r) for rho in b_mins
-                        )
-                        key2 = (b_key, enc_b2)
-                        if key2 < key:
-                            key = key2
-                    found.setdefault(key)
+                    inv = _invert(pi)
+                    side_b = (ordered, b_key, tuple(_compose(inv, rho) for rho in b_mins))
+                    found.setdefault(_pair_key(m, n, r, side_a, side_b))
     reps = [_pattern_from_key(m, n, r, key) for key in sorted(found)]
     if PatternFilter.POSITIVE_PRODUCT in fset:
         reps = [p for p in reps if not forces_product_zero(p)]

@@ -256,34 +256,20 @@ def certify(
     The Kruskal rank of the generator matrix is attached when the subset
     budget allows (pass 0 to skip it).
     """
-    gens = build_dual_generators(pair)
     return _certify_generators(
-        gens,
-        r=pair.r,
-        ambient_dim=pair.r * pair.r,
-        kruskal_budget=kruskal_budget,
-        symmetric=False,
+        build_dual_generators(pair), kruskal_budget=kruskal_budget, symmetric=False
     )
 
 
 def _certify_generators(
-    gens: DualConeGenerators,
-    r: int,
-    ambient_dim: int,
-    kruskal_budget: int,
-    symmetric: bool,
+    gens: DualConeGenerators, kruskal_budget: int, symmetric: bool
 ) -> RigidityCertificate:
+    r, ambient_dim = gens.r, gens.ambient_dim
     kernel = nullspace_basis(gens.matrix())
     span_rank = gens.count - len(kernel)
-    if len(kernel) <= 1:
-        witness, lin_dim = _cone_from_kernel(kernel, gens.count)
-    else:
-        cone = ConeByGenerators(ambient_dim, gens.vectors)
-        witness = zero_in_relative_interior(cone)
-        if witness is not None:
-            lin_dim = span_rank  # the cone is its span
-        else:
-            lin_dim = lineality_dimension(cone)
+    witness, lin_dim = _relint_stage(gens, kernel)
+    if lin_dim is None:
+        lin_dim = lineality_dimension(gens.cone())
     dim_w = ambient_dim - lin_dim
 
     v_basis = None
@@ -332,20 +318,30 @@ def is_infinitesimally_rigid(pair: FactorizationPair) -> bool:
     feasibility LP.
     """
     gens = build_dual_generators(pair)
-    target = pair.r * pair.r - pair.r
-    if target > 0 and gens.count < target + 1:
-        return False
     kernel = nullspace_basis(gens.matrix())
-    if gens.count - len(kernel) != target:
+    if gens.count - len(kernel) != pair.r * pair.r - pair.r:
         return False
-    if len(kernel) <= 1:
-        return _cone_from_kernel(kernel, gens.count)[0] is not None
-    return zero_in_relative_interior(gens.cone()) is not None
+    return _relint_stage(gens, kernel)[0] is not None
 
 
 def dim_w(pair: FactorizationPair) -> int:
     """Dimension of the deformation cone W: r^2 minus the dual lineality."""
     return certify(pair, kruskal_budget=0).dim_w
+
+
+def _relint_stage(
+    gens: DualConeGenerators, kernel: list[Vector]
+) -> tuple[PositiveCombinationWitness | None, int | None]:
+    """Relative-interior witness of the generator cone, and its lineality
+    dimension when that comes with it (None when it needs its own LPs).
+
+    A kernel of dimension at most one decides both; otherwise the witness
+    is the feasibility LP's vertex, and with one the cone is its span.
+    """
+    if len(kernel) <= 1:
+        return _cone_from_kernel(kernel, gens.count)
+    witness = zero_in_relative_interior(gens.cone())
+    return witness, (None if witness is None else gens.count - len(kernel))
 
 
 def _cone_from_kernel(

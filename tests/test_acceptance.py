@@ -18,6 +18,7 @@ from nmfrigid.cone import ConeByGenerators, lineality_dimension, member, verify_
 from nmfrigid.cpr import SymmetricFactor, certify_cp
 from nmfrigid.exactlin import RationalMatrix, matmul, rank
 from nmfrigid.fixtures import (
+    CIRCULANT_3X3_M,
     RIGID_5X5,
     circulant_pair,
     lift_demo_lifted_pair,
@@ -139,7 +140,9 @@ def test_criterion_4_zero_rectangle_failure():
 
 
 def test_criterion_5_circulant_dims():
-    cert = certify(circulant_pair())
+    pair = circulant_pair()
+    assert pair.product() == RationalMatrix.from_rows(CIRCULANT_3X3_M)
+    cert = certify(pair)
     assert cert.span_rank == 5
     assert cert.lineality_dim == 5
     assert cert.dim_w == 4

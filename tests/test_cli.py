@@ -98,10 +98,67 @@ def test_enumerate_writes_pattern_files(capsys, tmp_path):
     )
     assert code == 0 and out.strip() == "2"
     files = sorted(out_dir.glob("pattern-*.txt"))
-    assert len(files) == 2
+    assert [path.name for path in files] == ["pattern-001.txt", "pattern-002.txt"]
     for path in files:
         pattern = formats.load_pattern(path.read_text())
         assert pattern.zero_count == 13
+
+
+def test_enumerate_file_names_sort_past_999_patterns(capsys, tmp_path, monkeypatch):
+    from nmfrigid import cli
+
+    pattern = RIGID_5X5[0].pair().zero_pattern()
+    monkeypatch.setattr(cli, "enumerate_patterns", lambda *args: [pattern] * 1000)
+    out_dir = tmp_path / "pats"
+    code, out, _ = run(
+        capsys, "enumerate", "--shape", "5", "5", "--rank", "4", "--zeros", "13",
+        "--out", str(out_dir),
+    )
+    assert (code, out) == (0, "1000\n")
+    names = sorted(path.name for path in out_dir.iterdir())
+    assert len(names) == 1000
+    assert names[0] == "pattern-0001.txt" and names[-1] == "pattern-1000.txt"
+
+
+def assert_one_input_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "command", [("check",), ("cp-check",), ("lift",), ("realize", "--pattern")],
+    ids=["check", "cp-check", "lift", "realize"],
+)
+def test_undecodable_input_is_input_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("2 2\n1 \u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, *command, str(path))
+    assert_one_input_error(code, out, err)
+    assert "can't decode" in err
+
+
+def test_enumerate_out_on_an_existing_file_is_input_error(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(
+        capsys, "enumerate", "--shape", "9", "5", "--rank", "4", "--zeros", "13",
+        "--out", str(taken),
+    )
+    assert_one_input_error(code, out, err)
+
+
+@pytest.mark.parametrize("command", ["realize", "lift"])
+def test_out_in_a_missing_directory_is_input_error(capsys, tmp_path, fixture_file, command):
+    target = str(tmp_path / "missing" / "x.txt")
+    if command == "realize":
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text(formats.dump_pattern(RIGID_5X5[0].pair().zero_pattern()))
+        args = ("realize", "--pattern", str(pattern), "--seed", "1")
+    else:
+        args = ("lift", str(fixture_file))
+    code, out, err = run(capsys, *args, "--out", target)
+    assert_one_input_error(code, out, err)
+    assert target in err
 
 
 def test_enumerate_unknown_filter(capsys):

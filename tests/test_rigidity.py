@@ -13,6 +13,7 @@ from nmfrigid.rigidity import (
     certify,
     check_kruskal_criterion,
     dim_w,
+    is_infinitesimally_rigid,
     kruskal_rank,
     kruskal_rank_of_columns,
     necessary_conditions_report,
@@ -385,6 +386,34 @@ def test_twelve_zero_variants_have_trivial_kernel_and_reference_lineality():
         assert cert.relint_witness is None
         assert cert.lineality_dim == lineality_dimension(gens.cone()) == 0
         assert dim_w(variant) == variant.r ** 2
+
+
+def test_accept_test_agrees_with_certify():
+    # The accept test is certify's infinitesimally-rigid verdict without the
+    # lineality and Kruskal stages, on every path: rigid fixtures and their
+    # positive extensions (kernel dimension 1), the twelve-zero variants
+    # (fewer than r^2 - r + 1 zeros, trivial kernel), lifts (dimension 2),
+    # and random small pairs, r = 1 included.
+    from nmfrigid.realize import LiftInfeasibleError, extend_positive, lift_partially_rigid
+
+    pairs = [circulant_pair(), lift_demo_lifted_pair()]
+    pairs += [pair_from([[1], [2]], [[3, 0]]), pair_from([[1]], [[1]])]
+    for index, fx in enumerate(RIGID_5X5):
+        pair = fx.pair()
+        pairs += [pair, extend_positive(pair, Fraction(1, index + 2))]
+        pairs += twelve_zero_variants(pair)
+        try:
+            pairs.append(lift_partially_rigid(pair))
+        except LiftInfeasibleError:  # fixture 09
+            pass
+    rng = random.Random(61)
+    pairs += [rand_pair(rng, zero_prob=rng.choice((0.2, 0.4, 0.6))) for _ in range(150)]
+    verdicts = set()
+    for pair in pairs:
+        rigid = certify(pair, kruskal_budget=0).classification is Classification.INFINITESIMALLY_RIGID
+        assert is_infinitesimally_rigid(pair) is rigid
+        verdicts.add((rigid, len(nullspace_basis(build_dual_generators(pair).matrix()))))
+    assert {(True, 1), (True, 2), (False, 0), (False, 1), (False, 2)} <= verdicts
 
 
 def opposite_pair():
