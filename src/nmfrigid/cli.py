@@ -3,22 +3,20 @@
 Subcommands: check, cp-check, enumerate, realize, verify-fixtures, lift.
 Exit codes are a stable contract: 0 success, 1 verification or search
 failure, 2 input error.  Output is deterministic byte for byte given the
-same inputs and seeds.  NMFR_THREADS (a positive integer, default 1) caps
-the worker processes used by verify-fixtures at no more than one per
-fixture; results are printed in fixture order regardless.
+same inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import errno
 import sys
 from pathlib import Path
 
 from . import __version__, formats
 from .cpr import certify_cp
 from .exactlin import matmul
-from .fixtures import RIGID_5X5
+from .fixtures import RIGID_5X5, BenchmarkFactorization
 from .patterns import PatternFilter, check_wpoint, enumerate_patterns, table1_filters
 from .realize import LiftInfeasibleError, RealizationSearchConfig, lift_partially_rigid, realize_pattern
 from .rigidity import DEFAULT_KRUSKAL_BUDGET, Classification, certify
@@ -35,6 +33,12 @@ def _fail_input(message: str) -> int:
 
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _require_out_dir(out: str | None) -> None:
+    # Fail before the work with the error the final write would raise.
+    if out is not None and not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "No such file or directory", out)
 
 
 def _print_certificate(cert, heading: str) -> None:
@@ -124,6 +128,7 @@ def cmd_realize(args) -> int:
         max_samples=args.max_samples,
         seed=args.seed,
     )
+    _require_out_dir(args.out)
     pair = realize_pattern(pattern, config)
     if pair is None:
         print(f"no rigid realization within {args.max_samples} samples", file=sys.stderr)
@@ -151,8 +156,7 @@ def _write_certified_pair(pair, args, flags: dict, seed: int | None = None) -> N
     sys.stdout.write(formats.dump_json(doc))
 
 
-def _verify_one(index: int) -> tuple[int, bool, str]:
-    fixture = RIGID_5X5[index]
+def _verify_one(fixture: BenchmarkFactorization) -> tuple[bool, str]:
     pair = fixture.pair()
     product = matmul(pair.a, pair.b)
     expected = fixture.product_matrix()
@@ -160,49 +164,28 @@ def _verify_one(index: int) -> tuple[int, bool, str]:
         for i in range(expected.rows):
             for j in range(expected.cols):
                 if product[i, j] != expected[i, j]:
-                    return (
-                        index,
-                        False,
-                        f"product[{i},{j}] = {product[i, j]}, expected {expected[i, j]}",
-                    )
+                    return False, f"product[{i},{j}] = {product[i, j]}, expected {expected[i, j]}"
     cert = certify(pair)
     if cert.classification is not Classification.INFINITESIMALLY_RIGID:
-        return index, False, f"classification {cert.classification.value}"
+        return False, f"classification {cert.classification.value}"
     if cert.kruskal_rank != 12:
-        return index, False, f"kruskal rank {cert.kruskal_rank}, expected 12"
-    return index, True, f"dim W {cert.dim_w}, kruskal rank {cert.kruskal_rank}"
+        return False, f"kruskal rank {cert.kruskal_rank}, expected 12"
+    return True, f"dim W {cert.dim_w}, kruskal rank {cert.kruskal_rank}"
 
 
 def cmd_verify_fixtures(_args) -> int:
-    raw = os.environ.get("NMFR_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        return _fail_input(f"NMFR_THREADS must be a positive integer, got {raw!r}")
-    indices = range(len(RIGID_5X5))
-    # One worker per fixture at most: the pool starts all its processes up front.
-    threads = min(threads, len(RIGID_5X5))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = sorted(pool.map(_verify_one, indices))
-    else:
-        results = [_verify_one(i) for i in indices]
-    all_ok = True
-    for index, ok, detail in results:
-        name = RIGID_5X5[index].name
-        status = "pass" if ok else "FAIL"
-        print(f"{name}  {status}  {detail}")
-        all_ok = all_ok and ok
-    print(f"{sum(ok for _, ok, _ in results)}/{len(RIGID_5X5)} fixtures pass")
-    return EXIT_OK if all_ok else EXIT_FAILURE
+    passed = 0
+    for fixture in RIGID_5X5:
+        ok, detail = _verify_one(fixture)
+        print(f"{fixture.name}  {'pass' if ok else 'FAIL'}  {detail}")
+        passed += ok
+    print(f"{passed}/{len(RIGID_5X5)} fixtures pass")
+    return EXIT_OK if passed == len(RIGID_5X5) else EXIT_FAILURE
 
 
 def cmd_lift(args) -> int:
     pair = formats.load_factorization(_read_text(args.path))
+    _require_out_dir(args.out)
     try:
         lifted = lift_partially_rigid(pair)
     except LiftInfeasibleError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import RationalMatrix, Vector, rank
+from .exactlin import RationalMatrix, Vector, matmul, rank
 from .patterns import (
     _col_masks,
     _decode_rows,
@@ -35,6 +35,7 @@ from .rigidity import (
     RigidityCertificate,
     _certify_generators,
     _kruskal_report,
+    _require_nonnegative,
 )
 
 
@@ -45,10 +46,7 @@ class SymmetricFactor:
     a: RationalMatrix
 
     def __post_init__(self):
-        for i in range(self.a.rows):
-            for j in range(self.a.cols):
-                if self.a[i, j] < 0:
-                    raise ValueError(f"A[{i},{j}] = {self.a[i, j]} is negative")
+        _require_nonnegative("A", self.a)
         if rank(self.a) != self.a.cols:
             raise ValueError(f"A has rank below {self.a.cols}")
 
@@ -61,8 +59,6 @@ class SymmetricFactor:
         return self.a.rows
 
     def gram(self) -> RationalMatrix:
-        from .exactlin import matmul
-
         return matmul(self.a, self.a.transpose())
 
 

@@ -291,19 +291,13 @@ def _enc_a(cols: tuple[int, ...], perm: tuple[int, ...], m: int, r: int) -> tupl
 
 
 def _enc_b(rows_b: tuple[int, ...], order: tuple[int, ...], n: int, r: int) -> tuple[int, ...]:
-    # Sort the columns of the permuted B-pattern (read top to bottom), then
-    # emit the row-major reading; sorting columns minimizes that reading
-    # over all column permutations.
-    cols = []
-    for l in range(n):
-        v = 0
-        for j in range(r):
-            v = (v << 1) | ((rows_b[order[j]] >> l) & 1)
-        cols.append(v)
-    cols.sort()
+    # The columns of the permuted B-pattern (read top to bottom) are the
+    # rows `_enc_a` builds from rows_b, sorted; their row-major reading is
+    # the transpose.  Sorting columns minimizes that reading over all column
+    # permutations.
+    cols = _enc_a(rows_b, order, n, r)
     out = []
-    for j in range(r):
-        shift = r - 1 - j
+    for shift in range(r - 1, -1, -1):
         w = 0
         for cv in cols:
             w = (w << 1) | ((cv >> shift) & 1)
@@ -397,29 +391,19 @@ def _side_classes(
     seen: dict[int, set] = {}
     chosen: list[int] = []
 
-    def emit(z: int) -> None:
-        if not (z_min <= z <= z_max):
-            return
-        acc_and = full
-        acc_or = 0
-        for c in chosen:
-            acc_and &= c
-            acc_or |= c
-        if acc_and and r:
-            return
-        if cover and acc_or != full:
-            return
-        tup = tuple(chosen)
-        key, mins = _side_key(tup, ground, r)
-        bucket = seen.setdefault(z, set())
-        if key in bucket:
-            return
-        bucket.add(key)
-        out.setdefault(z, []).append((tup, key, mins))
-
-    def rec(start: int, total: int) -> None:
+    # Each pick keeps total + pc <= z_max and total + pc + (remaining - 1) * cap
+    # >= z_min, so with r >= 1 (both callers require it) every full tuple's
+    # zero count already lies in [z_min, z_max].
+    def rec(start: int, total: int, acc_and: int, acc_or: int) -> None:
         if len(chosen) == r:
-            emit(total)
+            if acc_and or (cover and acc_or != full):
+                return
+            tup = tuple(chosen)
+            key, mins = _side_key(tup, ground, r)
+            bucket = seen.setdefault(total, set())
+            if key not in bucket:
+                bucket.add(key)
+                out.setdefault(total, []).append((tup, key, mins))
             return
         remaining = r - len(chosen)
         for idx in range(start, len(masks)):
@@ -438,10 +422,10 @@ def _side_classes(
                 if not ok:
                     continue
             chosen.append(cand)
-            rec(idx, total + pc)
+            rec(idx, total + pc, acc_and & cand, acc_or | cand)
             chosen.pop()
 
-    rec(0, 0)
+    rec(0, 0, full, 0)
     return out
 
 

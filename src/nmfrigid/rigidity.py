@@ -58,6 +58,13 @@ class Classification(Enum):
     NOT_RIGID = "not-rigid"  # symmetric (completely positive) case only
 
 
+def _require_nonnegative(name: str, mat: RationalMatrix) -> None:
+    for i in range(mat.rows):
+        for j in range(mat.cols):
+            if mat[i, j] < 0:
+                raise ValueError(f"{name}[{i},{j}] = {mat[i, j]} is negative")
+
+
 @dataclass(frozen=True)
 class FactorizationPair:
     """A nonnegative pair (A: m x r, B: r x n), both of full rank r.
@@ -76,11 +83,8 @@ class FactorizationPair:
                 f"inner dimensions differ: A is {self.a.rows}x{self.a.cols}, "
                 f"B is {self.b.rows}x{self.b.cols}"
             )
-        for name, mat in (("A", self.a), ("B", self.b)):
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    if mat[i, j] < 0:
-                        raise ValueError(f"{name}[{i},{j}] = {mat[i, j]} is negative")
+        _require_nonnegative("A", self.a)
+        _require_nonnegative("B", self.b)
         r = self.a.cols
         if rank(self.a) != r:
             raise ValueError(f"A has rank below {r}")

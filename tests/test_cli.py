@@ -148,7 +148,15 @@ def test_enumerate_out_on_an_existing_file_is_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["realize", "lift"])
-def test_out_in_a_missing_directory_is_input_error(capsys, tmp_path, fixture_file, command):
+def test_out_in_a_missing_directory_is_input_error(
+    capsys, tmp_path, monkeypatch, fixture_file, command
+):
+    from nmfrigid import cli
+
+    # The directory is checked before the search or the lift runs.
+    called = []
+    monkeypatch.setattr(cli, "realize_pattern", lambda *a: called.append("realize"))
+    monkeypatch.setattr(cli, "lift_partially_rigid", lambda *a: called.append("lift"))
     target = str(tmp_path / "missing" / "x.txt")
     if command == "realize":
         pattern = tmp_path / "pattern.txt"
@@ -158,7 +166,8 @@ def test_out_in_a_missing_directory_is_input_error(capsys, tmp_path, fixture_fil
         args = ("lift", str(fixture_file))
     code, out, err = run(capsys, *args, "--out", target)
     assert_one_input_error(code, out, err)
-    assert target in err
+    assert called == []
+    assert err == f"error: [Errno 2] No such file or directory: {target!r}\n"
 
 
 def test_enumerate_unknown_filter(capsys):
@@ -232,45 +241,18 @@ def test_verify_fixtures(capsys):
     assert lines[-1] == "15/15 fixtures pass"
 
 
-def test_verify_fixtures_threaded(capsys, monkeypatch):
-    monkeypatch.setenv("NMFR_THREADS", "2")
-    code, out, _ = run(capsys, "verify-fixtures")
-    assert code == 0
-    assert out.strip().splitlines()[-1] == "15/15 fixtures pass"
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_verify_fixtures_rejects_bad_thread_count(capsys, monkeypatch, value):
-    monkeypatch.setenv("NMFR_THREADS", value)
-    code, out, err = run(capsys, "verify-fixtures")
-    assert code == 2 and out == ""
-    assert err == f"error: NMFR_THREADS must be a positive integer, got {value!r}\n"
-
-
-def test_verify_fixtures_caps_workers_at_fixture_count(capsys, monkeypatch):
+def test_verify_fixtures_starts_no_process(capsys, monkeypatch):
     import concurrent.futures
 
-    started = []
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("verify-fixtures started a process pool")
 
-    class RecordingPool:
-        # Runs the work in this process: no pool is ever started.
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("NMFR_THREADS", "100000")
+    # A set NMFR_THREADS must not bring a worker pool back.
+    monkeypatch.setenv("NMFR_THREADS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     code, out, _ = run(capsys, "verify-fixtures")
     assert code == 0
-    assert started == [len(RIGID_5X5)]
     assert out.strip().splitlines()[-1] == "15/15 fixtures pass"
 
 

@@ -16,7 +16,7 @@ from nmfrigid.cpr import (
 )
 from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import CIRCULANT_3X3_FACTOR
-from nmfrigid.rigidity import Classification
+from nmfrigid.rigidity import Classification, FactorizationPair
 
 
 def factor_from(rows):
@@ -35,6 +35,26 @@ def rand_factor(rng, max_r=3, max_n=5, zero_prob=0.3, hi=9):
             return factor_from(rows)
         except ValueError:
             continue
+
+
+def test_factor_checks_share_messages_and_order():
+    # Negative entries are reported before rank, and A before B, for the
+    # pair and the symmetric factor alike.
+    identity = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    deficient = RationalMatrix.from_rows([[1, 1], [1, 1]])
+    negative = RationalMatrix.from_rows([[1, -1], [1, -1]])  # also rank 1
+    cases = [
+        (lambda: FactorizationPair(negative, negative), "A[0,1] = -1 is negative"),
+        (lambda: FactorizationPair(deficient, negative), "B[0,1] = -1 is negative"),
+        (lambda: FactorizationPair(deficient, deficient), "A has rank below 2"),
+        (lambda: FactorizationPair(identity, deficient), "B has rank below 2"),
+        (lambda: SymmetricFactor(negative), "A[0,1] = -1 is negative"),
+        (lambda: SymmetricFactor(deficient), "A has rank below 2"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_skew_pair_order():

@@ -1,10 +1,11 @@
-"""No definition in the package goes unused.
+"""No definition or import in the package goes unused.
 
 A module-level function, class or assignment, or a non-dunder method, of
 `src/nmfrigid` must be named somewhere other than its own definition: in
 the package, the tests or the benchmark.  A name counts as used when it is
 loaded, read as an attribute, imported, or written as a string (the
-benchmark's tracer looks functions up by their names).
+benchmark's tracer looks functions up by their names).  An import in a
+module other than `__init__.py` must be named by that module itself.
 """
 
 import ast
@@ -53,4 +54,27 @@ def test_every_package_definition_is_named_elsewhere():
         for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
             if name != "__all__" and name not in used:
                 unused.append(f"{path.name}:{name}")
+    assert unused == []
+
+
+def _unused_imports(tree: ast.Module):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".", 1)[0]] = node.lineno
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in named]
+
+
+def test_every_package_import_is_named_by_its_module():
+    # Re-exports are what `__init__.py` is for; every other module must use
+    # what it imports, including the names the benchmark's tracer patches.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            unused += [f"{path.name}:{entry}" for entry in _unused_imports(tree)]
     assert unused == []
