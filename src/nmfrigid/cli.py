@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +40,18 @@ def _require_out_dir(out: str | None) -> None:
     # Fail before the work with the error the final write would raise.
     if out is not None and not Path(out).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, "No such file or directory", out)
+
+
+def _require_out_tree(out: str | None) -> None:
+    # Fail before the enumeration with the error that
+    # mkdir(parents=True, exist_ok=True) would raise after it, creating nothing.
+    if out is None:
+        return
+    path = Path(out)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        code = errno.EEXIST if nearest == path else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _print_certificate(cert, heading: str) -> None:
@@ -101,6 +114,7 @@ def _parse_filters(spec: str, m: int, n: int) -> frozenset[PatternFilter]:
 def cmd_enumerate(args) -> int:
     m, n = args.shape
     filters = _parse_filters(args.filters, m, n)
+    _require_out_tree(args.out)
     reps = enumerate_patterns(m, n, args.rank, args.zeros, filters)
     if args.out is not None:
         # Written before the count, so an unwritable directory leaves stdout

@@ -7,8 +7,10 @@ infinitesimally rigid; everything is driven by a seeded generator, so a
 positive extension appends rows and columns that add no zeros and hence
 change nothing in the certificate.  The lift turns a rigid pair of inner
 size r into a partially rigid pair of inner size r+1 by adding a positive
-column to A (solved exactly from the relative-interior witness), a zero row
-and a positive column to B.
+column to A, a zero row and a positive column to B.  The column is solved
+exactly from the relative-interior witness by one LP whose unknowns include
+the positive weights of B's columns, so it exists exactly when some
+weighting admits one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .rigidity import (
 
 
 class LiftInfeasibleError(RuntimeError):
-    """The witness-driven column solve failed for every deterministic retry."""
+    """No positive weighting of B's columns admits a lift of the pair."""
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,12 @@ def realize_pattern(
     counts against the budget and the search moves on.  Returns None when
     max_samples is exhausted.
     """
-    r = pattern.r
-    for j in range(r):
-        if all(pattern.zeros_a[i][j] for i in range(pattern.m)):
-            raise ValueError(f"pattern forces column {j} of A to be zero")
-    for i in range(r):
-        if all(pattern.zeros_b[i][l] for l in range(pattern.n)):
-            raise ValueError(f"pattern forces row {i} of B to be zero")
+    # This also refuses a pattern that forces a column of A or a row of B to
+    # be zero: its zero mask contains every other one (r = 1 cannot hold it).
     if not check_wpoint(pattern):
         raise ValueError("pattern fails the zero-count/pair conditions; no rigid realization exists")
 
+    r = pattern.r
     rng = random.Random(config.seed)
     zero = Fraction(0)
     for _ in range(config.max_samples):
@@ -122,30 +120,21 @@ def extend_positive(pair: FactorizationPair, delta: Fraction) -> FactorizationPa
     )
 
 
-def _lift_weight_schedules(r: int, n: int) -> list[list[Fraction]]:
-    # Attempt 0 is the plain column sum; later attempts cycle the weights
-    # 1..r across the columns so each retry targets a different interior
-    # point of the column cone.
-    schedules = [[Fraction(1)] * n]
-    for k in range(1, r + 1):
-        schedules.append([Fraction(((l + k) % r) + 1) for l in range(n)])
-    return schedules
-
-
 def lift_partially_rigid(pair: FactorizationPair) -> FactorizationPair:
     """Lift a rigid pair (A, B) to a partially rigid pair of inner size r+1.
 
     The relative-interior witness of the input provides the coefficient
     c[i, j] of each A-zero generator.  The appended column of A is solved
-    exactly so that the witness aggregated over the new coordinate hits a
-    strictly positive combination w of B's columns; an extra scaling
-    variable absorbs the free overall scale of w.  Rows of A without zeros
-    do not enter the solve and get entry 1.  B gains a zero row and then an
-    all-ones column to restore full rank.
+    exactly, in one LP, so that the witness aggregated over the new
+    coordinate hits a strictly positive combination of B's columns whose
+    weights are themselves unknowns.  Rows of A without zeros do not enter
+    the solve and get entry 1.  B gains a zero row and then an all-ones
+    column to restore full rank.
 
-    Raises LiftInfeasibleError when no deterministic weight choice for w
-    yields a solvable system (reported, never guessed), and ValueError when
-    the input is not infinitesimally rigid.
+    Raises LiftInfeasibleError when no positive weighting of B's columns
+    admits a lift, or when the solved column leaves A rank deficient
+    (reported, never guessed), and ValueError when the input is not
+    infinitesimally rigid.
     """
     cert = certify(pair, kruskal_budget=0)
     if cert.classification is not Classification.INFINITESIMALLY_RIGID:
@@ -165,32 +154,24 @@ def lift_partially_rigid(pair: FactorizationPair) -> FactorizationPair:
             u_rows.setdefault(src.row, [Fraction(0)] * r)[src.col] = coeff
     solve_rows = sorted(u_rows)
 
+    # Columns: u_i per row of A that has zeros (x_i >= 1), minus the sum of
+    # B's columns (t >= 1), then minus each column b_l (s_l >= 0).  Solving
+    # sum_i x_i u_i = sum_l (t + s_l) b_l  reaches every weighting mu >= 1
+    # at t = 1, s = mu - 1, and x >= 1 keeps the new column strictly
+    # positive.  The leading columns alone are the plain column-sum system.
     b_cols = [pair.b.column(l) for l in range(n)]
-    last_error = "no attempt ran"
-    for weights in _lift_weight_schedules(r, n):
-        w = tuple(
-            sum((weights[l] * b_cols[l][i] for l in range(n)), Fraction(0)) for i in range(r)
-        )
-        # Columns: one per row of A that has zeros, then -w with its own
-        # scale t; solving  sum_i x_i u_i - t w = 0  with x, t >= 1 gives
-        # strictly positive column entries for target t*w, still interior.
-        columns = [tuple(u_rows[i]) for i in solve_rows] + [tuple(-x for x in w)]
-        system = RationalMatrix.from_columns(columns, r)
-        bounds = (Fraction(1),) * len(columns)
-        solution = lp_feasible(system, (Fraction(0),) * r, bounds)
-        if solution is None:
-            last_error = "aggregated witness system infeasible for this weight choice"
-            continue
-        new_col = {row: solution[k] for k, row in enumerate(solve_rows)}
-        a_rows = [
-            list(pair.a.row(i)) + [new_col.get(i, Fraction(1))] for i in range(m)
-        ]
-        a_lifted = RationalMatrix.from_rows(a_rows)
-        if rank(a_lifted) != r + 1:
-            last_error = "lifted A is rank deficient for this weight choice"
-            continue
-        b_rows = [list(pair.b.row(i)) + [Fraction(1)] for i in range(r)]
-        b_rows.append([Fraction(0)] * n + [Fraction(1)])
-        b_lifted = RationalMatrix.from_rows(b_rows)
-        return FactorizationPair(a_lifted, b_lifted)
-    raise LiftInfeasibleError(last_error)
+    total = tuple(sum((col[i] for col in b_cols), Fraction(0)) for i in range(r))
+    columns = [tuple(u_rows[i]) for i in solve_rows] + [tuple(-x for x in total)]
+    columns += [tuple(-x for x in col) for col in b_cols]
+    bounds = (Fraction(1),) * (len(solve_rows) + 1) + (Fraction(0),) * n
+    solution = lp_feasible(RationalMatrix.from_columns(columns, r), (Fraction(0),) * r, bounds)
+    if solution is None:
+        raise LiftInfeasibleError("no positive weighting of B's columns admits a lift")
+    new_col = {row: solution[k] for k, row in enumerate(solve_rows)}
+    a_rows = [list(pair.a.row(i)) + [new_col.get(i, Fraction(1))] for i in range(m)]
+    a_lifted = RationalMatrix.from_rows(a_rows)
+    if rank(a_lifted) != r + 1:
+        raise LiftInfeasibleError("lifted A is rank deficient")
+    b_rows = [list(pair.b.row(i)) + [Fraction(1)] for i in range(r)]
+    b_rows.append([Fraction(0)] * n + [Fraction(1)])
+    return FactorizationPair(a_lifted, RationalMatrix.from_rows(b_rows))

@@ -137,14 +137,46 @@ def test_undecodable_input_is_input_error(capsys, tmp_path, command):
     assert "can't decode" in err
 
 
-def test_enumerate_out_on_an_existing_file_is_input_error(capsys, tmp_path):
+def _enumerate_into(capsys, monkeypatch, out):
+    # The --out path is tested before the enumeration runs.
+    from nmfrigid import cli
+
+    def never(*args):
+        raise AssertionError("enumerate_patterns ran before --out was checked")
+
+    monkeypatch.setattr(cli, "enumerate_patterns", never)
+    return run(
+        capsys, "enumerate", "--shape", "9", "5", "--rank", "4", "--zeros", "13",
+        "--out", out,
+    )
+
+
+def test_enumerate_out_on_an_existing_file_is_input_error(capsys, tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")
+    code, out, err = _enumerate_into(capsys, monkeypatch, str(taken))
+    assert_one_input_error(code, out, err)
+    assert err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+
+
+def test_enumerate_out_under_an_existing_file_is_input_error(capsys, tmp_path, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    target = str(taken / "sub" / "dir")
+    code, out, err = _enumerate_into(capsys, monkeypatch, target)
+    assert_one_input_error(code, out, err)
+    assert err == f"error: [Errno 20] Not a directory: {target!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_enumerate_refusing_its_input_leaves_no_out_directory(capsys, tmp_path):
+    target = tmp_path / "reps"
     code, out, err = run(
-        capsys, "enumerate", "--shape", "9", "5", "--rank", "4", "--zeros", "13",
-        "--out", str(taken),
+        capsys, "enumerate", "--shape", "3", "3", "--rank", "4", "--zeros", "13",
+        "--out", str(target),
     )
     assert_one_input_error(code, out, err)
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("command", ["realize", "lift"])
@@ -304,6 +336,55 @@ def test_lift_refuses_non_rigid(capsys, tmp_path):
     code, out, err = run(capsys, "lift", str(path))
     assert code == 2 and out == ""
     assert err == "error: lift needs an infinitesimally rigid input, got undetermined\n"
+
+
+def test_lift_of_fixture_09_verifies(capsys, tmp_path):
+    # No fixed weighting of B's columns lifts this fixture; free weights do.
+    path = tmp_path / "fx9.txt"
+    path.write_text(formats.dump_factorization(RIGID_5X5[8].pair()))
+    out_path = tmp_path / "lifted.txt"
+    code, out, err = run(capsys, "lift", str(path), "--out", str(out_path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    cert = doc["certificate"]
+    assert cert["classification"] == "partially-infinitesimally-rigid"
+    assert (cert["dim_w"], cert["kruskal_rank"]) == (9, 4)
+    assert cert["v_support"] == [[0, 4], [1, 4], [2, 4], [3, 4]]
+    assert formats.verify_certificate_document(doc, formats.load_factorization(out_path.read_text()))
+
+
+def test_lift_without_a_solution_exits_one(capsys, tmp_path):
+    # [1]·[1] is rigid (no zeros, nothing to move) but has no A-zero rows to
+    # solve for, so no positive weighting of B's single column works.
+    path = tmp_path / "one.txt"
+    path.write_text("1 1\n1\n\n1 1\n1\n")
+    code, out, err = run(capsys, "lift", str(path))
+    assert (code, out) == (1, "")
+    assert err == "lift failed: no positive weighting of B's columns admits a lift\n"
+
+
+def test_readme_synopsis_lists_every_long_option():
+    import re
+    from pathlib import Path
+
+    from nmfrigid.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = {}
+    for line in readme.splitlines():
+        if line.startswith("nmfr "):
+            synopsis.setdefault(line.split()[1], line)
+    subparsers = next(
+        action for action in build_parser()._actions if action.dest == "command"
+    )
+    for name, parser in subparsers.choices.items():
+        options = {
+            opt for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        assert name in synopsis, f"README has no synopsis line for {name}"
+        listed = set(re.findall(r"--[a-z][a-z-]*", synopsis[name]))
+        assert options <= listed, f"{name}: README synopsis omits {sorted(options - listed)}"
 
 
 def test_outputs_deterministic(capsys, fixture_file):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from nmfrigid.exactlin import RationalMatrix, matmul
+from nmfrigid.cone import lp_feasible
+from nmfrigid.exactlin import RationalMatrix, matmul, rank
 from nmfrigid.fixtures import (
     LIFT_DEMO_LIFTED_A,
     LIFT_DEMO_LIFTED_B,
@@ -13,12 +15,13 @@ from nmfrigid.fixtures import (
 )
 from nmfrigid.patterns import ZeroPattern
 from nmfrigid.realize import (
+    LiftInfeasibleError,
     RealizationSearchConfig,
     extend_positive,
     lift_partially_rigid,
     realize_pattern,
 )
-from nmfrigid.rigidity import Classification, certify
+from nmfrigid.rigidity import Classification, FactorizationPair, build_dual_generators, certify
 
 
 def test_config_validation():
@@ -62,17 +65,16 @@ def test_realize_zero_budget_returns_none():
 
 
 def test_realize_rejects_zero_factor_column():
-    # Column 0 of the A-pattern is forced zero in every row, which no full
-    # rank factor can realize; this is reported before the pair conditions.
-    zeros_a = (
-        (True, False),
-        (True, False),
-        (True, False),
-    )
+    # A column of A (or a row of B) forced zero in every slot, which no full
+    # rank factor can realize; its zero mask contains the other one, so the
+    # pair conditions refuse it.
     zeros_b = ((True, False, False), (False, True, False))
-    pattern = ZeroPattern(3, 3, 2, zeros_a, zeros_b)
-    with pytest.raises(ValueError, match="column 0 of A"):
-        realize_pattern(pattern, RealizationSearchConfig(seed=1))
+    column_a = ZeroPattern(3, 3, 2, ((True, False),) * 3, zeros_b)
+    zeros_a = ((True, False), (False, True), (False, False))
+    row_b = ZeroPattern(3, 3, 2, zeros_a, ((True, True, True), (False, False, False)))
+    for pattern in (column_a, row_b):
+        with pytest.raises(ValueError, match="pair conditions"):
+            realize_pattern(pattern, RealizationSearchConfig(seed=1))
 
 
 def test_extend_positive_keeps_certificate():
@@ -170,11 +172,99 @@ def test_lift_adds_exactly_the_zero_row_zeros():
 
 
 def test_lift_of_each_fixture():
-    for fixture in RIGID_5X5[:3]:
+    for fixture in RIGID_5X5:
         lifted = lift_partially_rigid(fixture.pair())
         cert = certify(lifted, kruskal_budget=0)
         assert cert.classification is Classification.PARTIALLY_INFINITESIMALLY_RIGID
         assert cert.v_support() == ((0, 4), (1, 4), (2, 4), (3, 4))
+
+
+def _weight_schedule_lift(pair):
+    # Reference: the lift as it was solved before the weights became free,
+    # one LP per fixed weighting of B's columns (the plain column sum first,
+    # then the weights 1..r cycled).  Returns the lift and the attempt that
+    # found it, or (None, None).
+    cert = certify(pair, kruskal_budget=0)
+    r, m, n = pair.r, pair.m, pair.n
+    u_rows = {}
+    for coeff, src in zip(cert.relint_witness.coefficients, build_dual_generators(pair).sources):
+        if src.factor == "A":
+            u_rows.setdefault(src.row, [Fraction(0)] * r)[src.col] = coeff
+    solve_rows = sorted(u_rows)
+    b_cols = [pair.b.column(l) for l in range(n)]
+    schedules = [[1] * n] + [[(l + k) % r + 1 for l in range(n)] for k in range(1, r + 1)]
+    for attempt, weights in enumerate(schedules):
+        w = [sum(weights[l] * b_cols[l][i] for l in range(n)) for i in range(r)]
+        columns = [tuple(u_rows[i]) for i in solve_rows] + [tuple(-x for x in w)]
+        solution = lp_feasible(
+            RationalMatrix.from_columns(columns, r), (Fraction(0),) * r, (Fraction(1),) * len(columns)
+        )
+        if solution is None:
+            continue
+        new_col = dict(zip(solve_rows, solution))
+        a = RationalMatrix.from_rows(
+            [list(pair.a.row(i)) + [new_col.get(i, Fraction(1))] for i in range(m)]
+        )
+        if rank(a) != r + 1:
+            continue
+        b_rows = [list(pair.b.row(i)) + [1] for i in range(r)] + [[0] * n + [1]]
+        return FactorizationPair(a, RationalMatrix.from_rows(b_rows)), attempt
+    return None, None
+
+
+def _symmetry_image(pair, rng):
+    # Transposition (square products), row, inner and column permutations,
+    # and positive diagonal scalings D_row A D_in, D_in^-1 B D_col.
+    a = [list(pair.a.row(i)) for i in range(pair.m)]
+    b = [list(pair.b.row(i)) for i in range(pair.r)]
+    if pair.m == pair.n and rng.random() < 0.5:
+        a, b = [list(col) for col in zip(*b)], [list(col) for col in zip(*a)]
+    m, r, n = len(a), len(b), len(b[0])
+    pr, pi, pc = (rng.sample(range(k), k) for k in (m, r, n))
+    scale = lambda: Fraction(rng.choice((1, 1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))  # noqa: E731
+    d_row, d_in, d_col = ([scale() for _ in range(k)] for k in (m, r, n))
+    return FactorizationPair(
+        RationalMatrix.from_rows(
+            [[a[pr[i]][pi[j]] * d_row[i] * d_in[j] for j in range(r)] for i in range(m)]
+        ),
+        RationalMatrix.from_rows(
+            [[b[pi[i]][pc[j]] / d_in[i] * d_col[j] for j in range(n)] for i in range(r)]
+        ),
+    )
+
+
+def test_free_weight_lift_extends_the_weight_schedules(monkeypatch):
+    # Wherever some fixed weighting lifts, the one LP over free weights
+    # lifts too; where the plain column sum lifted, the lift is the same.
+    from nmfrigid import realize
+
+    calls = []
+
+    def recording_lp(*args):
+        calls.append(args)
+        return lp_feasible(*args)
+
+    monkeypatch.setattr(realize, "lp_feasible", recording_lp)
+    rng = random.Random(1)
+    corpus = [fx.pair() for fx in RIGID_5X5] + [lift_demo_pair()]
+    corpus += [_symmetry_image(fx.pair(), rng) for fx in RIGID_5X5 for _ in range(8)]
+    outcomes = []
+    for pair in corpus:
+        reference, attempt = _weight_schedule_lift(pair)
+        calls.clear()
+        try:
+            lifted = lift_partially_rigid(pair)
+        except LiftInfeasibleError:
+            lifted = None
+        assert len(calls) == 1
+        assert reference is None or lifted is not None
+        if attempt == 0:
+            assert (lifted.a, lifted.b) == (reference.a, reference.b)
+        outcomes.append((attempt, lifted is not None))
+    # The corpus reaches the plain column sum, the later weightings and
+    # inputs that no fixed weighting lifts.
+    assert {(0, True), (None, True)} <= set(outcomes)
+    assert any(attempt not in (0, None) for attempt, _ in outcomes)
 
 
 def test_lift_rejects_non_rigid_input():

@@ -394,7 +394,7 @@ def test_accept_test_agrees_with_certify():
     # positive extensions (kernel dimension 1), the twelve-zero variants
     # (fewer than r^2 - r + 1 zeros, trivial kernel), lifts (dimension 2),
     # and random small pairs, r = 1 included.
-    from nmfrigid.realize import LiftInfeasibleError, extend_positive, lift_partially_rigid
+    from nmfrigid.realize import extend_positive, lift_partially_rigid
 
     pairs = [circulant_pair(), lift_demo_lifted_pair()]
     pairs += [pair_from([[1], [2]], [[3, 0]]), pair_from([[1]], [[1]])]
@@ -402,10 +402,7 @@ def test_accept_test_agrees_with_certify():
         pair = fx.pair()
         pairs += [pair, extend_positive(pair, Fraction(1, index + 2))]
         pairs += twelve_zero_variants(pair)
-        try:
-            pairs.append(lift_partially_rigid(pair))
-        except LiftInfeasibleError:  # fixture 09
-            pass
+        pairs.append(lift_partially_rigid(pair))
     rng = random.Random(61)
     pairs += [rand_pair(rng, zero_prob=rng.choice((0.2, 0.4, 0.6))) for _ in range(150)]
     verdicts = set()
