@@ -276,26 +276,39 @@ def _perms(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(r)))
 
 
-def _enc_a(cols: tuple[int, ...], perm: tuple[int, ...], m: int, r: int) -> tuple[int, ...]:
+def _spread(masks: tuple[int, ...], width: int) -> list[int]:
+    # Each mask with its bit i moved to bit i * width, so that `width` spread
+    # masks shifted by distinct amounts below `width` never share a bit.
+    out = []
+    for mask in masks:
+        spread = 0
+        while mask:
+            low = mask & -mask
+            spread |= 1 << (low.bit_length() - 1) * width
+            mask ^= low
+        out.append(spread)
+    return out
+
+
+def _enc_a(spreads: list[int], perm: tuple[int, ...], ground: int, r: int) -> list[int]:
     # Rows of the A-pattern after applying `perm` to the inner index, each
-    # packed into an int with inner slot 0 as the most significant bit,
-    # sorted ascending (= the optimal row permutation).
-    rows = []
-    for i in range(m):
-        v = 0
-        for j in range(r):
-            v = (v << 1) | ((cols[perm[j]] >> i) & 1)
-        rows.append(v)
-    rows.sort()
-    return tuple(rows)
+    # an r-bit code with inner slot 0 as the most significant bit, sorted
+    # ascending (= the optimal row permutation).  `spreads` holds the side's
+    # slot masks spread to width r: r shift-ors then lay every row code out
+    # in its own r-bit field.
+    word = 0
+    for j in perm:
+        word = (word << 1) | spreads[j]
+    field = (1 << r) - 1
+    return sorted((word >> shift) & field for shift in range(0, ground * r, r))
 
 
-def _enc_b(rows_b: tuple[int, ...], order: tuple[int, ...], n: int, r: int) -> tuple[int, ...]:
+def _enc_b(spreads: list[int], order: tuple[int, ...], n: int, r: int) -> tuple[int, ...]:
     # The columns of the permuted B-pattern (read top to bottom) are the
-    # rows `_enc_a` builds from rows_b, sorted; their row-major reading is
-    # the transpose.  Sorting columns minimizes that reading over all column
-    # permutations.
-    cols = _enc_a(rows_b, order, n, r)
+    # rows `_enc_a` builds from the spread rows of B, sorted; their
+    # row-major reading is the transpose.  Sorting columns minimizes that
+    # reading over all column permutations.
+    cols = _enc_a(spreads, order, n, r)
     out = []
     for shift in range(r - 1, -1, -1):
         w = 0
@@ -308,15 +321,16 @@ def _enc_b(rows_b: tuple[int, ...], order: tuple[int, ...], n: int, r: int) -> t
 def _pair_key(
     m: int, n: int, r: int, side_a: tuple, side_b: tuple
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Canonical key of a pair from its two sides, each given as (masks,
-    # side key, argmin inner permutations) of `_side_key`.  The A side is
-    # minimized first, so only its argmins can order the B side; for m = n
-    # the transposed pair, whose A side is built from rows_b, competes too.
-    a_masks, a_key, a_mins = side_a
-    b_masks, b_key, b_mins = side_b
-    key = (a_key, min(_enc_b(b_masks, perm, n, r) for perm in a_mins))
+    # Canonical key of a pair from its two sides, each given as (slot masks
+    # spread to width r, side key, argmin inner permutations of
+    # `_side_key`).  The A side is minimized first, so only its argmins can
+    # order the B side; for m = n the transposed pair, whose A side is built
+    # from rows_b, competes too.
+    a_spreads, a_key, a_mins = side_a
+    b_spreads, b_key, b_mins = side_b
+    key = (a_key, min(_enc_b(b_spreads, perm, n, r) for perm in a_mins))
     if m == n:
-        key = min(key, (b_key, min(_enc_b(a_masks, perm, m, r) for perm in b_mins)))
+        key = min(key, (b_key, min(_enc_b(a_spreads, perm, m, r) for perm in b_mins)))
     return key
 
 
@@ -337,10 +351,9 @@ def canonical_form(pattern: ZeroPattern) -> ZeroPattern:
     """
     m, n, r = pattern.m, pattern.n, pattern.r
     cols_a, rows_b = pattern.cols_a_masks(), pattern.rows_b_masks()
-    key = _pair_key(
-        m, n, r, (cols_a, *_side_key(cols_a, m, r)), (rows_b, *_side_key(rows_b, n, r))
-    )
-    return _pattern_from_key(m, n, r, key)
+    side_a = (_spread(cols_a, r), *_side_key(cols_a, m, r))
+    side_b = (_spread(rows_b, r), *_side_key(rows_b, n, r))
+    return _pattern_from_key(m, n, r, _pair_key(m, n, r, side_a, side_b))
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +365,17 @@ def _side_key(
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     # Canonical encoding of one side under ground relabeling x inner
     # permutations, together with every inner permutation achieving it.
+    spreads = _spread(masks, r)
     best = None
     argmins: list[tuple[int, ...]] = []
     for perm in _perms(r):
-        enc = _enc_a(masks, perm, ground, r)
+        enc = _enc_a(spreads, perm, ground, r)
         if best is None or enc < best:
             best = enc
             argmins = [perm]
         elif enc == best:
             argmins.append(perm)
-    return best, tuple(argmins)
+    return tuple(best), tuple(argmins)
 
 
 def _side_classes(
@@ -380,6 +394,16 @@ def _side_classes(
     non-contained (the boundary-closed consequence), which also rules out
     duplicates and empties for r >= 2.  The all-ground intersection is
     always rejected: it would be an all-zero row of A or column of B.
+
+    Slots are picked in (popcount, value) order, so the first tuple of an
+    orbit the search reaches is its least sorted member.  Every condition
+    above (the zero-count window, `incomparable`, `cover`, the empty
+    intersection) is invariant under relabeling the ground set, so that
+    member's least slot is {0, ..., k-1}, and each later slot takes the
+    lowest elements of every cell of the partition the earlier slots cut
+    the ground into (relabeling inside the cells fixes the earlier slots).
+    Only such tuples are generated, so every bucket holds the same
+    representatives, in the same order, as the search without this pruning.
     """
     full = (1 << ground) - 1
     masks = sorted(
@@ -394,8 +418,14 @@ def _side_classes(
     # Each pick keeps total + pc <= z_max and total + pc + (remaining - 1) * cap
     # >= z_min, so with r >= 1 (both callers require it) every full tuple's
     # zero count already lies in [z_min, z_max].
-    def rec(start: int, total: int, acc_and: int, acc_or: int) -> None:
-        if len(chosen) == r:
+    #
+    # The cells of the chosen slots' partition are runs of consecutive
+    # elements, bit e of `starts` marking the first of a run, so a candidate
+    # that holds a non-first e without e - 1 is no least member.  At depth 0
+    # the one run is the whole ground: the least slot is (1 << k) - 1.
+    def rec(start: int, total: int, acc_and: int, acc_or: int, starts: int) -> None:
+        remaining = r - len(chosen)
+        if not remaining:
             if acc_and or (cover and acc_or != full):
                 return
             tup = tuple(chosen)
@@ -405,7 +435,6 @@ def _side_classes(
                 bucket.add(key)
                 out.setdefault(total, []).append((tup, key, mins))
             return
-        remaining = r - len(chosen)
         for idx in range(start, len(masks)):
             pc = counts[idx]
             if total + remaining * pc > z_max:
@@ -413,6 +442,8 @@ def _side_classes(
             if total + pc + (remaining - 1) * cap < z_min:
                 continue
             cand = masks[idx]
+            if (cand & ~starts) >> 1 & ~cand:
+                continue
             if incomparable:
                 ok = True
                 for prev in chosen:
@@ -422,10 +453,12 @@ def _side_classes(
                 if not ok:
                     continue
             chosen.append(cand)
-            rec(idx, total + pc, acc_and & cand, acc_or | cand)
+            # cand splits each run it enters after its last element there.
+            split = starts | (cand << 1) & ~cand & full
+            rec(idx, total + pc, acc_and & cand, acc_or | cand, split)
             chosen.pop()
 
-    rec(0, 0, full, 0)
+    rec(0, 0, full, 0, 1)
     return out
 
 
@@ -493,18 +526,23 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
         b_list = b_sides.get(zeros - z_a)
         if not b_list:
             continue
-        for side_a in a_list:
-            for b_masks, b_key, b_mins in b_list:
-                seen_orders = set()
-                for pi in perms:
-                    # Align the B side by pi; its argmins move with it.
-                    ordered = tuple(b_masks[pi[j]] for j in range(r))
-                    if ordered in seen_orders:
-                        continue
-                    seen_orders.add(ordered)
-                    inv = _invert(pi)
-                    side_b = (ordered, b_key, tuple(_compose(inv, rho) for rho in b_mins))
-                    found.setdefault(_pair_key(m, n, r, side_a, side_b))
+        # Every distinct inner alignment of every B side, its argmins moved
+        # with it, so each A side pairs with each of them once.
+        b_aligned = []
+        for b_masks, b_key, b_mins in b_list:
+            b_spreads = _spread(b_masks, r)
+            seen_orders = set()
+            for pi in perms:
+                ordered = tuple(b_spreads[pi[j]] for j in range(r))
+                if ordered in seen_orders:
+                    continue
+                seen_orders.add(ordered)
+                inv = _invert(pi)
+                b_aligned.append((ordered, b_key, tuple(_compose(inv, rho) for rho in b_mins)))
+        for a_masks, a_key, a_mins in a_list:
+            side_a = (_spread(a_masks, r), a_key, a_mins)
+            for side_b in b_aligned:
+                found.setdefault(_pair_key(m, n, r, side_a, side_b))
     reps = [_pattern_from_key(m, n, r, key) for key in sorted(found)]
     if PatternFilter.POSITIVE_PRODUCT in fset:
         reps = [p for p in reps if not forces_product_zero(p)]

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from nmfrigid import formats, patterns
+from nmfrigid.cli import _parse_filters
 from nmfrigid.fixtures import (
     RIGID_5X5,
     rectangle_violation_pattern_6x5,
@@ -13,6 +16,8 @@ from nmfrigid.patterns import (
     PatternFilter,
     PatternGroupElement,
     ZeroPattern,
+    _side_classes,
+    _side_key,
     canonical_form,
     check_column_bound,
     check_wpoint,
@@ -309,3 +314,137 @@ def test_fixture_patterns_are_exactly_the_5x5_representatives():
         for f in RIGID_5X5
     }
     assert fixture_reps == reps
+
+
+# ---------------------------------------------------------------------------
+# The enumeration engine against the plain search it replaced
+# ---------------------------------------------------------------------------
+
+TABLE1_SHAPES = ((5, 5), (6, 5), (6, 6), (7, 5), (7, 6), (8, 5), (9, 5))
+
+
+def reference_side_key(masks, ground, r):
+    # The side key packed bit by bit under every inner permutation.
+    best, argmins = None, []
+    for perm in itertools.permutations(range(r)):
+        rows = []
+        for i in range(ground):
+            v = 0
+            for j in range(r):
+                v = (v << 1) | ((masks[perm[j]] >> i) & 1)
+            rows.append(v)
+        enc = tuple(sorted(rows))
+        if best is None or enc < best:
+            best, argmins = enc, [perm]
+        elif enc == best:
+            argmins.append(perm)
+    return best, tuple(argmins)
+
+
+def reference_side_classes(ground, r, cap, incomparable, cover, z_min, z_max):
+    # Every sorted slot tuple in the zero-count window, first of each key
+    # kept: the search with no pruning by ground relabeling.  It keys with
+    # `_side_key`, which the bitwise reference above checks, to stay fast.
+    full = (1 << ground) - 1
+    masks = sorted(
+        (m for m in range(1 << ground) if m.bit_count() <= cap),
+        key=lambda m: (m.bit_count(), m),
+    )
+    out, seen, chosen = {}, {}, []
+
+    def rec(start, total, acc_and, acc_or):
+        if len(chosen) == r:
+            if acc_and or (cover and acc_or != full):
+                return
+            tup = tuple(chosen)
+            key, mins = _side_key(tup, ground, r)
+            if key not in seen.setdefault(total, set()):
+                seen[total].add(key)
+                out.setdefault(total, []).append((tup, key, mins))
+            return
+        remaining = r - len(chosen)
+        for idx in range(start, len(masks)):
+            cand = masks[idx]
+            pc = cand.bit_count()
+            if total + remaining * pc > z_max:
+                break
+            if total + pc + (remaining - 1) * cap < z_min:
+                continue
+            if incomparable and any(p & ~cand == 0 or cand & ~p == 0 for p in chosen):
+                continue
+            chosen.append(cand)
+            rec(idx, total + pc, acc_and & cand, acc_or | cand)
+            chosen.pop()
+
+    rec(0, 0, full, 0)
+    return out
+
+
+def test_side_key_matches_bitwise_packing():
+    rng = random.Random(31)
+    for _ in range(3000):
+        ground, r = rng.randint(1, 8), rng.randint(1, 5)
+        pool = [0, (1 << ground) - 1] + [rng.randrange(1 << ground) for _ in range(2)]
+        masks = tuple(rng.choice(pool) for _ in range(r))
+        assert _side_key(masks, ground, r) == reference_side_key(masks, ground, r), (
+            masks, ground, r
+        )
+
+
+@pytest.mark.parametrize("ground", range(1, 7))
+def test_side_classes_match_unpruned_search(ground):
+    # The pruned search keeps each orbit's first member, so the buckets
+    # agree tuple for tuple, in the same order.
+    for r in range(1, 5):
+        for cap in sorted({1, max(1, r - 1), ground}):
+            for incomparable in (True, False):
+                for cover in (True, False):
+                    for z_min, z_max in (
+                        (r, r + 1), (ground + 1, ground + 1), (ground * r - 3, ground * r)
+                    ):
+                        args = (ground, r, cap, incomparable, cover, z_min, z_max)
+                        assert _side_classes(*args) == reference_side_classes(*args), args
+
+
+@pytest.mark.parametrize(
+    "preset, count, digest",
+    [
+        ("table1", 102, "dee48bef7f2276cda63234d9e97ff748fd710881997ff7b127f3f51729e2b4f3"),
+        ("theorem", 209, "28de4b1a8ce6b275d3a8b2a2422d8ef6411204a2b91cbe34c98638f476b77596"),
+    ],
+    ids=["table1", "theorem"],
+)
+def test_table1_sweep_representatives_are_pinned(preset, count, digest):
+    h = hashlib.sha256()
+    total = 0
+    for m, n in TABLE1_SHAPES:
+        for pattern in enumerate_patterns(m, n, 4, 13, _parse_filters(preset, m, n)):
+            h.update(formats.dump_pattern(pattern).encode())
+            total += 1
+    assert (total, h.hexdigest()) == (count, digest)
+
+
+def test_table1_sweep_side_key_count(monkeypatch):
+    calls = 0
+    side_key = patterns._side_key
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return side_key(*args)
+
+    monkeypatch.setattr(patterns, "_side_key", counting)
+    for m, n in TABLE1_SHAPES:
+        enumerate_patterns(m, n, 4, 13, table1_filters(m, n))
+    assert calls == 168
+
+
+def test_rank_five_5x5_representatives():
+    reps = enumerate_patterns(5, 5, 5, 21, table1_filters(5, 5))
+    assert len(reps) == 112
+    assert len({(p.zeros_a, p.zeros_b) for p in reps}) == len(reps)
+    assert all(canonical_form(p) == p for p in reps)
+    rng = random.Random(41)
+    for p in rng.sample(reps, 12):
+        g = rand_group_element(rng, 5, 5, 5, allow_transpose=True)
+        assert canonical_form(g.apply(p)) == p
