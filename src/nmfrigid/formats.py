@@ -206,9 +206,35 @@ def certificate_to_document(
     }
 
 
+_BODY_KEYS = frozenset({
+    "symmetric", "classification", "inner_rank", "ambient_dim", "generator_count", "span_rank",
+    "lineality_dim", "dim_w", "kruskal_rank", "relint_witness", "v_basis",
+})
+
+
+def _is_token_tree(tree, depth: int) -> bool:
+    # `depth` levels of lists with rational strings at the leaves.
+    if depth == 0:
+        return isinstance(tree, str)
+    return isinstance(tree, list) and all(_is_token_tree(t, depth - 1) for t in tree)
+
+
 def document_to_certificate(doc: dict) -> RigidityCertificate:
-    """Rebuild the certificate object from its JSON tree (lossless)."""
-    body = doc["certificate"]
+    """Rebuild the certificate object from its JSON tree (lossless).
+
+    Raises ValueError when the tree is not shaped like a certificate
+    document: no "certificate" object with every field, "flags" neither an
+    object nor null, or a witness or V-basis that is not null or nested
+    lists of rational strings.
+    """
+    body = doc.get("certificate") if isinstance(doc, dict) else None
+    if not isinstance(body, dict) or not _BODY_KEYS <= body.keys():
+        raise ValueError("not a certificate document: no complete \"certificate\" object")
+    if not isinstance(doc.get("flags") or {}, dict):
+        raise ValueError("\"flags\" must be an object or null")
+    for name, depth in (("relint_witness", 1), ("v_basis", 3)):
+        if body[name] is not None and not _is_token_tree(body[name], depth):
+            raise ValueError(f"{name} must be null or nested lists of rational strings")
     witness = None
     if body["relint_witness"] is not None:
         witness = PositiveCombinationWitness(

@@ -276,6 +276,17 @@ def _perms(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(r)))
 
 
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[j] for j in q)
+
+
+def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for j, pj in enumerate(p):
+        inv[pj] = j
+    return tuple(inv)
+
+
 def _spread(masks: tuple[int, ...], width: int) -> list[int]:
     # Each mask with its bit i moved to bit i * width, so that `width` spread
     # masks shifted by distinct amounts below `width` never share a bit.
@@ -318,19 +329,33 @@ def _enc_b(spreads: list[int], order: tuple[int, ...], n: int, r: int) -> tuple[
     return tuple(out)
 
 
+class _Readings(dict):
+    # A side's reading table: its `_enc_b` reading under each inner
+    # permutation, encoded on the first lookup and kept for every later pair.
+
+    def __init__(self, masks: tuple[int, ...], ground: int, r: int):
+        self.spreads, self.ground, self.r = _spread(masks, r), ground, r
+
+    def __missing__(self, perm: tuple[int, ...]) -> tuple[int, ...]:
+        self[perm] = reading = _enc_b(self.spreads, perm, self.ground, self.r)
+        return reading
+
+
 def _pair_key(
-    m: int, n: int, r: int, side_a: tuple, side_b: tuple
+    m: int, n: int, r: int, side_a: tuple, side_b: tuple, pi: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Canonical key of a pair from its two sides, each given as (slot masks
-    # spread to width r, side key, argmin inner permutations of
+    # Canonical key of the pair whose B slot j is slot pi[j] of side_b, each
+    # side given as (reading table, side key, argmin inner permutations of
     # `_side_key`).  The A side is minimized first, so only its argmins can
-    # order the B side; for m = n the transposed pair, whose A side is built
-    # from rows_b, competes too.
-    a_spreads, a_key, a_mins = side_a
-    b_spreads, b_key, b_mins = side_b
-    key = (a_key, min(_enc_b(b_spreads, perm, n, r) for perm in a_mins))
+    # order the B side: B is read under _compose(pi, s) for each argmin s.
+    # For m = n the transposed pair, A read under _compose(inv(pi), s) for
+    # each argmin s of B, competes too.
+    a_read, a_key, a_mins = side_a
+    b_read, b_key, b_mins = side_b
+    key = (a_key, min(b_read[_compose(pi, s)] for s in a_mins))
     if m == n:
-        key = min(key, (b_key, min(_enc_b(a_spreads, perm, m, r) for perm in b_mins)))
+        inv = _invert(pi)
+        key = min(key, (b_key, min(a_read[_compose(inv, s)] for s in b_mins)))
     return key
 
 
@@ -347,13 +372,14 @@ def canonical_form(pattern: ZeroPattern) -> ZeroPattern:
     The encoding compared is the row-major bits of the A-pattern followed by
     the row-major bits of the B-pattern; the minimum is taken over all inner
     permutations, the optimal row sort of A, the optimal column sort of B,
-    and (for m = n) the transposition swap.  Idempotent by construction.
+    and (for m = n) the transposition swap: the pair key of enumeration at
+    the identity alignment.  Idempotent by construction.
     """
     m, n, r = pattern.m, pattern.n, pattern.r
     cols_a, rows_b = pattern.cols_a_masks(), pattern.rows_b_masks()
-    side_a = (_spread(cols_a, r), *_side_key(cols_a, m, r))
-    side_b = (_spread(rows_b, r), *_side_key(rows_b, n, r))
-    return _pattern_from_key(m, n, r, _pair_key(m, n, r, side_a, side_b))
+    side_a = (_Readings(cols_a, m, r), *_side_key(cols_a, m, r))
+    side_b = (_Readings(rows_b, n, r), *_side_key(rows_b, n, r))
+    return _pattern_from_key(m, n, r, _pair_key(m, n, r, side_a, side_b, _perms(r)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +432,13 @@ def _side_classes(
     representatives, in the same order, as the search without this pruning.
     """
     full = (1 << ground) - 1
-    masks = sorted(
-        (m for m in range(1 << ground) if m.bit_count() <= cap),
-        key=lambda m: (m.bit_count(), m),
-    )
+    # A slot above z_max zeros is cut by the popcount break below before it
+    # is used, so the table holds only the masks of at most min(cap, z_max).
+    masks = [
+        mask
+        for k in range(min(cap, z_max) + 1)
+        for mask in sorted(sum(1 << e for e in c) for c in itertools.combinations(range(ground), k))
+    ]
     counts = [m.bit_count() for m in masks]
     out: dict[int, list] = {}
     seen: dict[int, set] = {}
@@ -444,14 +473,8 @@ def _side_classes(
             cand = masks[idx]
             if (cand & ~starts) >> 1 & ~cand:
                 continue
-            if incomparable:
-                ok = True
-                for prev in chosen:
-                    if prev & ~cand == 0 or cand & ~prev == 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if incomparable and any(prev & ~cand == 0 or cand & ~prev == 0 for prev in chosen):
+                continue
             chosen.append(cand)
             # cand splits each run it enters after its last element there.
             split = starts | (cand << 1) & ~cand & full
@@ -462,32 +485,17 @@ def _side_classes(
     return out
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[j]] for j in range(len(p)))
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for j, pj in enumerate(p):
-        inv[pj] = j
-    return tuple(inv)
-
-
-def _coerce_filters(filters) -> frozenset[PatternFilter]:
-    coerced = set()
-    for f in filters:
-        coerced.add(f if isinstance(f, PatternFilter) else PatternFilter(f))
-    return frozenset(coerced)
-
-
 def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[ZeroPattern]:
     """All canonical orbit representatives with the requested zero count.
 
     Columns of the A-pattern and rows of the B-pattern are chosen as ground
     subsets with the pairwise non-containment and per-slot bounds pruned in
-    during generation; the two sides are bucketed by zero count, reduced to
-    per-side orbit representatives, paired in every inner alignment, and
-    finally deduplicated on the pair key that `canonical_form` decodes.
+    during generation; the two sides are bucketed by zero count and reduced
+    to per-side orbit representatives.  Each A side meets each B side in
+    every inner alignment, and the pair key there is looked up in the two
+    sides' reading tables (a side's B reading under each inner permutation,
+    encoded once per side, never per pair).  The keys are deduplicated and
+    decoded in sorted order, exactly as `canonical_form` decodes its one.
     The cheap POSITIVE_PRODUCT test and the expensive zero rectangle filter
     run last, on representatives only (both are invariant under the full
     group).
@@ -498,7 +506,7 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     pattern is kept when any orientation of its orbit passes, since the
     canonical form identifies the two orientations.
     """
-    fset = _coerce_filters(filters)
+    fset = frozenset(f if isinstance(f, PatternFilter) else PatternFilter(f) for f in filters)
     wpoint = PatternFilter.WPOINT in fset
     if zeros < 0:
         raise ValueError("zero count must be nonnegative")
@@ -526,23 +534,12 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
         b_list = b_sides.get(zeros - z_a)
         if not b_list:
             continue
-        # Every distinct inner alignment of every B side, its argmins moved
-        # with it, so each A side pairs with each of them once.
-        b_aligned = []
-        for b_masks, b_key, b_mins in b_list:
-            b_spreads = _spread(b_masks, r)
-            seen_orders = set()
-            for pi in perms:
-                ordered = tuple(b_spreads[pi[j]] for j in range(r))
-                if ordered in seen_orders:
-                    continue
-                seen_orders.add(ordered)
-                inv = _invert(pi)
-                b_aligned.append((ordered, b_key, tuple(_compose(inv, rho) for rho in b_mins)))
+        b_read_sides = [(_Readings(masks, n, r), key, mins) for masks, key, mins in b_list]
         for a_masks, a_key, a_mins in a_list:
-            side_a = (_spread(a_masks, r), a_key, a_mins)
-            for side_b in b_aligned:
-                found.setdefault(_pair_key(m, n, r, side_a, side_b))
+            side_a = (_Readings(a_masks, m, r), a_key, a_mins)
+            for side_b in b_read_sides:
+                for pi in perms:
+                    found.setdefault(_pair_key(m, n, r, side_a, side_b, pi))
     reps = [_pattern_from_key(m, n, r, key) for key in sorted(found)]
     if PatternFilter.POSITIVE_PRODUCT in fset:
         reps = [p for p in reps if not forces_product_zero(p)]

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nmfrigid
 from nmfrigid import formats
 from nmfrigid.cli import main
 from nmfrigid.cpr import SymmetricFactor
@@ -88,6 +94,28 @@ def test_enumerate_counts(capsys):
         "--filters", "wpoint",
     )
     assert code == 0 and out.strip() == "0"
+
+
+def test_enumerate_wide_shape_builds_only_masks_in_the_zero_window():
+    # Under wpoint alone a slot may hold all 40 rows, so a table of every
+    # subset of the ground would never fit in memory; only masks of at most
+    # 4 zeros can be used.  The child runs under a 512 MB address-space cap
+    # and a timeout, so a table that grows fails fast instead of swapping.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "nmfrigid.cli", "enumerate", "--shape", "40", "40",
+            "--rank", "2", "--zeros", "4", "--filters", "wpoint",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(nmfrigid.__file__).parents[1])},
+        preexec_fn=cap_memory,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
 
 
 def test_enumerate_writes_pattern_files(capsys, tmp_path):

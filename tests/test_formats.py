@@ -196,3 +196,28 @@ def test_verify_rejects_forged_symmetric_verdict():
     doc["certificate"]["classification"] = "infinitesimally-rigid"
     with pytest.raises(ValueError, match="classification"):
         formats.verify_certificate_document(doc, factor)
+
+
+def _with_body(doc, **fields):
+    return {**doc, "certificate": {**doc["certificate"], **fields}}
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda doc: {**doc, "flags": [1]},
+        lambda doc: {key: value for key, value in doc.items() if key != "certificate"},
+        lambda doc: _with_body(doc, relint_witness=7),
+        lambda doc: _with_body(doc, relint_witness=[1.0] * 13),
+        lambda doc: [doc],
+        lambda doc: {**doc, "certificate": [doc["certificate"]]},
+    ],
+    ids=[
+        "flags-list", "no-certificate", "int-witness", "float-tokens", "document-list",
+        "certificate-list",
+    ],
+)
+def test_verify_rejects_a_malformed_document_with_value_error(malform):
+    pair, doc = _rigid_document()
+    with pytest.raises(ValueError):
+        formats.verify_certificate_document(malform(doc), pair)

@@ -16,8 +16,11 @@ from nmfrigid.patterns import (
     PatternFilter,
     PatternGroupElement,
     ZeroPattern,
+    _enc_b,
+    _pattern_from_key,
     _side_classes,
     _side_key,
+    _spread,
     canonical_form,
     check_column_bound,
     check_wpoint,
@@ -411,8 +414,13 @@ def test_side_classes_match_unpruned_search(ground):
     [
         ("table1", 102, "dee48bef7f2276cda63234d9e97ff748fd710881997ff7b127f3f51729e2b4f3"),
         ("theorem", 209, "28de4b1a8ce6b275d3a8b2a2422d8ef6411204a2b91cbe34c98638f476b77596"),
+        (
+            "wpoint,zero-rectangles",
+            633,
+            "21ff0c4fccf37b87ab695329b00f6084922b12477231f8d74f3ce0d548c4aee6",
+        ),
     ],
-    ids=["table1", "theorem"],
+    ids=["table1", "theorem", "wpoint-zero-rectangles"],
 )
 def test_table1_sweep_representatives_are_pinned(preset, count, digest):
     h = hashlib.sha256()
@@ -439,12 +447,126 @@ def test_table1_sweep_side_key_count(monkeypatch):
     assert calls == 168
 
 
-def test_rank_five_5x5_representatives():
-    reps = enumerate_patterns(5, 5, 5, 21, table1_filters(5, 5))
-    assert len(reps) == 112
+@pytest.mark.parametrize(
+    "m, n, count, digest",
+    [
+        (5, 5, 112, "ce0eb1b23e16726a9bffa1ad5b9f07c14ee01c971a0ea95f2903c4f2d2c21828"),
+        (6, 5, 2433, "5423579a992cf2ec7795d978cdde5d8c2a0b9838430aa28c41af52f54c75a80f"),
+    ],
+    ids=["5x5", "6x5"],
+)
+def test_rank_five_representatives(m, n, count, digest):
+    reps = enumerate_patterns(m, n, 5, 21, table1_filters(m, n))
+    h = hashlib.sha256()
+    for p in reps:
+        h.update(formats.dump_pattern(p).encode())
+    assert (len(reps), h.hexdigest()) == (count, digest)
     assert len({(p.zeros_a, p.zeros_b) for p in reps}) == len(reps)
     assert all(canonical_form(p) == p for p in reps)
     rng = random.Random(41)
     for p in rng.sample(reps, 12):
-        g = rand_group_element(rng, 5, 5, 5, allow_transpose=True)
+        g = rand_group_element(rng, m, n, 5, allow_transpose=m == n)
         assert canonical_form(g.apply(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# Pairing by reading tables against the per-pair encodings it replaced
+# ---------------------------------------------------------------------------
+
+def reference_pair_key(m, n, r, a_spreads, a_key, a_mins, b_spreads, b_key, b_mins):
+    # One `_enc_b` of the other side per argmin: B under each A argmin and,
+    # for m = n, A under each B argmin.
+    key = (a_key, min(_enc_b(b_spreads, perm, n, r) for perm in a_mins))
+    if m == n:
+        key = min(key, (b_key, min(_enc_b(a_spreads, perm, m, r) for perm in b_mins)))
+    return key
+
+
+def reference_enumeration(m, n, r, zeros, a_sides, b_sides):
+    # Every A side against an aligned copy of every B side per inner order
+    # pi, B slot j being slot pi[j], with each B argmin rho moved to
+    # _compose(inv(pi), rho).
+    keys = set()
+    for z_a, a_list in a_sides.items():
+        for b_masks, b_key, b_mins in b_sides.get(zeros - z_a, ()):
+            b_spreads = _spread(b_masks, r)
+            for pi in itertools.permutations(range(r)):
+                aligned = [b_spreads[j] for j in pi]
+                moved = [tuple(pi.index(x) for x in rho) for rho in b_mins]
+                for a_masks, a_key, a_mins in a_list:
+                    keys.add(reference_pair_key(
+                        m, n, r, _spread(a_masks, r), a_key, a_mins, aligned, b_key, moved
+                    ))
+    return [_pattern_from_key(m, n, r, key) for key in sorted(keys)]
+
+
+PAIRING_FILTERS = [
+    frozenset(),
+    frozenset({PatternFilter.WPOINT}),
+    frozenset({PatternFilter.COLUMN_BOUND}),
+    frozenset({PatternFilter.ROW_COVERAGE_A, PatternFilter.COLUMN_COVERAGE_B}),
+    frozenset({PatternFilter.WPOINT, PatternFilter.COLUMN_BOUND, PatternFilter.ROW_COVERAGE_A}),
+]
+
+
+@pytest.mark.parametrize(
+    "filters", PAIRING_FILTERS, ids=lambda f: ",".join(sorted(x.value for x in f)) or "none"
+)
+def test_pairing_matches_per_pair_encodings(monkeypatch, filters):
+    # With no filter, slots may repeat or be empty, so sides with large
+    # automorphism groups and many argmins are paired too.
+    sides = []
+
+    def recording(*args):
+        sides.append(_side_classes(*args))
+        return sides[-1]
+
+    monkeypatch.setattr(patterns, "_side_classes", recording)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for r in range(1, min(m, n) + 1):
+                for zeros in range(9):
+                    sides.clear()
+                    got = enumerate_patterns(m, n, r, zeros, filters)
+                    expected = reference_enumeration(m, n, r, zeros, *sides) if sides else []
+                    assert got == expected, (m, n, r, zeros)
+
+
+def test_canonical_form_matches_per_pair_encodings():
+    rng = random.Random(43)
+    for _ in range(1500):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(1, min(m, n, 4))
+        pattern = rand_pattern(rng, m, n, r, zero_prob=0.1 + 0.4 * rng.random())
+        cols_a, rows_b = pattern.cols_a_masks(), pattern.rows_b_masks()
+        key = reference_pair_key(
+            m, n, r,
+            _spread(cols_a, r), *_side_key(cols_a, m, r),
+            _spread(rows_b, r), *_side_key(rows_b, n, r),
+        )
+        assert canonical_form(pattern) == _pattern_from_key(m, n, r, key), pattern
+
+
+def test_pairing_encodes_each_side_at_most_once_per_inner_order(monkeypatch):
+    # The table-1 sweep paired 11,952 `_enc_b` calls, one per pair and
+    # argmin; reading tables make it at most r! per side.
+    calls = sides = 0
+    enc_b, side_classes = patterns._enc_b, patterns._side_classes
+
+    def counting_enc_b(*args):
+        nonlocal calls
+        calls += 1
+        return enc_b(*args)
+
+    def counting_sides(*args):
+        nonlocal sides
+        out = side_classes(*args)
+        sides += sum(len(bucket) for bucket in out.values())
+        return out
+
+    monkeypatch.setattr(patterns, "_enc_b", counting_enc_b)
+    monkeypatch.setattr(patterns, "_side_classes", counting_sides)
+    for m, n in TABLE1_SHAPES:
+        enumerate_patterns(m, n, 4, 13, table1_filters(m, n))
+    assert sides == 84
+    assert calls <= 24 * sides
