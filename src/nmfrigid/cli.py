@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import __version__, formats
 from .cpr import certify_cp
-from .exactlin import matmul
 from .fixtures import RIGID_5X5, BenchmarkFactorization
 from .patterns import PatternFilter, check_wpoint, enumerate_patterns, table1_filters
 from .realize import LiftInfeasibleError, RealizationSearchConfig, lift_partially_rigid, realize_pattern
@@ -172,7 +171,7 @@ def _write_certified_pair(pair, args, flags: dict, seed: int | None = None) -> N
 
 def _verify_one(fixture: BenchmarkFactorization) -> tuple[bool, str]:
     pair = fixture.pair()
-    product = matmul(pair.a, pair.b)
+    product = pair.product()
     expected = fixture.product_matrix()
     if product != expected:
         for i in range(expected.rows):

@@ -14,20 +14,26 @@ are tested against.
 
 No facet or vertex description is ever computed; rank plus membership plus
 the relative-interior test cover everything callers need, and the simplex
-with Bland's rule terminates in exact arithmetic without perturbation.
+with Bland's rule terminates in exact arithmetic without perturbation.  It
+pivots on Python ints with the fraction-free step of `exactlin`, so, as
+there, Fraction appears only at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactlin import (
     RationalMatrix,
     Vector,
+    _coerce,
+    eliminate,
     is_zero_vector,
     matvec,
     rank,
+    vec_dot,
     vec_neg,
     zero_vector,
 )
@@ -69,102 +75,83 @@ def lp_feasible(
 ) -> Vector | None:
     """Exact feasible point of  equalities @ x = rhs,  x >= lower_bounds.
 
-    Phase-1 simplex over the rationals with Bland's rule (lowest eligible
-    index enters; ties in the ratio test break toward the lowest basic
-    index), so the result is deterministic given the input order.  Returns
-    the point found or None when the system is infeasible.
+    Phase-1 simplex with Bland's rule (lowest eligible index enters; ties in
+    the ratio test break toward the lowest basic index), so the result is
+    deterministic given the input order.  Returns the point found or None
+    when the system is infeasible.  `rhs` and `lower_bounds` take what
+    `RationalMatrix` entries take: ints, Fractions and strings, not floats.
+
+    The tableau is integer: each structural column and the right-hand side
+    are scaled by the lcm of their own denominators, positive scalings that
+    keep every reduced-cost sign and the order of every ratio, so the pivots
+    are those of the rational simplex.  Each pivot is one `eliminate` step,
+    the reduced-cost row riding along as the last row; Fraction appears only
+    in the shift by the lower bounds and in the point handed back.
     """
     n_rows, n_cols = equalities.rows, equalities.cols
+    rhs = [_coerce(b) for b in rhs]
+    lower_bounds = [_coerce(x) for x in lower_bounds]
     if len(rhs) != n_rows:
         raise ValueError(f"rhs of length {len(rhs)} against {n_rows} equality rows")
     if len(lower_bounds) != n_cols:
         raise ValueError(f"{len(lower_bounds)} lower bounds for {n_cols} variables")
 
     # Shift to y = x - lower_bounds >= 0.
-    shifted_rhs = [
-        rhs[i] - sum((equalities[i, j] * lower_bounds[j] for j in range(n_cols)), Fraction(0))
-        for i in range(n_rows)
-    ]
+    shifted_rhs = [b - vec_dot(equalities.row(i), lower_bounds) for i, b in enumerate(rhs)]
     if n_cols == 0:
-        if all(b == 0 for b in shifted_rhs):
-            return ()
-        return None
+        return () if all(b == 0 for b in shifted_rhs) else None
 
     # Rows with negative right-hand side are negated so artificials start
-    # feasible at value shifted_rhs >= 0.
-    table: list[list[Fraction]] = []
-    for i in range(n_rows):
-        row = list(equalities.row(i))
-        b = shifted_rhs[i]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(n_rows))
-        row.append(b)
+    # feasible at value |shifted_rhs|; the artificial block is the identity,
+    # so the first pivot runs at prev = 1.
+    scales = [lcm(*(x.denominator for x in equalities.column(j))) for j in range(n_cols)]
+    scales.append(lcm(*(b.denominator for b in shifted_rhs)))
+    table: list[list[int]] = []
+    for i, b in enumerate(shifted_rhs):
+        sign = -1 if b < 0 else 1
+        row = [sign * x.numerator * (s // x.denominator) for x, s in zip(equalities.row(i), scales)]
+        row.extend(1 if k == i else 0 for k in range(n_rows))
+        row.append(sign * b.numerator * (scales[-1] // b.denominator))
         table.append(row)
 
-    n_total = n_cols + n_rows  # structural + artificial variables
-    basis = [n_cols + i for i in range(n_rows)]
+    basis = [n_cols + i for i in range(n_rows)]  # the artificial variables
 
     # Reduced-cost row for minimizing the sum of artificials.
-    cost = [Fraction(0)] * (n_total + 1)
-    for j in range(n_cols, n_total):
-        cost[j] = Fraction(1)
+    cost = [0] * n_cols + [1] * n_rows + [0]
     for row in table:
-        for j in range(n_total + 1):
-            cost[j] -= row[j]
+        cost = [c - x for c, x in zip(cost, row)]
+    table.append(cost)
 
+    prev = 1  # every row is prev times its rational value, prev > 0
     while True:
-        entering = None
-        for j in range(n_total):
-            if cost[j] < 0:
-                entering = j
-                break
+        cost = table[-1]
+        entering = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
         if entering is None:
             break
         leaving = None
-        best_ratio = None
         for i in range(n_rows):
             coef = table[i][entering]
             if coef > 0:
-                ratio = table[i][-1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving is None:
-            # Cannot happen for a phase-1 objective bounded below by zero,
-            # but guard against a malformed tableau.
+                if leaving is not None:
+                    # Compare table[i][-1] / coef with the best ratio.
+                    here = table[i][-1] * table[leaving][entering]
+                    best = table[leaving][-1] * coef
+                    if here > best or (here == best and basis[i] > basis[leaving]):
+                        continue
+                leaving = i
+        if leaving is None:  # impossible: the phase-1 objective is at least 0
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
-        pivot = table[leaving][entering]
-        if pivot != 1:
-            table[leaving] = [x / pivot for x in table[leaving]]
-        pivot_row = table[leaving]
-        for i in range(n_rows):
-            if i == leaving:
-                continue
-            factor = table[i][entering]
-            if factor:
-                row_i = table[i]
-                for j in range(n_total + 1):
-                    row_i[j] -= factor * pivot_row[j]
-        factor = cost[entering]
-        if factor:
-            for j in range(n_total + 1):
-                cost[j] -= factor * pivot_row[j]
+        prev = eliminate(table, leaving, entering, prev)
         basis[leaving] = entering
 
-    if -cost[-1] != 0:  # optimal artificial sum is -cost[-1]
+    if cost[-1] != 0:  # the optimal artificial sum is -cost[-1] / prev
         return None
 
-    y = [Fraction(0)] * n_cols
+    x = list(lower_bounds)
     for i, var in enumerate(basis):
         if var < n_cols:
-            y[var] = table[i][-1]
-    return tuple(y[j] + lower_bounds[j] for j in range(n_cols))
+            x[var] += Fraction(table[i][-1] * scales[var], prev * scales[-1])
+    return tuple(x)
 
 
 def member(cone: ConeByGenerators, v: Vector) -> bool:

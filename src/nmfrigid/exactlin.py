@@ -5,8 +5,9 @@ flip, so no float ever enters these routines.  Matrix entries are
 ``fractions.Fraction`` (plain ints are accepted too), but elimination clears
 each row of denominators and then runs fraction-free on Python ints, so
 Fraction appears only at the boundary: in the entries passed in and in the
-kernel vectors handed back.  Matrices are small (a few hundred entries at
-most), dense and immutable; elimination uses the first nonzero pivot in
+kernel vectors handed back.  Every pivot, here and in the simplex of
+`cone`, is one `eliminate` step.  Matrices are small (a few hundred entries
+at most), dense and immutable; elimination uses the first nonzero pivot in
 column order so kernels and ranks are bit-identical across runs.
 """
 
@@ -23,9 +24,7 @@ Vector = tuple[Fraction, ...]
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot build an exact rational from {value!r} of type {type(value).__name__}")
 
@@ -131,6 +130,30 @@ def integer_multiple(v: Sequence) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in v]
 
 
+def eliminate(rows: list[list[int]], p: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan pivot on integer rows, in place.
+
+    Clears column `col` from every row but `p` with
+    (piv*row_i - f*row_p) // prev, where piv = rows[p][col] and f is row i's
+    entry in `col`; row `p` stays as it is.  Returns piv, the `prev` of the
+    next step.  Started at prev = 1, the rows stay det(B) times B^-1 applied
+    to the input rows (up to sign), B being the pivot columns so far beside
+    an implicit identity block, so every entry is a minor of the input and
+    each division is exact by Sylvester's identity (Bareiss 1968).
+    """
+    row_p = rows[p]
+    piv = row_p[col]
+    for i, row_i in enumerate(rows):
+        if i == p:
+            continue
+        f = row_i[col]
+        if f:
+            rows[i] = [(piv * x - f * y) // prev for x, y in zip(row_i, row_p)]
+        elif piv != prev:
+            rows[i] = [piv * x // prev for x in row_i]
+    return piv
+
+
 def _echelon(m: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan reduction of a copy of `m`.
 
@@ -140,9 +163,7 @@ def _echelon(m: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
     own (`integer_multiple`); that positive row scaling changes neither the row space nor where
     zeros fall, so the pivot choice -- the first nonzero entry in column
     order -- and the reduced form are the same as for rational elimination.
-    Each update (p*row_i - f*row_p) // previous_pivot divides exactly by
-    Sylvester's identity (Bareiss 1968), which keeps every entry a minor of
-    the input instead of letting numbers grow through fractions.
+    Each pivot is one `eliminate` step.
     """
     cols = m.cols
     work = [integer_multiple(m.data[i * cols : (i + 1) * cols]) for i in range(m.rows)]
@@ -150,26 +171,12 @@ def _echelon(m: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
     prev = 1
     piv_row = 0
     for col in range(cols):
-        found = None
-        for i in range(piv_row, m.rows):
-            if work[i][col]:
-                found = i
-                break
+        found = next((i for i in range(piv_row, m.rows) if work[i][col]), None)
         if found is None:
             continue
         if found != piv_row:
             work[piv_row], work[found] = work[found], work[piv_row]
-        row_p = work[piv_row]
-        p = row_p[col]
-        for i, row_i in enumerate(work):
-            if i == piv_row:
-                continue
-            f = row_i[col]
-            if f:
-                work[i] = [(p * x - f * y) // prev for x, y in zip(row_i, row_p)]
-            elif p != prev:
-                work[i] = [p * x // prev for x in row_i]
-        prev = p
+        prev = eliminate(work, piv_row, col, prev)
         pivots.append(col)
         piv_row += 1
         if piv_row == m.rows:

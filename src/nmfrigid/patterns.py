@@ -498,7 +498,8 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     decoded in sorted order, exactly as `canonical_form` decodes its one.
     The cheap POSITIVE_PRODUCT test and the expensive zero rectangle filter
     run last, on representatives only (both are invariant under the full
-    group).
+    group); the rectangle bound holds only at r*r - r + 1 zeros, so any
+    other count with that filter raises ValueError before any work.
 
     Coverage filters are literal: ROW_COVERAGE_A means every row of A
     contains a zero, COLUMN_COVERAGE_B means every column of B contains a
@@ -513,7 +514,10 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     if m < 1 or n < 1 or r < 1:
         raise ValueError("dimensions must be positive")
     _require_attainable_rank(m, n, r)
-    if wpoint and zeros < r * r - r + 1:
+    tight = r * r - r + 1
+    if PatternFilter.ZERO_RECTANGLES in fset and zeros != tight:
+        raise ValueError(f"zero-rectangles applies only at exactly {tight} zeros, not {zeros}")
+    if wpoint and zeros < tight:
         return []
 
     colbound = PatternFilter.COLUMN_BOUND in fset

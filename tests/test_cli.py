@@ -118,6 +118,27 @@ def test_enumerate_wide_shape_builds_only_masks_in_the_zero_window():
     assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
 
 
+@pytest.mark.parametrize(
+    "shape, zeros", [(("7", "6"), "14"), (("5", "5"), "60")], ids=["7x6-14", "5x5-60"]
+)
+def test_enumerate_zero_rectangles_off_the_tight_count_fails_up_front(shape, zeros):
+    # The rectangle bound holds only at r*r - r + 1 zeros; any other count is
+    # refused before enumeration, whether or not representatives exist.
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "nmfrigid.cli", "enumerate", "--shape", *shape,
+            "--rank", "4", "--zeros", zeros, "--filters", "zero-rectangles",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env={**os.environ, "PYTHONPATH": str(Path(nmfrigid.__file__).parents[1])},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "13 zeros" in done.stderr
+
+
 def test_enumerate_writes_pattern_files(capsys, tmp_path):
     out_dir = tmp_path / "pats"
     code, out, _ = run(

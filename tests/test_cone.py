@@ -112,6 +112,105 @@ def test_lp_dimension_mismatch():
         lp_feasible(eq, frac_vec(0, 0), frac_vec(1, 1))
 
 
+def test_lp_rejects_floats():
+    # 0.3 and 0.1 are not 3/10 and 1/10; an exact LP must refuse them
+    # rather than answer for the rounded values.
+    eq = RationalMatrix.from_rows([[1, 1, 1]])
+    with pytest.raises(TypeError):
+        lp_feasible(eq, (0.3,), frac_vec("1/10", "1/10", "1/10"))
+    with pytest.raises(TypeError):
+        lp_feasible(eq, frac_vec("3/10"), (0.1, 0.1, 0.1))
+    assert lp_feasible(eq, ("3/10",), ("1/10", "1/10", "1/10")) == frac_vec(
+        "1/10", "1/10", "1/10"
+    )
+
+
+def _fraction_simplex(equalities, rhs, lower_bounds):
+    """Reference: the same phase-1 Bland simplex pivoting on a Fraction tableau."""
+    n_rows, n_cols = equalities.rows, equalities.cols
+    shifted = [
+        rhs[i] - sum((equalities[i, j] * lower_bounds[j] for j in range(n_cols)), Fraction(0))
+        for i in range(n_rows)
+    ]
+    if n_cols == 0:
+        return () if all(b == 0 for b in shifted) else None
+    table = []
+    for i in range(n_rows):
+        row, b = list(equalities.row(i)), shifted[i]
+        if b < 0:
+            row, b = [-x for x in row], -b
+        row.extend(Fraction(int(k == i)) for k in range(n_rows))
+        table.append(row + [b])
+    n_total = n_cols + n_rows
+    basis = [n_cols + i for i in range(n_rows)]
+    cost = [Fraction(int(j >= n_cols)) for j in range(n_total)] + [Fraction(0)]
+    for row in table:
+        cost = [c - x for c, x in zip(cost, row)]
+    while True:
+        entering = next((j for j in range(n_total) if cost[j] < 0), None)
+        if entering is None:
+            break
+        leaving, best = None, None
+        for i in range(n_rows):
+            if table[i][entering] > 0:
+                ratio = table[i][-1] / table[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    leaving, best = i, ratio
+        pivot_row = [x / table[leaving][entering] for x in table[leaving]]
+        table[leaving] = pivot_row
+        for i in range(n_rows):
+            if i != leaving:
+                f = table[i][entering]
+                table[i] = [a - f * b for a, b in zip(table[i], pivot_row)]
+        f = cost[entering]
+        cost = [a - f * b for a, b in zip(cost, pivot_row)]
+        basis[leaving] = entering
+    if cost[-1] != 0:
+        return None
+    y = [Fraction(0)] * n_cols
+    for i, var in enumerate(basis):
+        if var < n_cols:
+            y[var] = table[i][-1]
+    return tuple(y[j] + lower_bounds[j] for j in range(n_cols))
+
+
+def _random_lp(rng):
+    """A small system drawn to hit empty shapes, fractions, signs and ties."""
+    n_rows, n_cols = rng.randint(0, 4), rng.randint(0, 6)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 2 and rng.random() < 0.3:
+        rows[-1] = [2 * x for x in rows[0]]  # parallel rows tie in the ratio test
+    bounds = tuple(rng.choice((Fraction(0), Fraction(1), entry())) for _ in range(n_cols))
+    kind = rng.randrange(3)
+    if kind == 0:
+        rhs = zero_vector(n_rows)  # fully degenerate: every ratio is zero
+    elif kind == 1:
+        rhs = tuple(entry() for _ in range(n_rows))
+    else:  # feasible by construction: rhs = A @ x for some x >= bounds
+        point = [b + rng.randint(0, 2) * rng.randint(0, 1) for b in bounds]
+        rhs = tuple(sum((x * p for x, p in zip(row, point)), Fraction(0)) for row in rows)
+    return RationalMatrix(n_rows, n_cols, tuple(x for row in rows for x in row)), rhs, bounds
+
+
+def test_lp_matches_fraction_simplex_on_random_systems():
+    rng = random.Random(20190611)
+    shapes, feasible = set(), 0
+    for _ in range(3000):
+        system, rhs, bounds = _random_lp(rng)
+        expected = _fraction_simplex(system, rhs, bounds)
+        assert lp_feasible(system, rhs, bounds) == expected
+        shapes.add((system.rows, system.cols))
+        feasible += expected is not None
+    assert (0, 0) in shapes and len(shapes) == 35
+    assert 1000 < feasible < 2500
+
+
 def test_relint_witness_for_opposite_rays():
     cone = ConeByGenerators(2, (frac_vec(1, 0), frac_vec(-1, 0)))
     witness = zero_in_relative_interior(cone)
