@@ -10,7 +10,7 @@ interface.
 
 __version__ = "0.1.0"
 
-from .cone import ConeByGenerators, PositiveCombinationWitness, lineality_dimension, lp_feasible, member, zero_in_relative_interior
+from .cone import ConeByGenerators, PositiveCombinationWitness, lineality_dimension, lp_feasible, zero_in_relative_interior
 from .cpr import SymmetricFactor, build_skew_generators, certify_cp, cp_kruskal_criterion, cp_necessary_conditions
 from .exactlin import RationalMatrix, matmul, nullspace_basis, rank
 from .patterns import PatternFilter, ZeroPattern, canonical_form, check_column_bound, check_wpoint, check_zero_rectangles, enumerate_patterns, forces_product_zero, table1_filters
@@ -23,7 +23,6 @@ __all__ = [
     "PositiveCombinationWitness",
     "lineality_dimension",
     "lp_feasible",
-    "member",
     "zero_in_relative_interior",
     "SymmetricFactor",
     "build_skew_generators",

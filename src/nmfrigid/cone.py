@@ -1,22 +1,22 @@
 """Exact polyhedral-cone primitives.
 
-A cone is given by a finite generator list.  Three questions are answered
-here, all via one exact phase-1 simplex: does an equality system with lower
-bounds have a feasible point, is a vector a nonnegative combination of the
-generators, and is zero a strictly positive combination of all generators
-(which holds exactly when the cone is a linear subspace).  The lineality
-space of the cone is found by testing which generators have their negatives
-inside the cone.  The certification in `rigidity` reads the
-relative-interior witness and the lineality off the generator kernel when
-that kernel has dimension at most one, so these LPs run there only when it
-has dimension two or more; they remain the reference the kernel answers
-are tested against.
+A cone is given by a finite generator list.  One exact phase-1 simplex
+decides whether an equality system with lower bounds has a feasible point,
+and two cone questions are put to it: is zero a strictly positive
+combination of all generators (which holds exactly when the cone is a
+linear subspace), and how large is the lineality space?  That space is
+spanned by the two-sided generators, whose set grows by the support of one
+nonnegative kernel vector per LP until an LP finds no more.  The
+certification in `rigidity` reads the relative-interior witness and the
+lineality off the generator kernel when that kernel has dimension at most
+one, so these LPs run there only when it has dimension two or more; they
+remain the reference the kernel answers are tested against.
 
-No facet or vertex description is ever computed; rank plus membership plus
-the relative-interior test cover everything callers need, and the simplex
-with Bland's rule terminates in exact arithmetic without perturbation.  It
-pivots on Python ints with the fraction-free step of `exactlin`, so, as
-there, Fraction appears only at the boundary.
+No facet or vertex description is ever computed; rank plus these LPs
+cover everything callers need, and the simplex with Bland's rule
+terminates in exact arithmetic without perturbation.  It pivots on Python
+ints with the fraction-free step of `exactlin`, so, as there, Fraction
+appears only at the boundary.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .exactlin import (
     matvec,
     rank,
     vec_dot,
-    vec_neg,
     zero_vector,
 )
 
@@ -154,20 +153,6 @@ def lp_feasible(
     return tuple(x)
 
 
-def member(cone: ConeByGenerators, v: Vector) -> bool:
-    """True iff v is a nonnegative combination of the generators."""
-    if len(v) != cone.ambient_dim:
-        raise ValueError(
-            f"vector of length {len(v)} against ambient dimension {cone.ambient_dim}"
-        )
-    if not cone.generators:
-        return is_zero_vector(v)
-    solution = lp_feasible(
-        cone.generator_matrix(), v, zero_vector(len(cone.generators))
-    )
-    return solution is not None
-
-
 def zero_in_relative_interior(cone: ConeByGenerators) -> PositiveCombinationWitness | None:
     """Witness that zero is a strictly positive combination of all generators.
 
@@ -191,16 +176,28 @@ def zero_in_relative_interior(cone: ConeByGenerators) -> PositiveCombinationWitn
 def lineality_dimension(cone: ConeByGenerators) -> int:
     """Dimension of the largest linear subspace contained in the cone.
 
-    A generator g lies in the lineality space exactly when -g is still in
-    the cone; the lineality space is spanned by those generators, so its
-    dimension is the rank of that subset.
+    That subspace is spanned by the two-sided generators, so its dimension
+    is their rank.  Generator g_i is two-sided exactly when some lambda >= 0
+    with G lambda = 0 has lambda_i > 0 (-g_i = sum mu_j g_j is lambda =
+    mu + e_i).  Each LP asks for such a lambda of weight 1 on the generators
+    not yet known to be two-sided and adds its support, at least one new
+    generator; once it is infeasible none of the rest is.  So at most one
+    LP more than there are two-sided generators runs.
     """
-    if not cone.generators:
-        return 0
-    two_sided = [g for g in cone.generators if member(cone, vec_neg(g))]
-    if not two_sided:
-        return 0
-    return rank(RationalMatrix.from_columns(two_sided, cone.ambient_dim))
+    count = len(cone.generators)
+    matrix = cone.generator_matrix()
+    rhs = zero_vector(cone.ambient_dim) + (Fraction(1),)
+    two_sided: set[int] = set()
+    while len(two_sided) < count:
+        rest = tuple(Fraction(j not in two_sided) for j in range(count))
+        point = lp_feasible(
+            RationalMatrix(matrix.rows + 1, count, matrix.data + rest), rhs, zero_vector(count)
+        )
+        if point is None:
+            break
+        two_sided.update(j for j, x in enumerate(point) if x)
+    columns = [g for j, g in enumerate(cone.generators) if j in two_sided]
+    return rank(RationalMatrix.from_columns(columns, cone.ambient_dim)) if columns else 0
 
 
 def verify_witness(cone: ConeByGenerators, witness: PositiveCombinationWitness) -> bool:

@@ -20,6 +20,7 @@ from .patterns import (
     _col_masks,
     _decode_rows,
     _pairwise_separating,
+    _require_attainable_rank,
     _row_masks,
     _side_classes,
     _side_key,
@@ -226,6 +227,7 @@ def enumerate_symmetric_patterns(
     """
     if n < 1 or r < 1 or zeros < 0:
         raise ValueError("dimensions must be positive and zeros nonnegative")
+    _require_attainable_rank(n, n, r)
     cap = min(n, r - 1 if column_bound else n)
     sides = _side_classes(n, r, cap, require_pairs, False, zeros, zeros)
     return sorted(_decode_rows(key, r) for _, key, _ in sides.get(zeros, ()))

@@ -203,8 +203,8 @@ def _require_tight_count(pattern: ZeroPattern) -> None:
 
 
 def check_column_bound(pattern: ZeroPattern) -> bool:
-    """At a tight zero count, every column of A and row of B has <= r-1 zeros."""
-    _require_tight_count(pattern)
+    """Every column of A and row of B has <= r-1 zeros: necessary for
+    rigidity at the tight count r^2-r+1, a plain filter at any other."""
     bound = pattern.r - 1
     if any(mask.bit_count() > bound for mask in pattern.cols_a_masks()):
         return False

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from nmfrigid.cone import ConeByGenerators, lineality_dimension, member, verify_witness
+from nmfrigid.cone import ConeByGenerators, lineality_dimension, verify_witness
 from nmfrigid.cpr import SymmetricFactor, certify_cp
 from nmfrigid.exactlin import RationalMatrix, matmul, rank
 from nmfrigid.fixtures import (
@@ -258,7 +258,7 @@ def test_criterion_8_property_suites():
     report("criterion 8d PASS: Kruskal rank matches the all-subsets oracle on 200 instances")
 
     # Cone membership against the independent-subsets oracle in R^3.
-    from tests.test_cone import oracle_member
+    from tests.test_cone import member, oracle_member
 
     for _ in range(n_instances):
         gens = tuple(

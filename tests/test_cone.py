@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from nmfrigid import cone as cone_module
 from nmfrigid.cone import (
     ConeByGenerators,
     lineality_dimension,
     lp_feasible,
-    member,
     verify_witness,
     zero_in_relative_interior,
 )
+from nmfrigid.cpr import SymmetricFactor, build_skew_generators, certify_cp
 from nmfrigid.exactlin import (
     RationalMatrix,
     nullspace_basis,
@@ -34,6 +35,21 @@ def rand_cone(rng, dim=3, max_gens=6):
         for _ in range(rng.randint(0, max_gens))
     )
     return ConeByGenerators(dim, gens)
+
+
+def member(cone: ConeByGenerators, v) -> bool:
+    """Reference membership: v is a nonnegative combination of the
+    generators exactly when one LP over their coefficients is feasible."""
+    return lp_feasible(cone.generator_matrix(), v, zero_vector(len(cone.generators))) is not None
+
+
+def reference_lineality(cone: ConeByGenerators, is_member=member) -> int:
+    """Reference lineality: one membership test of -g per generator g, then
+    the rank of the generators that pass."""
+    two_sided = [g for g in cone.generators if is_member(cone, vec_neg(g))]
+    if not two_sided:
+        return 0
+    return rank(RationalMatrix.from_columns(two_sided, cone.ambient_dim))
 
 
 def oracle_member(cone: ConeByGenerators, v) -> bool:
@@ -242,6 +258,81 @@ def test_lineality_of_circulant_cone_is_five():
 def test_lineality_of_rigid_fixture_cone_is_twelve():
     gens = build_dual_generators(RIGID_5X5[0].pair())
     assert lineality_dimension(gens.cone()) == 12
+
+
+def _seeded_cone(rng):
+    """A cone in dimension 0 to 4 with 0 to 7 generators, drawn to include
+    zero generators, duplicates and antipodal pairs."""
+    dim, gens = rng.randint(0, 4), []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.random()
+        if gens and kind < 0.1:
+            gens.append(rng.choice(gens))
+        elif gens and kind < 0.35:
+            gens.append(vec_neg(rng.choice(gens)))
+        elif kind < 0.4:
+            gens.append(zero_vector(dim))
+        else:
+            gens.append(tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)))
+    return ConeByGenerators(dim, tuple(gens))
+
+
+def test_lineality_matches_per_generator_reference_on_seeded_cones():
+    rng = random.Random(20191104)
+    seen = dict.fromkeys(("empty", "zero", "duplicate", "antipodal", "dim0", "positive"), 0)
+    for _ in range(3000):
+        cone = _seeded_cone(rng)
+        expected = reference_lineality(cone)
+        assert lineality_dimension(cone) == expected
+        gens = cone.generators
+        seen["empty"] += not gens
+        seen["zero"] += any(not any(g) for g in gens)
+        seen["duplicate"] += len(set(gens)) < len(gens)
+        seen["antipodal"] += any(vec_neg(g) in gens for g in gens if any(g))
+        seen["dim0"] += cone.ambient_dim == 0
+        seen["positive"] += 0 < expected < cone.ambient_dim
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_lineality_matches_caratheodory_oracle():
+    rng = random.Random(11)
+    for _ in range(120):
+        cone = rand_cone(rng, dim=3, max_gens=5)
+        assert lineality_dimension(cone) == reference_lineality(cone, oracle_member)
+
+
+def _count_lps(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return lp_feasible(*args)
+
+    monkeypatch.setattr(cone_module, "lp_feasible", counting)
+    return calls
+
+
+def test_lineality_lp_count_on_fixture_cp_factors(monkeypatch):
+    # A and B^T of each fixture: 11 factors have a kernel of dimension >= 2
+    # and so one relint LP each; the 4 of them without a witness add one
+    # lineality LP each, which finds no two-sided generator.
+    calls = _count_lps(monkeypatch)
+    for fx in RIGID_5X5:
+        pair = fx.pair()
+        for a in (pair.a, pair.b.transpose()):
+            certify_cp(SymmetricFactor(a), kruskal_budget=0)
+    assert len(calls) == 15
+
+
+def test_lineality_of_a_one_sided_kernel_takes_one_lp(monkeypatch):
+    # Side A of fixture 04 has a two-dimensional kernel and no witness: the
+    # relint LP fails, and one lineality LP finds no two-sided generator.
+    (fx,) = (fx for fx in RIGID_5X5 if fx.name == "rigid-5x5-04")
+    factor = SymmetricFactor(fx.pair().a)
+    assert len(nullspace_basis(build_skew_generators(factor).matrix())) == 2
+    calls = _count_lps(monkeypatch)
+    cert = certify_cp(factor, kruskal_budget=0)
+    assert (cert.relint_witness, cert.lineality_dim, len(calls)) == (None, 0, 2)
 
 
 def test_member_examples():

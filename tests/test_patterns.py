@@ -137,9 +137,15 @@ def test_column_bound_examples():
     assert not check_column_bound(bad)
 
 
-def test_column_bound_requires_tight_count():
-    with pytest.raises(ValueError, match="13"):
-        check_column_bound(twelve_zero_pattern_5x7())
+def test_column_bound_check_agrees_with_the_filter_off_the_tight_count():
+    # The bound is literal at every zero count: the filter keeps exactly the
+    # unfiltered representatives that pass the check, below and above r^2-r+1.
+    for zeros in (6, 8):
+        bounded = enumerate_patterns(5, 4, 3, zeros, {PatternFilter.COLUMN_BOUND})
+        assert bounded and all(check_column_bound(p) for p in bounded)
+        everything = enumerate_patterns(5, 4, 3, zeros, set())
+        assert [p for p in everything if check_column_bound(p)] == bounded
+        assert len(everything) > len(bounded)
 
 
 def test_zero_rectangles_finds_published_violation():
@@ -180,8 +186,8 @@ def test_filters_invariant_under_group():
         image = g.apply(pattern)
         assert check_wpoint(pattern) == check_wpoint(image)
         assert forces_product_zero(pattern) == forces_product_zero(image)
+        assert check_column_bound(pattern) == check_column_bound(image)
         if pattern.zero_count == 3 * 3 - 3 + 1:
-            assert check_column_bound(pattern) == check_column_bound(image)
             assert (check_zero_rectangles(pattern) is None) == (
                 check_zero_rectangles(image) is None
             )
