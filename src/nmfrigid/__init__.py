@@ -10,24 +10,21 @@ interface.
 
 __version__ = "0.1.0"
 
-from .cone import ConeByGenerators, PositiveCombinationWitness, lineality_dimension, lp_feasible, zero_in_relative_interior
-from .cpr import SymmetricFactor, build_skew_generators, certify_cp, cp_kruskal_criterion, cp_necessary_conditions
+from .cone import lineality_dimension, lp_feasible, zero_in_relative_interior
+from .cpr import SymmetricFactor, build_skew_generators, certify_cp, cp_necessary_conditions
 from .exactlin import RationalMatrix, matmul, nullspace_basis, rank
 from .patterns import PatternFilter, ZeroPattern, canonical_form, check_column_bound, check_wpoint, check_zero_rectangles, enumerate_patterns, forces_product_zero, table1_filters
 from .realize import RealizationSearchConfig, extend_positive, lift_partially_rigid, realize_pattern
-from .rigidity import Classification, FactorizationPair, RigidityCertificate, build_dual_generators, certify, check_kruskal_criterion, dim_w, kruskal_rank, necessary_conditions_report
+from .rigidity import Classification, FactorizationPair, RigidityCertificate, build_dual_generators, certify, necessary_conditions_report
 
 __all__ = [
     "__version__",
-    "ConeByGenerators",
-    "PositiveCombinationWitness",
     "lineality_dimension",
     "lp_feasible",
     "zero_in_relative_interior",
     "SymmetricFactor",
     "build_skew_generators",
     "certify_cp",
-    "cp_kruskal_criterion",
     "cp_necessary_conditions",
     "RationalMatrix",
     "matmul",
@@ -51,8 +48,5 @@ __all__ = [
     "RigidityCertificate",
     "build_dual_generators",
     "certify",
-    "check_kruskal_criterion",
-    "dim_w",
-    "kruskal_rank",
     "necessary_conditions_report",
 ]

@@ -70,16 +70,14 @@ def _print_certificate(cert, heading: str) -> None:
 def cmd_check(args) -> int:
     text = _read_text(args.path)
     if args.symmetric:
-        factor = formats.load_symmetric_factor(text)
-        cert = certify_cp(factor, kruskal_budget=args.kruskal_budget)
-        shape = {"symmetric": True, "n": factor.n, "r": factor.r}
+        subject = formats.load_symmetric_factor(text)
+        cert = certify_cp(subject, kruskal_budget=args.kruskal_budget)
     else:
-        pair = formats.load_factorization(text)
-        cert = certify(pair, kruskal_budget=args.kruskal_budget)
-        shape = {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n}
+        subject = formats.load_factorization(text)
+        cert = certify(subject, kruskal_budget=args.kruskal_budget)
     if args.json:
         doc = formats.certificate_to_document(
-            cert, shape, flags={"kruskal_budget": args.kruskal_budget}
+            cert, formats.input_shape(subject), flags={"kruskal_budget": args.kruskal_budget}
         )
         sys.stdout.write(formats.dump_json(doc))
     else:
@@ -162,7 +160,7 @@ def _write_certified_pair(pair, args, flags: dict, seed: int | None = None) -> N
         sys.stdout.write(text)
     doc = formats.certificate_to_document(
         cert,
-        {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n},
+        formats.input_shape(pair),
         flags={**flags, "kruskal_budget": args.kruskal_budget},
         seed=seed,
     )

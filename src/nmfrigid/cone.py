@@ -1,6 +1,8 @@
 """Exact polyhedral-cone primitives.
 
-A cone is given by a finite generator list.  One exact phase-1 simplex
+A cone is given by its generator matrix G, one column per generator, so a
+certification builds G once and hands the same matrix to the kernel, the
+relative-interior LP and the lineality LPs.  One exact phase-1 simplex
 decides whether an equality system with lower bounds has a feasible point,
 and two cone questions are put to it: is zero a strictly positive
 combination of all generators (which holds exactly when the cone is a
@@ -21,7 +23,6 @@ appears only at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -36,35 +37,6 @@ from .exactlin import (
     vec_dot,
     zero_vector,
 )
-
-
-@dataclass(frozen=True)
-class ConeByGenerators:
-    """Cone spanned by nonnegative combinations of `generators` in R^ambient_dim.
-
-    Duplicate and zero generators are allowed; callers decide what to feed in.
-    """
-
-    ambient_dim: int
-    generators: tuple[Vector, ...]
-
-    def __post_init__(self):
-        for g in self.generators:
-            if len(g) != self.ambient_dim:
-                raise ValueError(
-                    f"generator of length {len(g)} in ambient dimension {self.ambient_dim}"
-                )
-
-    def generator_matrix(self) -> RationalMatrix:
-        """Matrix whose columns are the generators."""
-        return RationalMatrix.from_columns(self.generators, self.ambient_dim)
-
-
-@dataclass(frozen=True)
-class PositiveCombinationWitness:
-    """Coefficients, one per generator and each >= 1, combining to zero."""
-
-    coefficients: tuple[Fraction, ...]
 
 
 def lp_feasible(
@@ -153,28 +125,25 @@ def lp_feasible(
     return tuple(x)
 
 
-def zero_in_relative_interior(cone: ConeByGenerators) -> PositiveCombinationWitness | None:
-    """Witness that zero is a strictly positive combination of all generators.
+def zero_in_relative_interior(generators: RationalMatrix) -> Vector | None:
+    """Coefficients, one per column of `generators` and each >= 1, that
+    combine the columns to zero, or None when there are none.
 
-    Such a witness exists iff the cone equals its linear span.  Cones are
-    scale invariant, so the open condition "all coefficients > 0" is solved
-    as the closed, LP-expressible condition "all coefficients >= 1".  The
-    empty generator list describes the cone {0}, a linear space, and gets
-    the empty witness.
+    They exist iff the cone equals its linear span.  Cones are scale
+    invariant, so the open condition "all coefficients > 0" is solved as the
+    closed, LP-expressible condition "all coefficients >= 1".  No columns
+    describe the cone {0}, a linear space, and get the empty witness ().
     """
-    if not cone.generators:
-        return PositiveCombinationWitness(())
-    ones = (Fraction(1),) * len(cone.generators)
-    solution = lp_feasible(
-        cone.generator_matrix(), zero_vector(cone.ambient_dim), ones
+    if not generators.cols:
+        return ()
+    return lp_feasible(
+        generators, zero_vector(generators.rows), (Fraction(1),) * generators.cols
     )
-    if solution is None:
-        return None
-    return PositiveCombinationWitness(solution)
 
 
-def lineality_dimension(cone: ConeByGenerators) -> int:
-    """Dimension of the largest linear subspace contained in the cone.
+def lineality_dimension(generators: RationalMatrix) -> int:
+    """Dimension of the largest linear subspace contained in the cone of the
+    columns of `generators`.
 
     That subspace is spanned by the two-sided generators, so its dimension
     is their rank.  Generator g_i is two-sided exactly when some lambda >= 0
@@ -184,30 +153,26 @@ def lineality_dimension(cone: ConeByGenerators) -> int:
     generator; once it is infeasible none of the rest is.  So at most one
     LP more than there are two-sided generators runs.
     """
-    count = len(cone.generators)
-    matrix = cone.generator_matrix()
-    rhs = zero_vector(cone.ambient_dim) + (Fraction(1),)
+    count = generators.cols
+    rhs = zero_vector(generators.rows) + (Fraction(1),)
     two_sided: set[int] = set()
     while len(two_sided) < count:
         rest = tuple(Fraction(j not in two_sided) for j in range(count))
         point = lp_feasible(
-            RationalMatrix(matrix.rows + 1, count, matrix.data + rest), rhs, zero_vector(count)
+            RationalMatrix(generators.rows + 1, count, generators.data + rest),
+            rhs,
+            zero_vector(count),
         )
         if point is None:
             break
         two_sided.update(j for j, x in enumerate(point) if x)
-    columns = [g for j, g in enumerate(cone.generators) if j in two_sided]
-    return rank(RationalMatrix.from_columns(columns, cone.ambient_dim)) if columns else 0
+    columns = [generators.column(j) for j in sorted(two_sided)]
+    return rank(RationalMatrix.from_columns(columns, generators.rows)) if columns else 0
 
 
-def verify_witness(cone: ConeByGenerators, witness: PositiveCombinationWitness) -> bool:
-    """Re-check a witness by plain arithmetic: sum is zero, coefficients >= 1."""
-    coeffs = witness.coefficients
-    if len(coeffs) != len(cone.generators):
+def verify_witness(generators: RationalMatrix, coefficients: Vector) -> bool:
+    """Re-check a witness by plain arithmetic: one coefficient per column,
+    each >= 1, combining the columns to zero."""
+    if len(coefficients) != generators.cols or any(c < 1 for c in coefficients):
         return False
-    if any(c < 1 for c in coeffs):
-        return False
-    if not cone.generators:
-        return True
-    combo = matvec(cone.generator_matrix(), coeffs)
-    return is_zero_vector(combo)
+    return is_zero_vector(matvec(generators, coefficients))

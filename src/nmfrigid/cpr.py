@@ -31,11 +31,9 @@ from .rigidity import (
     ConditionResult,
     DualConeGenerators,
     GeneratorSource,
-    KruskalReport,
     NecessaryConditionsReport,
     RigidityCertificate,
     _certify_generators,
-    _kruskal_report,
     _require_nonnegative,
 )
 
@@ -190,13 +188,6 @@ def cp_necessary_conditions(factor: SymmetricFactor) -> NecessaryConditionsRepor
         )
     )
     return NecessaryConditionsReport(tuple(results))
-
-
-def cp_kruskal_criterion(
-    factor: SymmetricFactor, budget: int = DEFAULT_KRUSKAL_BUDGET
-) -> KruskalReport:
-    """Whether the skew generator matrix reaches Kruskal rank min(c, r(r-1)/2)."""
-    return _kruskal_report(build_skew_generators(factor), factor.r * (factor.r - 1) // 2, budget)
 
 
 def canonical_symmetric_pattern(zeros_a: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:

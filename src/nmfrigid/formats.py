@@ -16,16 +16,16 @@ import re
 from fractions import Fraction
 
 from . import __version__
-from .cone import PositiveCombinationWitness, verify_witness
-from .cpr import SymmetricFactor, build_skew_generators, certify_cp
+from .cone import verify_witness
+from .cpr import SymmetricFactor, build_skew_generators
 from .exactlin import RationalMatrix
 from .patterns import ZeroPattern
 from .rigidity import (
     Classification,
     FactorizationPair,
     RigidityCertificate,
+    _certify_generators,
     build_dual_generators,
-    certify,
 )
 
 
@@ -169,6 +169,14 @@ def _matrix_tree(matrix: RationalMatrix) -> list[list[str]]:
     return [[format_rational(x) for x in matrix.row(i)] for i in range(matrix.rows)]
 
 
+def input_shape(subject) -> dict:
+    """The "input" object of a certificate document for `subject`, a
+    FactorizationPair or a SymmetricFactor."""
+    if isinstance(subject, SymmetricFactor):
+        return {"symmetric": True, "n": subject.n, "r": subject.r}
+    return {"symmetric": False, "m": subject.m, "r": subject.r, "n": subject.n}
+
+
 def certificate_to_document(
     cert: RigidityCertificate,
     input_shape: dict,
@@ -178,7 +186,7 @@ def certificate_to_document(
     """Self-describing JSON tree for one certificate."""
     witness = None
     if cert.relint_witness is not None:
-        witness = [format_rational(c) for c in cert.relint_witness.coefficients]
+        witness = [format_rational(c) for c in cert.relint_witness]
     v_basis = None
     if cert.v_basis is not None:
         v_basis = [_matrix_tree(mat) for mat in cert.v_basis]
@@ -206,10 +214,10 @@ def certificate_to_document(
     }
 
 
-_BODY_KEYS = frozenset({
-    "symmetric", "classification", "inner_rank", "ambient_dim", "generator_count", "span_rank",
-    "lineality_dim", "dim_w", "kruskal_rank", "relint_witness", "v_basis",
-})
+_INT_KEYS = ("inner_rank", "ambient_dim", "generator_count", "span_rank", "lineality_dim", "dim_w")
+_BODY_KEYS = frozenset(_INT_KEYS) | {
+    "symmetric", "classification", "kruskal_rank", "relint_witness", "v_basis", "v_support",
+}
 
 
 def _is_token_tree(tree, depth: int) -> bool:
@@ -219,17 +227,37 @@ def _is_token_tree(tree, depth: int) -> bool:
     return isinstance(tree, list) and all(_is_token_tree(t, depth - 1) for t in tree)
 
 
+def _same_tree(a, b) -> bool:
+    # Equal with equal types throughout, so 1, 1.0 and true all differ.
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_tree(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_tree, a, b))
+    return a == b
+
+
 def document_to_certificate(doc: dict) -> RigidityCertificate:
     """Rebuild the certificate object from its JSON tree (lossless).
 
     Raises ValueError when the tree is not shaped like a certificate
-    document: no "certificate" object with every field, "flags" neither an
-    object nor null, or a witness or V-basis that is not null or nested
-    lists of rational strings.
+    document: "kind" not "rigidity-certificate", no "certificate" object
+    with every field, an integer field that is not an int (a float or a
+    bool is refused), "symmetric" not a bool, "flags" neither an object nor
+    null, or a witness or V-basis that is not null or nested lists of
+    rational strings.
     """
-    body = doc.get("certificate") if isinstance(doc, dict) else None
+    if not isinstance(doc, dict) or doc.get("kind") != "rigidity-certificate":
+        raise ValueError("not a certificate document: \"kind\" is not \"rigidity-certificate\"")
+    body = doc.get("certificate")
     if not isinstance(body, dict) or not _BODY_KEYS <= body.keys():
         raise ValueError("not a certificate document: no complete \"certificate\" object")
+    for name in _INT_KEYS + ("kruskal_rank",):
+        if type(body[name]) is not int and not (name == "kruskal_rank" and body[name] is None):
+            raise ValueError(f"{name} must be an integer, got {body[name]!r}")
+    if type(body["symmetric"]) is not bool:
+        raise ValueError(f"symmetric must be true or false, got {body['symmetric']!r}")
     if not isinstance(doc.get("flags") or {}, dict):
         raise ValueError("\"flags\" must be an object or null")
     for name, depth in (("relint_witness", 1), ("v_basis", 3)):
@@ -237,9 +265,7 @@ def document_to_certificate(doc: dict) -> RigidityCertificate:
             raise ValueError(f"{name} must be null or nested lists of rational strings")
     witness = None
     if body["relint_witness"] is not None:
-        witness = PositiveCombinationWitness(
-            tuple(parse_rational(tok) for tok in body["relint_witness"])
-        )
+        witness = tuple(parse_rational(tok) for tok in body["relint_witness"])
     v_basis = None
     if body["v_basis"] is not None:
         mats = []
@@ -265,21 +291,23 @@ def document_to_certificate(doc: dict) -> RigidityCertificate:
 def verify_certificate_document(doc: dict, subject) -> bool:
     """Re-check a document against the factorization it certifies.
 
-    Certifies `subject` (a FactorizationPair or SymmetricFactor) again, so
-    no recorded field is taken on trust: the shape, span rank, lineality,
-    dim_w, classification and V-basis are always compared with the
-    recomputed ones, the Kruskal rank only when the document's flags record
-    the `kruskal_budget` it was computed under.  A recorded witness must
-    re-verify by plain arithmetic (it combines the generators exactly to
-    zero with all coefficients >= 1), and one must be recorded whenever the
-    recomputation finds one.  Raises ValueError with the first discrepancy,
-    returns True otherwise.
+    Certifies the generators of `subject` (a FactorizationPair or
+    SymmetricFactor) again, so no recorded field of the certificate is
+    taken on trust: the input shape, generator count, span rank, lineality,
+    dim_w, classification, V-basis and V support are always compared with
+    the recomputed ones, the Kruskal rank only when the document's flags
+    record the `kruskal_budget` it was computed under.  A recorded witness
+    must re-verify by plain arithmetic (it combines the generators exactly
+    to zero with all coefficients >= 1), and one must be recorded whenever
+    the recomputation finds one.  Raises ValueError with the first
+    discrepancy, returns True otherwise.
     """
     cert = document_to_certificate(doc)
-    if isinstance(subject, SymmetricFactor):
-        gens, recertify = build_skew_generators(subject), certify_cp
-    else:
-        gens, recertify = build_dual_generators(subject), certify
+    symmetric = isinstance(subject, SymmetricFactor)
+    gens = build_skew_generators(subject) if symmetric else build_dual_generators(subject)
+    shape = input_shape(subject)
+    if not _same_tree(doc.get("input"), shape):
+        raise ValueError(f"input mismatch: document {doc.get('input')!r}, input {shape!r}")
     if gens.count != cert.generator_count:
         raise ValueError(
             f"generator count mismatch: document {cert.generator_count}, input {gens.count}"
@@ -287,12 +315,12 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     budget = (doc.get("flags") or {}).get("kruskal_budget")
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {budget!r}")
-    recomputed = recertify(subject, kruskal_budget=budget or 0)
+    recomputed = _certify_generators(gens, kruskal_budget=budget or 0, symmetric=symmetric)
     if cert.span_rank != recomputed.span_rank:
         raise ValueError(
             f"span rank mismatch: document {cert.span_rank}, recomputed {recomputed.span_rank}"
         )
-    if cert.relint_witness is not None and not verify_witness(gens.cone(), cert.relint_witness):
+    if cert.relint_witness is not None and not verify_witness(gens.matrix(), cert.relint_witness):
         raise ValueError(
             "witness does not combine the generators exactly to zero with coefficients >= 1"
         )
@@ -307,6 +335,11 @@ def verify_certificate_document(doc: dict, subject) -> bool:
         recorded, derived = getattr(cert, name), getattr(recomputed, name)
         if recorded != derived:
             raise ValueError(f"{name} mismatch: document {recorded!r}, recomputed {derived!r}")
+    support = [list(entry) for entry in recomputed.v_support()] or None
+    if not _same_tree(doc["certificate"]["v_support"], support):
+        raise ValueError(
+            f"v_support mismatch: document {doc['certificate']['v_support']!r}, recomputed {support!r}"
+        )
     return True
 
 

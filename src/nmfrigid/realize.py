@@ -149,7 +149,7 @@ def lift_partially_rigid(pair: FactorizationPair) -> FactorizationPair:
     # Aggregate the A-zero witness coefficients by row of A: u_row[i] is the
     # vector sum of c[i, j] * e_j over the zero slots j of row i.
     u_rows: dict[int, list[Fraction]] = {}
-    for coeff, src in zip(witness.coefficients, gens.sources):
+    for coeff, src in zip(witness, gens.sources):
         if src.factor == "A":
             u_rows.setdefault(src.row, [Fraction(0)] * r)[src.col] = coeff
     solve_rows = sorted(u_rows)

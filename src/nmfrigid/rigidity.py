@@ -31,12 +31,7 @@ from itertools import combinations
 from math import comb
 
 from . import patterns
-from .cone import (
-    ConeByGenerators,
-    PositiveCombinationWitness,
-    lineality_dimension,
-    zero_in_relative_interior,
-)
+from .cone import lineality_dimension, zero_in_relative_interior
 from .exactlin import (
     RationalMatrix,
     Vector,
@@ -136,9 +131,6 @@ class DualConeGenerators:
     def count(self) -> int:
         return len(self.vectors)
 
-    def cone(self) -> ConeByGenerators:
-        return ConeByGenerators(self.ambient_dim, self.vectors)
-
     def matrix(self) -> RationalMatrix:
         """ambient_dim x count matrix whose columns are the generators."""
         return RationalMatrix.from_columns(self.vectors, self.ambient_dim)
@@ -181,8 +173,10 @@ class RigidityCertificate:
 
     `ambient_dim` is r^2 for pairs and r(r-1)/2 for symmetric factors;
     `dim_w` is always ambient_dim - lineality_dim, the dimension of the
-    deformation cone.  `v_basis` is only present for the partially rigid
-    classification and spans the zero-diagonal slice of W.
+    deformation cone.  `relint_witness` holds one coefficient per generator,
+    each >= 1, combining them to zero, or None; a cone without generators
+    has the empty witness ().  `v_basis` is only present for the partially
+    rigid classification and spans the zero-diagonal slice of W.
     """
 
     r: int
@@ -190,12 +184,27 @@ class RigidityCertificate:
     generator_count: int
     span_rank: int
     lineality_dim: int
-    relint_witness: PositiveCombinationWitness | None
+    relint_witness: Vector | None
     dim_w: int
     classification: Classification
     v_basis: tuple[RationalMatrix, ...] | None = None
     kruskal_rank: int | None = None
     symmetric: bool = False
+
+    @property
+    def kruskal_criterion(self) -> bool | None:
+        """Whether the generator matrix reaches its largest possible Kruskal
+        rank: min(count, r^2 - r) for pairs, min(count, r(r-1)/2) for
+        symmetric factors.
+
+        For a locally rigid factorization, reaching it implies infinitesimal
+        rigidity.  None when the Kruskal rank was not computed (budget); a
+        factorization without zeros passes vacuously.
+        """
+        if self.kruskal_rank is None:
+            return None
+        target = self.ambient_dim if self.symmetric else self.ambient_dim - self.r
+        return self.kruskal_rank == min(self.generator_count, target)
 
     def v_support(self) -> tuple[tuple[int, int], ...]:
         """Entries (row, col), 0-based, touched by any V-basis element."""
@@ -269,11 +278,12 @@ def _certify_generators(
     gens: DualConeGenerators, kruskal_budget: int, symmetric: bool
 ) -> RigidityCertificate:
     r, ambient_dim = gens.r, gens.ambient_dim
-    kernel = nullspace_basis(gens.matrix())
+    matrix = gens.matrix()
+    kernel = nullspace_basis(matrix)
     span_rank = gens.count - len(kernel)
-    witness, lin_dim = _relint_stage(gens, kernel)
+    witness, lin_dim = _relint_stage(matrix, kernel)
     if lin_dim is None:
-        lin_dim = lineality_dimension(gens.cone())
+        lin_dim = lineality_dimension(matrix)
     dim_w = ambient_dim - lin_dim
 
     v_basis = None
@@ -321,21 +331,16 @@ def is_infinitesimally_rigid(pair: FactorizationPair) -> bool:
     pay one kernel and, only when it has dimension two or more, one
     feasibility LP.
     """
-    gens = build_dual_generators(pair)
-    kernel = nullspace_basis(gens.matrix())
-    if gens.count - len(kernel) != pair.r * pair.r - pair.r:
+    matrix = build_dual_generators(pair).matrix()
+    kernel = nullspace_basis(matrix)
+    if matrix.cols - len(kernel) != pair.r * pair.r - pair.r:
         return False
-    return _relint_stage(gens, kernel)[0] is not None
-
-
-def dim_w(pair: FactorizationPair) -> int:
-    """Dimension of the deformation cone W: r^2 minus the dual lineality."""
-    return certify(pair, kruskal_budget=0).dim_w
+    return _relint_stage(matrix, kernel)[0] is not None
 
 
 def _relint_stage(
-    gens: DualConeGenerators, kernel: list[Vector]
-) -> tuple[PositiveCombinationWitness | None, int | None]:
+    matrix: RationalMatrix, kernel: list[Vector]
+) -> tuple[Vector | None, int | None]:
     """Relative-interior witness of the generator cone, and its lineality
     dimension when that comes with it (None when it needs its own LPs).
 
@@ -343,14 +348,12 @@ def _relint_stage(
     is the feasibility LP's vertex, and with one the cone is its span.
     """
     if len(kernel) <= 1:
-        return _cone_from_kernel(kernel, gens.count)
-    witness = zero_in_relative_interior(gens.cone())
-    return witness, (None if witness is None else gens.count - len(kernel))
+        return _cone_from_kernel(kernel, matrix.cols)
+    witness = zero_in_relative_interior(matrix)
+    return witness, (None if witness is None else matrix.cols - len(kernel))
 
 
-def _cone_from_kernel(
-    kernel: list[Vector], count: int
-) -> tuple[PositiveCombinationWitness | None, int]:
+def _cone_from_kernel(kernel: list[Vector], count: int) -> tuple[Vector | None, int]:
     """Relative-interior witness and lineality dimension of the generator
     cone, read off a kernel of dimension at most one.
 
@@ -365,7 +368,7 @@ def _cone_from_kernel(
     the empty generator list, whose cone {0} is a linear space.
     """
     if not kernel:
-        return (PositiveCombinationWitness(()) if count == 0 else None), 0
+        return (() if count == 0 else None), 0
     (v,) = kernel
     if next(x for x in v if x) < 0:
         v = vec_neg(v)
@@ -375,7 +378,7 @@ def _cone_from_kernel(
     low = min(v)
     if low == 0:
         return None, lin_dim
-    return PositiveCombinationWitness(tuple(x / low for x in v)), lin_dim
+    return tuple(x / low for x in v), lin_dim
 
 
 # ---------------------------------------------------------------------------
@@ -506,40 +509,6 @@ def _lex_index(subset: list[int], c: int) -> int:
             index += comb(c - 1 - x, k - 1 - slot)
         prev = s
     return index
-
-
-def kruskal_rank(gens: DualConeGenerators, budget: int = DEFAULT_KRUSKAL_BUDGET) -> int | None:
-    """Kruskal rank of the generator matrix, None when over budget."""
-    return kruskal_rank_of_columns(gens.vectors, budget)
-
-
-@dataclass(frozen=True)
-class KruskalReport:
-    """Whether the generator matrix reaches its maximal possible Kruskal rank.
-
-    For a locally rigid factorization, reaching min(count, r^2-r) implies
-    infinitesimal rigidity; `holds` is None when the subset budget ran out.
-    A zero-free factorization (count 0) passes vacuously.
-    """
-
-    generator_count: int
-    bound: int
-    kruskal_rank: int | None
-    holds: bool | None
-
-
-def check_kruskal_criterion(
-    pair: FactorizationPair, budget: int = DEFAULT_KRUSKAL_BUDGET
-) -> KruskalReport:
-    return _kruskal_report(build_dual_generators(pair), pair.r * pair.r - pair.r, budget)
-
-
-def _kruskal_report(gens: DualConeGenerators, target: int, budget: int) -> KruskalReport:
-    # Shared by pairs (target r^2 - r) and symmetric factors (r(r-1)/2).
-    bound = min(gens.count, target)
-    k = kruskal_rank_of_columns(gens.vectors, budget)
-    holds = None if k is None else (k == bound)
-    return KruskalReport(gens.count, bound, k, holds)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from nmfrigid.cone import ConeByGenerators, lineality_dimension, verify_witness
+from nmfrigid.cone import lineality_dimension, verify_witness
 from nmfrigid.cpr import SymmetricFactor, certify_cp
 from nmfrigid.exactlin import RationalMatrix, matmul, rank
 from nmfrigid.fixtures import (
@@ -36,7 +36,6 @@ from nmfrigid.rigidity import (
     FactorizationPair,
     build_dual_generators,
     certify,
-    dim_w,
     kruskal_rank_of_columns,
     necessary_conditions_report,
 )
@@ -210,12 +209,12 @@ def test_criterion_8_property_suites():
     for _ in range(n_instances):
         pair = rand_pair(rng)
         gens = build_dual_generators(pair)
-        lin = lineality_dimension(gens.cone())
-        assert lin + dim_w(pair) == pair.r * pair.r
+        lin = lineality_dimension(gens.matrix())
         cert = certify(pair, kruskal_budget=0)
+        assert lin + cert.dim_w == pair.r * pair.r
         assert cert.lineality_dim == lin
         if cert.relint_witness is not None:
-            assert verify_witness(gens.cone(), cert.relint_witness)
+            assert verify_witness(gens.matrix(), cert.relint_witness)
             witnesses += 1
     assert witnesses > 0
     report(f"criterion 8b PASS: duality identity and witness re-verification on 200 instances ({witnesses} witnesses)")
@@ -265,7 +264,7 @@ def test_criterion_8_property_suites():
             tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
             for _ in range(rng.randint(0, 6))
         )
-        cone = ConeByGenerators(3, gens)
+        cone = RationalMatrix.from_columns(gens, 3)
         probe = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
         assert member(cone, probe) == oracle_member(cone, probe)
     report("criterion 8e PASS: cone membership matches the small-instance oracle on 200 instances")

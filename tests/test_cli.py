@@ -436,6 +436,19 @@ def test_readme_synopsis_lists_every_long_option():
         assert options <= listed, f"{name}: README synopsis omits {sorted(options - listed)}"
 
 
+def test_readme_library_snippet_prints_what_its_comments_say(capsys):
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (snippet,) = (block.split("```", 1)[0] for block in readme.split("```python\n")[1:])
+    expected = [
+        line.split("#", 1)[1].strip() for line in snippet.splitlines() if line.startswith("print(")
+    ]
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert expected[0] == "infinitesimally-rigid 3"
+
+
 def test_outputs_deterministic(capsys, fixture_file):
     code1, out1, _ = run(capsys, "check", str(fixture_file), "--json")
     code2, out2, _ = run(capsys, "check", str(fixture_file), "--json")

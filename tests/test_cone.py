@@ -6,7 +6,6 @@ import pytest
 
 from nmfrigid import cone as cone_module
 from nmfrigid.cone import (
-    ConeByGenerators,
     lineality_dimension,
     lp_feasible,
     verify_witness,
@@ -29,30 +28,39 @@ def frac_vec(*values):
     return tuple(Fraction(v) for v in values)
 
 
+def cone_of(dim, gens):
+    """Generator matrix of the cone spanned by `gens` in R^dim."""
+    return RationalMatrix.from_columns(gens, dim)
+
+
+def generators_of(cone: RationalMatrix):
+    return [cone.column(j) for j in range(cone.cols)]
+
+
 def rand_cone(rng, dim=3, max_gens=6):
-    gens = tuple(
+    gens = [
         tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
         for _ in range(rng.randint(0, max_gens))
-    )
-    return ConeByGenerators(dim, gens)
+    ]
+    return cone_of(dim, gens)
 
 
-def member(cone: ConeByGenerators, v) -> bool:
+def member(cone: RationalMatrix, v) -> bool:
     """Reference membership: v is a nonnegative combination of the
     generators exactly when one LP over their coefficients is feasible."""
-    return lp_feasible(cone.generator_matrix(), v, zero_vector(len(cone.generators))) is not None
+    return lp_feasible(cone, v, zero_vector(cone.cols)) is not None
 
 
-def reference_lineality(cone: ConeByGenerators, is_member=member) -> int:
+def reference_lineality(cone: RationalMatrix, is_member=member) -> int:
     """Reference lineality: one membership test of -g per generator g, then
     the rank of the generators that pass."""
-    two_sided = [g for g in cone.generators if is_member(cone, vec_neg(g))]
+    two_sided = [g for g in generators_of(cone) if is_member(cone, vec_neg(g))]
     if not two_sided:
         return 0
-    return rank(RationalMatrix.from_columns(two_sided, cone.ambient_dim))
+    return rank(cone_of(cone.rows, two_sided))
 
 
-def oracle_member(cone: ConeByGenerators, v) -> bool:
+def oracle_member(cone: RationalMatrix, v) -> bool:
     """Independent membership test: Caratheodory over independent subsets.
 
     Any member of the cone is a nonnegative combination of at most dim
@@ -61,8 +69,8 @@ def oracle_member(cone: ConeByGenerators, v) -> bool:
     """
     if all(x == 0 for x in v):
         return True
-    gens = cone.generators
-    dim = cone.ambient_dim
+    gens = generators_of(cone)
+    dim = cone.rows
     for size in range(1, min(dim, len(gens)) + 1):
         for subset in itertools.combinations(range(len(gens)), size):
             cols = [gens[i] for i in subset]
@@ -228,36 +236,39 @@ def test_lp_matches_fraction_simplex_on_random_systems():
 
 
 def test_relint_witness_for_opposite_rays():
-    cone = ConeByGenerators(2, (frac_vec(1, 0), frac_vec(-1, 0)))
+    cone = cone_of(2, (frac_vec(1, 0), frac_vec(-1, 0)))
     witness = zero_in_relative_interior(cone)
     assert witness is not None
     assert verify_witness(cone, witness)
 
 
 def test_relint_no_witness_for_single_ray():
-    cone = ConeByGenerators(2, (frac_vec(1, 0),))
+    cone = cone_of(2, (frac_vec(1, 0),))
     assert zero_in_relative_interior(cone) is None
 
 
 def test_relint_empty_generators():
-    witness = zero_in_relative_interior(ConeByGenerators(3, ()))
-    assert witness is not None and witness.coefficients == ()
+    # The cone {0} is a linear space: its witness is (), which is not None.
+    cone = cone_of(3, ())
+    witness = zero_in_relative_interior(cone)
+    assert witness == () and witness is not None
+    assert verify_witness(cone, witness)
 
 
 def test_lineality_examples():
     e1, me1, e2 = frac_vec(1, 0), frac_vec(-1, 0), frac_vec(0, 1)
-    assert lineality_dimension(ConeByGenerators(2, (e1, me1, e2))) == 1
-    assert lineality_dimension(ConeByGenerators(2, ())) == 0
+    assert lineality_dimension(cone_of(2, (e1, me1, e2))) == 1
+    assert lineality_dimension(cone_of(2, ())) == 0
 
 
 def test_lineality_of_circulant_cone_is_five():
     gens = build_dual_generators(circulant_pair())
-    assert lineality_dimension(gens.cone()) == 5
+    assert lineality_dimension(gens.matrix()) == 5
 
 
 def test_lineality_of_rigid_fixture_cone_is_twelve():
     gens = build_dual_generators(RIGID_5X5[0].pair())
-    assert lineality_dimension(gens.cone()) == 12
+    assert lineality_dimension(gens.matrix()) == 12
 
 
 def _seeded_cone(rng):
@@ -274,23 +285,23 @@ def _seeded_cone(rng):
             gens.append(zero_vector(dim))
         else:
             gens.append(tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)))
-    return ConeByGenerators(dim, tuple(gens))
+    return dim, gens
 
 
 def test_lineality_matches_per_generator_reference_on_seeded_cones():
     rng = random.Random(20191104)
     seen = dict.fromkeys(("empty", "zero", "duplicate", "antipodal", "dim0", "positive"), 0)
     for _ in range(3000):
-        cone = _seeded_cone(rng)
+        dim, gens = _seeded_cone(rng)
+        cone = cone_of(dim, gens)
         expected = reference_lineality(cone)
         assert lineality_dimension(cone) == expected
-        gens = cone.generators
         seen["empty"] += not gens
         seen["zero"] += any(not any(g) for g in gens)
         seen["duplicate"] += len(set(gens)) < len(gens)
         seen["antipodal"] += any(vec_neg(g) in gens for g in gens if any(g))
-        seen["dim0"] += cone.ambient_dim == 0
-        seen["positive"] += 0 < expected < cone.ambient_dim
+        seen["dim0"] += dim == 0
+        seen["positive"] += 0 < expected < dim
     assert all(count >= 100 for count in seen.values()), seen
 
 
@@ -336,19 +347,18 @@ def test_lineality_of_a_one_sided_kernel_takes_one_lp(monkeypatch):
 
 
 def test_member_examples():
-    cone = ConeByGenerators(2, (frac_vec(1, 0),))
+    cone = cone_of(2, (frac_vec(1, 0),))
     assert member(cone, frac_vec(0, 0))
     assert not member(cone, frac_vec(0, 1))
     gens = build_dual_generators(circulant_pair())
-    cone6 = gens.cone()
-    assert member(cone6, vec_neg(gens.vectors[0]))
+    assert member(gens.matrix(), vec_neg(gens.vectors[0]))
 
 
 def test_member_generators_always_inside():
     rng = random.Random(7)
     for _ in range(50):
         cone = rand_cone(rng)
-        for g in cone.generators:
+        for g in generators_of(cone):
             assert member(cone, g)
 
 
@@ -357,7 +367,7 @@ def test_witness_iff_lineality_equals_rank():
     for _ in range(120):
         cone = rand_cone(rng, dim=3, max_gens=5)
         witness = zero_in_relative_interior(cone)
-        span = rank(RationalMatrix.from_columns(cone.generators, 3)) if cone.generators else 0
+        span = rank(cone)
         lin = lineality_dimension(cone)
         assert (witness is not None) == (lin == span)
         if witness is not None:
@@ -368,9 +378,9 @@ def test_verdicts_invariant_under_generator_permutation():
     rng = random.Random(9)
     for _ in range(60):
         cone = rand_cone(rng, dim=3, max_gens=5)
-        perm = list(range(len(cone.generators)))
+        perm = list(range(cone.cols))
         rng.shuffle(perm)
-        shuffled = ConeByGenerators(3, tuple(cone.generators[i] for i in perm))
+        shuffled = cone_of(3, [cone.column(i) for i in perm])
         assert lineality_dimension(cone) == lineality_dimension(shuffled)
         assert (zero_in_relative_interior(cone) is None) == (
             zero_in_relative_interior(shuffled) is None
@@ -432,6 +442,6 @@ def test_kernel_witness_equals_lp_witness_on_fixture_patterns():
             gens.matrix(), zero_vector(gens.ambient_dim), (Fraction(1),) * gens.count
         )
         witness = certify(pair, kruskal_budget=0).relint_witness
-        assert (None if witness is None else witness.coefficients) == reference
+        assert witness == reference
         verdicts.add(reference is not None)
     assert verdicts == {True, False}

@@ -9,7 +9,6 @@ from nmfrigid.cpr import (
     build_skew_generators,
     canonical_symmetric_pattern,
     certify_cp,
-    cp_kruskal_criterion,
     cp_necessary_conditions,
     enumerate_symmetric_patterns,
     skew_coordinate_pairs,
@@ -206,23 +205,23 @@ def test_rigid_verdicts_pass_conditions():
 
 
 def test_cp_kruskal_identity_r2():
-    report = cp_kruskal_criterion(SymmetricFactor(RationalMatrix.identity(2)))
-    assert report.generator_count == 2
-    assert report.bound == 1
-    assert report.kruskal_rank == 1
-    assert report.holds
+    # Two generators in the one-dimensional skew space: the bound is 1.
+    cert = certify_cp(SymmetricFactor(RationalMatrix.identity(2)))
+    assert (cert.generator_count, cert.ambient_dim) == (2, 1)
+    assert cert.kruskal_rank == 1
+    assert cert.kruskal_criterion is True
 
 
 def test_cp_kruskal_duplicate_zero_rows():
     factor = factor_from([[0, 1, 1], [0, 1, 1], [1, 0, 2], [2, 3, 0]])
-    report = cp_kruskal_criterion(factor)
-    assert report.kruskal_rank == 1
-    assert report.holds is False
+    cert = certify_cp(factor)
+    assert cert.kruskal_rank == 1
+    assert cert.kruskal_criterion is False
 
 
 def test_cp_kruskal_vacuous_without_zeros():
-    report = cp_kruskal_criterion(factor_from([[1, 2], [3, 4], [5, 6]]))
-    assert report.bound == 0 and report.holds
+    cert = certify_cp(factor_from([[1, 2], [3, 4], [5, 6]]))
+    assert cert.generator_count == 0 and cert.kruskal_criterion is True
 
 
 def test_canonical_symmetric_pattern_idempotent_and_orbit_constant():
@@ -270,12 +269,11 @@ def test_fixture_factors_match_lp_reference_across_kernel_dimensions():
             d = len(nullspace_basis(gens.matrix()))
             dims[d] = dims.get(d, 0) + 1
             cert = certify_cp(factor, kruskal_budget=0)
-            assert cert.lineality_dim == lineality_dimension(gens.cone())
+            assert cert.lineality_dim == lineality_dimension(gens.matrix())
             reference = lp_feasible(
                 gens.matrix(), zero_vector(gens.ambient_dim), (Fraction(1),) * gens.count
             )
-            witness = cert.relint_witness
-            assert (None if witness is None else witness.coefficients) == reference
+            assert cert.relint_witness == reference
     assert dims == {0: 15, 1: 4, 2: 8, 3: 3}
 
 

@@ -221,3 +221,54 @@ def test_verify_rejects_a_malformed_document_with_value_error(malform):
     pair, doc = _rigid_document()
     with pytest.raises(ValueError):
         formats.verify_certificate_document(malform(doc), pair)
+
+
+def _lifted_document():
+    from nmfrigid.realize import lift_partially_rigid
+
+    lifted = lift_partially_rigid(lift_demo_pair())
+    cert = certify(lifted)
+    shape = {"symmetric": False, "m": lifted.m, "r": lifted.r, "n": lifted.n}
+    return lifted, formats.certificate_to_document(cert, shape, flags={"kruskal_budget": 10**6})
+
+
+def _symmetric_document():
+    factor = SymmetricFactor(RationalMatrix.identity(4))
+    doc = formats.certificate_to_document(
+        certify_cp(factor), {"symmetric": True, "n": 4, "r": 4}, flags={"kruskal_budget": 10**6}
+    )
+    assert doc["certificate"]["dim_w"] == 0
+    return factor, doc
+
+
+@pytest.mark.parametrize(
+    "document, path, value, message",
+    [
+        (_rigid_document, ("certificate", "v_support"), [[1, 2]], "v_support"),
+        (_lifted_document, ("certificate", "v_support"), [[0, 0]], "v_support"),
+        (_lifted_document, ("certificate", "v_support"), [[0.0, 3], [1, 3], [2, 3]], "v_support"),
+        (_rigid_document, ("input",), {"symmetric": True, "m": 99}, "input"),
+        (_rigid_document, ("input", "m"), 5.0, "input"),
+        (_rigid_document, ("kind",), "rigidity-report", "kind"),
+        (_rigid_document, ("certificate", "generator_count"), 13.0, "generator_count"),
+        (_rigid_document, ("certificate", "span_rank"), 12.0, "span_rank"),
+        (_rigid_document, ("certificate", "kruskal_rank"), 12.0, "kruskal_rank"),
+        (_rigid_document, ("certificate", "symmetric"), 0, "symmetric"),
+        (_symmetric_document, ("certificate", "dim_w"), False, "dim_w"),
+    ],
+    ids=[
+        "v-support-on-rigid", "v-support-on-lifted", "float-v-support", "input-shape",
+        "float-input", "kind", "float-generator-count", "float-span-rank", "float-kruskal-rank",
+        "int-symmetric", "bool-dim-w",
+    ],
+)
+def test_verify_rejects_a_forged_header_support_or_field_type(document, path, value, message):
+    subject, doc = document()
+    assert formats.verify_certificate_document(doc, subject)
+    *parents, leaf = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    with pytest.raises(ValueError, match=message):
+        formats.verify_certificate_document(doc, subject)

@@ -187,7 +187,7 @@ def _weight_schedule_lift(pair):
     cert = certify(pair, kruskal_budget=0)
     r, m, n = pair.r, pair.m, pair.n
     u_rows = {}
-    for coeff, src in zip(cert.relint_witness.coefficients, build_dual_generators(pair).sources):
+    for coeff, src in zip(cert.relint_witness, build_dual_generators(pair).sources):
         if src.factor == "A":
             u_rows.setdefault(src.row, [Fraction(0)] * r)[src.col] = coeff
     solve_rows = sorted(u_rows)

@@ -11,10 +11,7 @@ from nmfrigid.rigidity import (
     FactorizationPair,
     build_dual_generators,
     certify,
-    check_kruskal_criterion,
-    dim_w,
     is_infinitesimally_rigid,
-    kruskal_rank,
     kruskal_rank_of_columns,
     necessary_conditions_report,
 )
@@ -120,6 +117,8 @@ def test_certify_positive_pair_is_interior():
     cert = certify(pair)
     assert cert.classification is Classification.INTERIOR_CERTIFIED
     assert cert.dim_w == 4 and cert.generator_count == 0
+    # The cone {0} is a linear space: its witness is (), which is not None.
+    assert cert.relint_witness == () and cert.relint_witness is not None
 
 
 def test_certify_lifted_demo_is_partially_rigid():
@@ -133,6 +132,10 @@ def test_certify_lifted_demo_is_partially_rigid():
         plus = RationalMatrix(4, 4, tuple(x + y for x, y in zip(ident.data, mat.data)))
         minus = RationalMatrix(4, 4, tuple(x - y for x, y in zip(ident.data, mat.data)))
         assert matmul(plus, minus) == ident
+
+
+def dim_w(pair):
+    return certify(pair, kruskal_budget=0).dim_w
 
 
 def test_dim_w_values():
@@ -162,7 +165,7 @@ def test_duality_identity_lineality_plus_dim_w():
     for _ in range(60):
         pair = rand_pair(rng)
         gens = build_dual_generators(pair)
-        lin = lineality_dimension(gens.cone())
+        lin = lineality_dimension(gens.matrix())
         assert lin + dim_w(pair) == pair.r * pair.r
         cert = certify(pair, kruskal_budget=0)
         assert cert.lineality_dim == lin
@@ -189,8 +192,7 @@ def oracle_kruskal(columns):
 
 
 def test_kruskal_fixture_is_twelve():
-    gens = build_dual_generators(RIGID_5X5[0].pair())
-    assert kruskal_rank(gens) == 12
+    assert certify(RIGID_5X5[0].pair()).kruskal_rank == 12
 
 
 def test_kruskal_duplicate_column():
@@ -199,13 +201,12 @@ def test_kruskal_duplicate_column():
 
 
 def test_kruskal_circulant_is_five():
-    gens = build_dual_generators(circulant_pair())
-    assert kruskal_rank(gens) == 5
+    assert certify(circulant_pair()).kruskal_rank == 5
 
 
 def test_kruskal_budget_exhaustion_returns_none():
-    gens = build_dual_generators(RIGID_5X5[0].pair())
-    assert kruskal_rank(gens, budget=5) is None
+    cert = certify(RIGID_5X5[0].pair(), kruskal_budget=5)
+    assert cert.kruskal_rank is None and cert.kruskal_criterion is None
 
 
 def test_kruskal_matches_all_subsets_oracle():
@@ -220,26 +221,34 @@ def test_kruskal_matches_all_subsets_oracle():
 
 
 def test_kruskal_criterion_fixture_holds():
-    report = check_kruskal_criterion(RIGID_5X5[0].pair())
-    assert report.bound == 12 and report.kruskal_rank == 12 and report.holds
+    cert = certify(RIGID_5X5[0].pair())
+    assert cert.generator_count == 13 and cert.kruskal_rank == 12
+    assert cert.kruskal_criterion is True
 
 
-def test_kruskal_criterion_fails_on_proportional_generators():
+def proportional_generators_pair():
     # Two rows of A with the same single zero slot give two proportional
     # generators as soon as the rows are proportional there.
-    pair = pair_from(
+    return pair_from(
         [[0, 1, 1], [0, 2, 2], [1, 0, 1], [1, 1, 0]],
         [[1, 0, 1, 1], [1, 1, 0, 1], [2, 1, 1, 0]],
     )
-    report = check_kruskal_criterion(pair)
-    assert report.kruskal_rank == 1
-    assert report.holds is False
+
+
+def zero_free_pair():
+    return pair_from([[1, 2], [3, 4]], [[1, 1], [2, 1]])
+
+
+def test_kruskal_criterion_fails_on_proportional_generators():
+    cert = certify(proportional_generators_pair())
+    assert cert.kruskal_rank == 1
+    assert cert.kruskal_criterion is False
 
 
 def test_kruskal_criterion_vacuous_for_positive_pair():
-    pair = pair_from([[1, 2], [3, 4]], [[1, 1], [2, 1]])
-    report = check_kruskal_criterion(pair)
-    assert report.bound == 0 and report.kruskal_rank == 0 and report.holds
+    cert = certify(zero_free_pair())
+    assert cert.generator_count == 0 and cert.kruskal_rank == 0
+    assert cert.kruskal_criterion is True
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +369,7 @@ def test_witness_reverification():
         gens = build_dual_generators(pair)
         cert = certify(pair, kruskal_budget=0)
         if cert.relint_witness is not None:
-            assert verify_witness(gens.cone(), cert.relint_witness)
+            assert verify_witness(gens.matrix(), cert.relint_witness)
             seen += 1
     assert seen > 0
 
@@ -384,7 +393,7 @@ def test_twelve_zero_variants_have_trivial_kernel_and_reference_lineality():
         assert gens.count == 12 and nullspace_basis(gens.matrix()) == []
         cert = certify(variant, kruskal_budget=0)
         assert cert.relint_witness is None
-        assert cert.lineality_dim == lineality_dimension(gens.cone()) == 0
+        assert cert.lineality_dim == lineality_dimension(gens.matrix()) == 0
         assert dim_w(variant) == variant.r ** 2
 
 
@@ -428,7 +437,7 @@ def test_nonnegative_kernel_with_zero_entry_gives_support_lineality():
     assert v == (Fraction(1), Fraction(0), Fraction(1))
     cert = certify(pair)
     assert cert.relint_witness is None
-    assert cert.lineality_dim == lineality_dimension(gens.cone()) == 1
+    assert cert.lineality_dim == lineality_dimension(gens.matrix()) == 1
     assert dim_w(pair) == 3
     assert cert.classification is Classification.UNDETERMINED
 
@@ -705,3 +714,110 @@ def test_kernel_of_dimension_three_still_runs_the_subset_loop(monkeypatch):
         # One rank of the 3-row kernel block per subset the loop tests.
         assert ranks == [3] * used
     assert answer is not None and threshold > 1
+
+
+# ---------------------------------------------------------------------------
+# The Kruskal criterion read off the certificate
+# ---------------------------------------------------------------------------
+
+def _kruskal_report(gens, target, budget):
+    # Reference: the criterion as a search of its own on the generator
+    # columns, held against min(count, target); target is r^2 - r for pairs
+    # and r(r-1)/2 for symmetric factors.  Returns (bound, rank, holds).
+    bound = min(gens.count, target)
+    k = kruskal_rank_of_columns(gens.vectors, budget)
+    holds = None if k is None else (k == bound)
+    return bound, k, holds
+
+
+def assert_criterion_matches_reference(gens, target, certify_at):
+    # At budgets 0, threshold - 1, threshold and 10**6, the threshold being
+    # the least budget that gets the rank instead of None.
+    threshold = kernel_subset_kruskal(gens.vectors, 10**6)[1]
+    verdicts = set()
+    for budget in sorted({0, max(threshold - 1, 0), threshold, 10**6}):
+        _, k, holds = _kruskal_report(gens, target, budget)
+        cert = certify_at(budget)
+        assert (cert.kruskal_rank, cert.kruskal_criterion) == (k, holds), budget
+        verdicts.add(holds)
+    return verdicts
+
+
+def test_kruskal_criterion_matches_the_separate_search():
+    from nmfrigid.cpr import SymmetricFactor, build_skew_generators, certify_cp
+
+    pairs = [zero_free_pair(), proportional_generators_pair()]
+    for fx in RIGID_5X5:
+        pairs.append(fx.pair())
+        pairs += twelve_zero_variants(fx.pair())
+    assert len(pairs) == 2 + 15 + 195
+    verdicts = set()
+    for pair in pairs:
+        verdicts |= assert_criterion_matches_reference(
+            build_dual_generators(pair),
+            pair.r * pair.r - pair.r,
+            lambda budget: certify(pair, kruskal_budget=budget),
+        )
+    factors = [
+        SymmetricFactor(a) for fx in RIGID_5X5 for a in (fx.pair().a, fx.pair().b.transpose())
+    ]
+    for factor in factors:
+        verdicts |= assert_criterion_matches_reference(
+            build_skew_generators(factor),
+            factor.r * (factor.r - 1) // 2,
+            lambda budget: certify_cp(factor, kruskal_budget=budget),
+        )
+    assert verdicts == {None, True, False}
+    assert certify(zero_free_pair(), kruskal_budget=0).kruskal_criterion is True
+    assert certify(proportional_generators_pair()).kruskal_criterion is False
+
+
+# ---------------------------------------------------------------------------
+# One generator matrix per certification
+# ---------------------------------------------------------------------------
+
+def count_matrix_builds(monkeypatch):
+    builds = []
+    original = RationalMatrix.from_columns
+
+    def counting(columns, rows):
+        builds.append(len(columns))
+        return original(columns, rows)
+
+    monkeypatch.setattr(RationalMatrix, "from_columns", staticmethod(counting))
+    return builds
+
+
+@pytest.mark.parametrize(
+    "index, kernel_dim, classification",
+    [(3, 2, Classification.NOT_RIGID), (0, 3, Classification.INFINITESIMALLY_RIGID)],
+)
+def test_certify_cp_builds_the_generator_matrix_once(monkeypatch, index, kernel_dim, classification):
+    # The kernel, the relint LP and (side A of fixture index 3, no witness)
+    # the lineality LP all read one generator matrix.
+    from nmfrigid.cpr import SymmetricFactor, build_skew_generators, certify_cp
+
+    factor = SymmetricFactor(RIGID_5X5[index].pair().a)
+    gens = build_skew_generators(factor)
+    assert len(nullspace_basis(gens.matrix())) == kernel_dim
+    builds = count_matrix_builds(monkeypatch)
+    assert certify_cp(factor).classification is classification
+    assert builds == [gens.count]
+
+
+@pytest.mark.parametrize(
+    "a_rows, b_rows, rigid",
+    [
+        ([[0, 3], [4, 0]], [[9, 0], [0, 8]], True),
+        ([[0, 5], [7, 0]], [[4, 3, 9], [0, 0, 4]], False),
+    ],
+)
+def test_accept_test_builds_the_generator_matrix_once(monkeypatch, a_rows, b_rows, rigid):
+    # Span rank r^2 - r with a two-dimensional kernel: the relint LP runs on
+    # the matrix the kernel came from.
+    pair = pair_from(a_rows, b_rows)
+    gens = build_dual_generators(pair)
+    assert len(nullspace_basis(gens.matrix())) == 2
+    builds = count_matrix_builds(monkeypatch)
+    assert is_infinitesimally_rigid(pair) is rigid
+    assert builds == [gens.count]
