@@ -105,9 +105,8 @@ def certify_cp(
     not rigid.  For r <= 1 the tangent space is trivial and the factor is
     rigid vacuously.
     """
-    return _certify_generators(
-        build_skew_generators(factor), kruskal_budget=kruskal_budget, symmetric=True
-    )
+    gens = build_skew_generators(factor)
+    return _certify_generators(gens, gens.matrix(), kruskal_budget=kruskal_budget, symmetric=True)
 
 
 def cp_necessary_conditions(factor: SymmetricFactor) -> NecessaryConditionsReport:

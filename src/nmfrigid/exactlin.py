@@ -6,9 +6,13 @@ flip, so no float ever enters these routines.  Matrix entries are
 each row of denominators and then runs fraction-free on Python ints, so
 Fraction appears only at the boundary: in the entries passed in and in the
 kernel vectors handed back.  Every pivot, here and in the simplex of
-`cone`, is one `eliminate` step.  Matrices are small (a few hundred entries
-at most), dense and immutable; elimination uses the first nonzero pivot in
-column order so kernels and ranks are bit-identical across runs.
+`cone`, is one `eliminate` step.  Elimination here is forward only
+(Bareiss 1968): `rank` stops after it, and `nullspace_basis` finishes by
+exact integer back-substitution.  Callers that hold integers already, like
+the per-sample accept test of `rigidity`, run `_echelon` and
+`kernel_vector` on them directly.  Matrices are small (a few hundred
+entries at most), dense and immutable; elimination uses the first nonzero
+pivot in column order so kernels and ranks are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -131,15 +135,15 @@ def integer_multiple(v: Sequence) -> list[int]:
 
 
 def eliminate(rows: list[list[int]], p: int, col: int, prev: int) -> int:
-    """One fraction-free Gauss-Jordan pivot on integer rows, in place.
+    """One fraction-free pivot on integer rows, in place.
 
     Clears column `col` from every row but `p` with
     (piv*row_i - f*row_p) // prev, where piv = rows[p][col] and f is row i's
     entry in `col`; row `p` stays as it is.  Returns piv, the `prev` of the
-    next step.  Started at prev = 1, the rows stay det(B) times B^-1 applied
-    to the input rows (up to sign), B being the pivot columns so far beside
-    an implicit identity block, so every entry is a minor of the input and
-    each division is exact by Sylvester's identity (Bareiss 1968).
+    next step.  Started at prev = 1 and run on rows that earlier steps have
+    all passed through (the whole tableau of the simplex, the unreduced
+    tail in `_echelon`), every entry stays a minor of the input, so each
+    division is exact by Sylvester's identity (Bareiss 1968).
     """
     row_p = rows[p]
     piv = row_p[col]
@@ -154,58 +158,82 @@ def eliminate(rows: list[list[int]], p: int, col: int, prev: int) -> int:
     return piv
 
 
-def _echelon(m: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan reduction of a copy of `m`.
-
-    Returns (integer rows, pivot column list, scale): the reduced row
-    echelon form of `m` is the integer rows divided by `scale`, the last
-    pivot.  Each row is first cleared of denominators by the lcm of its
-    own (`integer_multiple`); that positive row scaling changes neither the row space nor where
-    zeros fall, so the pivot choice -- the first nonzero entry in column
-    order -- and the reduced form are the same as for rational elimination.
-    Each pivot is one `eliminate` step.
-    """
+def _integer_rows(m: RationalMatrix) -> list[list[int]]:
+    """The rows of `m`, each cleared of denominators by `integer_multiple`."""
     cols = m.cols
-    work = [integer_multiple(m.data[i * cols : (i + 1) * cols]) for i in range(m.rows)]
+    return [integer_multiple(m.data[i * cols : (i + 1) * cols]) for i in range(m.rows)]
+
+
+def _echelon(work: list[list[int]], cols: int) -> tuple[list[list[int]], list[int], int]:
+    """Forward fraction-free elimination of the integer rows `work`, which
+    it consumes.
+
+    Returns (echelon rows, pivot column list, scale): row k of the echelon
+    has its first nonzero entry in pivot column k, and `scale` is the last
+    pivot (1 when there is none).  Each pivot is one `eliminate` step on the
+    rows not yet used as pivots, which clears the pivot column below the
+    pivot and nowhere else; the pivot row then leaves `work`.  The pivot is
+    the first row of `work` nonzero in the column, and the pivot columns --
+    the columns outside the span of the ones before them -- are those of
+    rational elimination, so rank and kernel are too.  Callers with
+    rational entries clear each row of denominators first (`_integer_rows`),
+    a positive row scaling that changes neither the row space nor where
+    zeros fall.
+    """
+    echelon: list[list[int]] = []
     pivots: list[int] = []
     prev = 1
-    piv_row = 0
     for col in range(cols):
-        found = next((i for i in range(piv_row, m.rows) if work[i][col]), None)
+        if not work:
+            break
+        found = next((i for i, row in enumerate(work) if row[col]), None)
         if found is None:
             continue
-        if found != piv_row:
-            work[piv_row], work[found] = work[found], work[piv_row]
-        prev = eliminate(work, piv_row, col, prev)
+        prev = eliminate(work, found, col, prev)
+        echelon.append(work.pop(found))
         pivots.append(col)
-        piv_row += 1
-        if piv_row == m.rows:
-            break
-    return work, pivots, prev
+    return echelon, pivots, prev
+
+
+def kernel_vector(
+    echelon: list[list[int]], pivots: list[int], scale: int, free: int, cols: int
+) -> list[int]:
+    """The integer kernel vector of an `_echelon` result over `cols`
+    columns with `scale` at the free column `free` and 0 at every other
+    free column.
+
+    Back-substitution from the last echelon row up.  The pivot entries are
+    scale times the rational solution, which is integer by Cramer's rule
+    (scale is, up to sign, the determinant of the pivot rows in the pivot
+    columns), so each division is exact.
+    """
+    vec = [0] * cols
+    vec[free] = scale
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        vec[col] = -sum(x * y for x, y in zip(row, vec) if x) // row[col]
+    return vec
 
 
 def rank(m: RationalMatrix) -> int:
-    """Exact rank over the rationals."""
-    _, pivots, _ = _echelon(m)
-    return len(pivots)
+    """Exact rank over the rationals: the pivots of the forward pass."""
+    return len(_echelon(_integer_rows(m), m.cols)[1])
 
 
 def nullspace_basis(m: RationalMatrix) -> list[Vector]:
     """Deterministic basis of the right kernel; empty iff rank equals cols.
 
-    The vector for free column j has 1 at j and minus column j of the
-    reduced row echelon form at the pivot columns.
+    The vector for free column j has 1 at j, 0 at the other free columns
+    and, at the pivot columns, the unique values that put it in the
+    kernel: `kernel_vector` divided by the scale.  These are the vectors
+    the reduced row echelon form gives.
     """
-    work, pivots, scale = _echelon(m)
+    echelon, pivots, scale = _echelon(_integer_rows(m), m.cols)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for row_idx, piv_col in enumerate(pivots):
-            vec[piv_col] = Fraction(-work[row_idx][free], scale)
-        basis.append(tuple(vec))
+    for free in range(m.cols):
+        if free not in pivot_set:
+            vec = kernel_vector(echelon, pivots, scale, free, m.cols)
+            basis.append(tuple([Fraction(x, scale) for x in vec]))
     return basis
 
 

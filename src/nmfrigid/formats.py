@@ -315,12 +315,13 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     budget = (doc.get("flags") or {}).get("kruskal_budget")
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {budget!r}")
-    recomputed = _certify_generators(gens, kruskal_budget=budget or 0, symmetric=symmetric)
+    matrix = gens.matrix()
+    recomputed = _certify_generators(gens, matrix, kruskal_budget=budget or 0, symmetric=symmetric)
     if cert.span_rank != recomputed.span_rank:
         raise ValueError(
             f"span rank mismatch: document {cert.span_rank}, recomputed {recomputed.span_rank}"
         )
-    if cert.relint_witness is not None and not verify_witness(gens.matrix(), cert.relint_witness):
+    if cert.relint_witness is not None and not verify_witness(matrix, cert.relint_witness):
         raise ValueError(
             "witness does not combine the generators exactly to zero with coefficients >= 1"
         )

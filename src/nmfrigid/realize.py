@@ -1,9 +1,11 @@
 """Constructive side: random rigid realizations, positive extension, lift.
 
 Realization search samples integer entries uniformly at the free positions
-of a zero pattern and keeps the first sample whose exact certificate is
-infinitesimally rigid; everything is driven by a seeded generator, so a
-(pattern, config) pair always reproduces the same factorization.  The
+of a zero pattern and keeps the first sample that is infinitesimally rigid
+with full-rank factors; everything is driven by a seeded generator, so a
+(pattern, config) pair always reproduces the same factorization.  Each
+sample is decided on plain ints, and only one that passes the accept test
+is turned into Fractions and rank-checked as a `FactorizationPair`.  The
 positive extension appends rows and columns that add no zeros and hence
 change nothing in the certificate.  The lift turns a rigid pair of inner
 size r into a partially rigid pair of inner size r+1 by adding a positive
@@ -45,6 +47,10 @@ class RealizationSearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("entry_low", "entry_high", "max_samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not (0 < self.entry_low <= self.entry_high):
             raise ValueError("need 0 < entry_low <= entry_high")
         if self.max_samples < 0:
@@ -57,37 +63,28 @@ def realize_pattern(
     """First sampled realization of the pattern that certifies rigid.
 
     Entries are drawn row-major, A before B, one integer per free position,
-    from random.Random(seed); a sample that happens to be rank deficient
-    counts against the budget and the search moves on.  Returns None when
-    max_samples is exhausted.
+    from random.Random(seed).  Each sample is put to the integer accept test
+    `is_infinitesimally_rigid` first; only a sample that passes is built as
+    a `FactorizationPair`, which ranks both factors.  A rejected or rank
+    deficient sample counts against the budget and the search moves on.
+    Returns None when max_samples is exhausted.
     """
     # This also refuses a pattern that forces a column of A or a row of B to
     # be zero: its zero mask contains every other one (r = 1 cannot hold it).
     if not check_wpoint(pattern):
         raise ValueError("pattern fails the zero-count/pair conditions; no rigid realization exists")
 
-    r = pattern.r
     rng = random.Random(config.seed)
-    zero = Fraction(0)
+    low, high = config.entry_low, config.entry_high
     for _ in range(config.max_samples):
-        a_data = [
-            zero if pattern.zeros_a[i][j] else Fraction(rng.randint(config.entry_low, config.entry_high))
-            for i in range(pattern.m)
-            for j in range(r)
-        ]
-        b_data = [
-            zero if pattern.zeros_b[i][l] else Fraction(rng.randint(config.entry_low, config.entry_high))
-            for i in range(r)
-            for l in range(pattern.n)
-        ]
-        a = RationalMatrix(pattern.m, r, tuple(a_data))
-        b = RationalMatrix(r, pattern.n, tuple(b_data))
-        try:
-            pair = FactorizationPair(a, b)  # ranks both factors
-        except ValueError:
+        a_rows = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_a]
+        b_rows = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_b]
+        if not is_infinitesimally_rigid(a_rows, b_rows):
             continue
-        if is_infinitesimally_rigid(pair):
-            return pair
+        try:
+            return FactorizationPair(RationalMatrix.from_rows(a_rows), RationalMatrix.from_rows(b_rows))
+        except ValueError:  # A or B rank deficient
+            continue
     return None
 
 

@@ -35,7 +35,9 @@ from .cone import lineality_dimension, zero_in_relative_interior
 from .exactlin import (
     RationalMatrix,
     Vector,
+    _echelon,
     integer_multiple,
+    kernel_vector,
     matmul,
     nullspace_basis,
     rank,
@@ -269,16 +271,16 @@ def certify(
     The Kruskal rank of the generator matrix is attached when the subset
     budget allows (pass 0 to skip it).
     """
-    return _certify_generators(
-        build_dual_generators(pair), kruskal_budget=kruskal_budget, symmetric=False
-    )
+    gens = build_dual_generators(pair)
+    return _certify_generators(gens, gens.matrix(), kruskal_budget=kruskal_budget, symmetric=False)
 
 
 def _certify_generators(
-    gens: DualConeGenerators, kruskal_budget: int, symmetric: bool
+    gens: DualConeGenerators, matrix: RationalMatrix, kruskal_budget: int, symmetric: bool
 ) -> RigidityCertificate:
+    # `matrix` is gens.matrix(), built by the caller so that a verifier can
+    # check a recorded witness against the same matrix.
     r, ambient_dim = gens.r, gens.ambient_dim
-    matrix = gens.matrix()
     kernel = nullspace_basis(matrix)
     span_rank = gens.count - len(kernel)
     witness, lin_dim = _relint_stage(matrix, kernel)
@@ -324,18 +326,41 @@ def _certify_generators(
     )
 
 
-def is_infinitesimally_rigid(pair: FactorizationPair) -> bool:
+def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     """Cheap accept test: span rank r^2-r plus a relative-interior witness.
 
-    Skips the lineality and Kruskal computations, so per-sample search loops
-    pay one kernel and, only when it has dimension two or more, one
-    feasibility LP.
+    Takes the rows of A (m x r) and of B (r x n), ints or Fractions, and
+    checks neither signs nor the ranks of the factors, so a search loop
+    decides a draw before it builds a `FactorizationPair`; on a full-rank
+    nonnegative pair the answer is `certify`'s infinitesimally-rigid
+    verdict.  The generators are those of `build_dual_generators`, each
+    scaled to integers by a positive factor (a row of A or a column of B
+    cleared of denominators), which changes neither the cone nor the sign
+    pattern of a kernel vector, and taken over the r^2-r off-diagonal
+    coordinates only, since all of them vanish on the diagonal.  One
+    forward elimination on these integers gives the span rank; a kernel of
+    dimension at most one is read off by integer back-substitution, and
+    only a kernel of dimension two or more pays for the feasibility LP.
+    The lineality and Kruskal stages are skipped.
     """
-    matrix = build_dual_generators(pair).matrix()
-    kernel = nullspace_basis(matrix)
-    if matrix.cols - len(kernel) != pair.r * pair.r - pair.r:
+    r = len(b_rows)
+    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
+    columns = []
+    for row in a_rows:
+        if 0 in row:
+            row = integer_multiple(row)
+            columns += [[row[k] if l == j else 0 for k, l in coords] for j in range(r) if not row[j]]
+    cols_b = [integer_multiple(col) for col in zip(*b_rows)]
+    for i in range(r):
+        columns += [[-col[l] if k == i else 0 for k, l in coords] for col in cols_b if not col[i]]
+    count = len(columns)
+    echelon, pivots, scale = _echelon([list(row) for row in zip(*columns)], count)
+    if len(pivots) != len(coords):
         return False
-    return _relint_stage(matrix, kernel)[0] is not None
+    if count - len(pivots) >= 2:
+        return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
+    kernel = [kernel_vector(echelon, pivots, scale, j, count) for j in range(count) if j not in pivots]
+    return _cone_from_kernel(kernel, count)[0] is not None
 
 
 def _relint_stage(
@@ -378,7 +403,7 @@ def _cone_from_kernel(kernel: list[Vector], count: int) -> tuple[Vector | None, 
     low = min(v)
     if low == 0:
         return None, lin_dim
-    return tuple(x / low for x in v), lin_dim
+    return tuple(Fraction(x, low) for x in v), lin_dim
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_criterion_8_property_suites():
     report("criterion 8d PASS: Kruskal rank matches the all-subsets oracle on 200 instances")
 
     # Cone membership against the independent-subsets oracle in R^3.
-    from tests.test_cone import member, oracle_member
+    from test_cone import member, oracle_member
 
     for _ in range(n_instances):
         gens = tuple(

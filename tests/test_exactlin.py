@@ -5,6 +5,10 @@ import pytest
 
 from nmfrigid.exactlin import (
     RationalMatrix,
+    _echelon,
+    eliminate,
+    integer_multiple,
+    kernel_vector,
     matmul,
     matvec,
     nullspace_basis,
@@ -227,3 +231,86 @@ def test_elimination_accepts_integer_entries():
     m = RationalMatrix(2, 3, (2, 4, 6, 1, 3, 5))
     assert rank(m) == 2
     assert nullspace_basis(m) == nullspace_basis(RationalMatrix.from_rows([[2, 4, 6], [1, 3, 5]]))
+
+
+# ---------------------------------------------------------------------------
+# Forward elimination against fraction-free Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+def gauss_jordan_reference(m):
+    # Reference: the fraction-free Gauss-Jordan reduction the library ran
+    # before its elimination became forward only.  Every pivot clears its
+    # column from all other rows, so the rows end as the reduced row echelon
+    # form times the last pivot; returns (rank, kernel basis).
+    work = [integer_multiple(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    prev = 1
+    piv_row = 0
+    for col in range(m.cols):
+        found = next((i for i in range(piv_row, m.rows) if work[i][col]), None)
+        if found is None:
+            continue
+        work[piv_row], work[found] = work[found], work[piv_row]
+        prev = eliminate(work, piv_row, col, prev)
+        pivots.append(col)
+        piv_row += 1
+        if piv_row == m.rows:
+            break
+    basis = []
+    for free in (j for j in range(m.cols) if j not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for row_idx, piv_col in enumerate(pivots):
+            vec[piv_col] = Fraction(-work[row_idx][free], prev)
+        basis.append(tuple(vec))
+    return len(pivots), basis
+
+
+def assert_same_as_gauss_jordan(m):
+    expected_rank, expected_basis = gauss_jordan_reference(m)
+    assert rank(m) == expected_rank
+    assert nullspace_basis(m) == expected_basis
+
+
+def test_forward_elimination_matches_gauss_jordan_on_random_matrices():
+    rng = random.Random(400)
+    shapes = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(1500)]
+    shapes += [(rng.randint(1, 3), rng.randint(9, 16)) for _ in range(100)]  # wide
+    shapes += [(rng.randint(9, 16), rng.randint(1, 3)) for _ in range(100)]  # tall
+    for rows, cols in shapes:
+        assert_same_as_gauss_jordan(sparse_rational_matrix(rng, rows, cols))
+    for rows, cols in shapes[:300]:
+        assert_same_as_gauss_jordan(rand_matrix(rng, rows, cols, lo=-60, hi=60, denom=13))
+
+
+def test_forward_elimination_matches_gauss_jordan_on_zero_lines_and_empty_shapes():
+    rng = random.Random(401)
+    for rows, cols in ((0, 0), (0, 1), (0, 5), (1, 0), (6, 0), (4, 4), (3, 7), (7, 3)):
+        assert_same_as_gauss_jordan(RationalMatrix.zeros(rows, cols))
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        data = [list(sparse_rational_matrix(rng, 1, cols).row(0)) for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            data[i] = [Fraction(0)] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols)):
+            for row in data:
+                row[j] = Fraction(0)
+        assert_same_as_gauss_jordan(RationalMatrix.from_rows(data))
+
+
+def test_kernel_vectors_are_integer_and_scaled_by_the_last_pivot():
+    # With the last pivot at the free column, back-substitution lands on
+    # integers: the basis vector times that pivot, entry for entry.
+    rng = random.Random(402)
+    for _ in range(500):
+        m = sparse_rational_matrix(rng, rng.randint(0, 7), rng.randint(1, 8))
+        work = [integer_multiple(m.row(i)) for i in range(m.rows)]
+        echelon, pivots, scale = _echelon(work, m.cols)
+        # The rows left over are the zero rows the pivots cleared.
+        assert len(echelon) + len(work) == m.rows and not any(any(row) for row in work)
+        assert [row.index(next(x for x in row if x)) for row in echelon] == pivots
+        free = [j for j in range(m.cols) if j not in pivots]
+        for j, vec in zip(free, nullspace_basis(m)):
+            ints = kernel_vector(echelon, pivots, scale, j, m.cols)
+            assert all(type(x) is int for x in ints)
+            assert ints == [x * scale for x in vec]

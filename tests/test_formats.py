@@ -272,3 +272,18 @@ def test_verify_rejects_a_forged_header_support_or_field_type(document, path, va
     node[leaf] = value
     with pytest.raises(ValueError, match=message):
         formats.verify_certificate_document(doc, subject)
+
+
+@pytest.mark.parametrize(
+    "document", [_rigid_document, _lifted_document, _symmetric_document],
+    ids=["rigid", "lifted", "symmetric"],
+)
+def test_verify_builds_the_generator_matrix_once(monkeypatch, document):
+    # The recomputation and the witness check read one generator matrix.
+    from test_rigidity import count_matrix_builds
+
+    subject, doc = document()
+    count = doc["certificate"]["generator_count"]
+    builds = count_matrix_builds(monkeypatch)
+    assert formats.verify_certificate_document(doc, subject)
+    assert builds == [count]

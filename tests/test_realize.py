@@ -31,6 +31,60 @@ def test_config_validation():
         RealizationSearchConfig(entry_low=5, entry_high=2)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("entry_low", 1.5),
+        ("entry_low", "1"),
+        ("entry_low", True),
+        ("entry_high", 10.0),
+        ("entry_high", "10"),
+        ("max_samples", 2.5),
+        ("max_samples", "5"),
+        ("max_samples", False),
+    ],
+)
+def test_config_refuses_non_int_bounds_and_budget(field, value):
+    # The draws are plain ints from randint, which needs int bounds.
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        RealizationSearchConfig(**{field: value})
+
+
+def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
+    # Seed 1 on the 15 table-1 representatives: 686 draws, 15 accepted.
+    # Each draw is decided on ints; a FactorizationPair is built for the
+    # accepted ones only, and no rational kernel is computed in the search.
+    from nmfrigid import exactlin, realize, rigidity
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+
+    counts = {"draws": 0, "accepted": 0, "pairs": 0, "nullspace": 0}
+    accept_test, pair_type = realize.is_infinitesimally_rigid, realize.FactorizationPair
+
+    def counting_accept(a_rows, b_rows):
+        counts["draws"] += 1
+        accepted = accept_test(a_rows, b_rows)
+        counts["accepted"] += accepted
+        return accepted
+
+    def counting_pair(a, b):
+        counts["pairs"] += 1
+        return pair_type(a, b)
+
+    def counting_nullspace(m):
+        counts["nullspace"] += 1
+        return exactlin.nullspace_basis(m)
+
+    monkeypatch.setattr(realize, "is_infinitesimally_rigid", counting_accept)
+    monkeypatch.setattr(realize, "FactorizationPair", counting_pair)
+    monkeypatch.setattr(rigidity, "nullspace_basis", counting_nullspace)
+    found = [
+        realize_pattern(pattern, RealizationSearchConfig(seed=1))
+        for pattern in enumerate_patterns(5, 5, 4, 13, table1_filters(5, 5))
+    ]
+    assert all(pair is not None for pair in found)
+    assert counts == {"draws": 686, "accepted": 15, "pairs": 15, "nullspace": 0}
+
+
 def test_realize_fixture_pattern_matches_exactly():
     pattern = RIGID_5X5[0].pair().zero_pattern()
     pair = realize_pattern(pattern, RealizationSearchConfig(seed=1))

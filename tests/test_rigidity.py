@@ -417,9 +417,122 @@ def test_accept_test_agrees_with_certify():
     verdicts = set()
     for pair in pairs:
         rigid = certify(pair, kruskal_budget=0).classification is Classification.INFINITESIMALLY_RIGID
-        assert is_infinitesimally_rigid(pair) is rigid
+        assert is_infinitesimally_rigid(pair.a.row_list(), pair.b.row_list()) is rigid
         verdicts.add((rigid, len(nullspace_basis(build_dual_generators(pair).matrix()))))
     assert {(True, 1), (True, 2), (False, 0), (False, 1), (False, 2)} <= verdicts
+
+
+# ---------------------------------------------------------------------------
+# The integer accept test against the Fraction route
+# ---------------------------------------------------------------------------
+
+def unchecked_pair(a_rows, b_rows):
+    # A FactorizationPair built without its sign and rank checks, so that the
+    # Fraction route also runs on rank-deficient draws.
+    pair = object.__new__(FactorizationPair)
+    object.__setattr__(pair, "a", RationalMatrix.from_rows(a_rows))
+    object.__setattr__(pair, "b", RationalMatrix.from_rows(b_rows))
+    return pair
+
+
+def fraction_accept(a_rows, b_rows):
+    # The accept test on Fractions: the r^2-row generator matrix, its
+    # rational kernel, the span rank and `_relint_stage`.  Returns the
+    # verdict, the kernel dimension and whether A, B and G have full rank.
+    from nmfrigid.rigidity import _relint_stage
+
+    pair = unchecked_pair(a_rows, b_rows)
+    r = pair.r
+    matrix = build_dual_generators(pair).matrix()
+    kernel = nullspace_basis(matrix)
+    spans = matrix.cols - len(kernel) == r * r - r
+    full_rank = spans and rank(pair.a) == r == rank(pair.b)
+    verdict = spans and _relint_stage(matrix, kernel)[0] is not None
+    return verdict, len(kernel), full_rank
+
+
+def draw(rng, zeros_a, zeros_b, low, high):
+    a = [[0 if zero else rng.randint(low, high) for zero in row] for row in zeros_a]
+    b = [[0 if zero else rng.randint(low, high) for zero in row] for row in zeros_b]
+    return a, b
+
+
+def accept_routes_agree(a_rows, b_rows):
+    verdict, kernel_dim, full_rank = fraction_accept(a_rows, b_rows)
+    assert is_infinitesimally_rigid(a_rows, b_rows) is verdict, (a_rows, b_rows)
+    return verdict, kernel_dim, full_rank
+
+
+def table1_representatives():
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+
+    return enumerate_patterns(5, 5, 4, 13, table1_filters(5, 5))
+
+
+def test_integer_accept_test_matches_the_fraction_route_on_table1_draws():
+    # Wide draws are the search's own; draws from 1..3 often leave A, B or
+    # the generator matrix rank deficient.
+    seen = set()
+    for index, pattern in enumerate(table1_representatives()):
+        rng = random.Random(500 + index)
+        for low, high in ((1, 1000), (1, 3)):
+            for _ in range(15):
+                a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, low, high)
+                verdict, kernel_dim, full_rank = accept_routes_agree(a, b)
+                seen.add((high, verdict, full_rank))
+    assert {(1000, True, True), (1000, False, True), (3, False, False), (3, True, True)} <= seen
+
+
+def test_integer_accept_test_matches_the_fraction_route_on_the_lp_path():
+    # One zero more than r^2 - r + 1: a full-rank draw has a kernel of
+    # dimension two, which only the relint LP decides.
+    verdicts = set()
+    for index, pattern in enumerate(table1_representatives()):
+        rng = random.Random(600 + index)
+        for _ in range(10):
+            zeros_a = [list(row) for row in pattern.zeros_a]
+            free = [(i, j) for i, row in enumerate(zeros_a) for j, zero in enumerate(row) if not zero]
+            i, j = rng.choice(free)
+            zeros_a[i][j] = True
+            a, b = draw(rng, zeros_a, pattern.zeros_b, 1, rng.choice((3, 1000)))
+            verdict, kernel_dim, _ = accept_routes_agree(a, b)
+            verdicts.add((verdict, kernel_dim))
+    assert {(True, 2), (False, 2)} <= verdicts
+
+
+def test_integer_accept_test_matches_the_fraction_route_at_r5_and_on_rational_images():
+    # Two 21-zero r = 5 representatives whose seed-1 streams reach a rigid
+    # draw within 12 samples; lifts of the fixtures, also r = 5, with a
+    # two-dimensional kernel, and draws on their zero patterns.  Symmetry
+    # images carry Fractions in both factors.
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+    from nmfrigid.realize import lift_partially_rigid
+    from test_realize import _symmetry_image
+
+    verdicts = set()
+    reps = enumerate_patterns(5, 5, 5, 21, table1_filters(5, 5))
+    for pattern in (reps[24], reps[26]):
+        rng = random.Random(1)
+        for _ in range(12):
+            a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, 1, 1000)
+            verdict, kernel_dim, _ = accept_routes_agree(a, b)
+            verdicts.add((5, verdict, kernel_dim))
+    rng = random.Random(700)
+    for fx in RIGID_5X5:
+        lifted = lift_partially_rigid(fx.pair())
+        assert lifted.r == 5
+        for pair in (fx.pair(), lifted):
+            verdict, kernel_dim, _ = accept_routes_agree(pair.a.row_list(), pair.b.row_list())
+            verdicts.add((pair.r, verdict, kernel_dim))
+            for _ in range(3):
+                image = _symmetry_image(pair, rng)
+                assert accept_routes_agree(image.a.row_list(), image.b.row_list())[0] is verdict
+        zeros_a = [[x == 0 for x in row] for row in lifted.a.row_list()]
+        zeros_b = [[x == 0 for x in row] for row in lifted.b.row_list()]
+        for _ in range(4):
+            verdict, kernel_dim, _ = accept_routes_agree(*draw(rng, zeros_a, zeros_b, 1, 1000))
+            verdicts.add((5, verdict, kernel_dim))
+    assert {(4, True, 1), (5, True, 1), (5, False, 1), (5, False, 2)} <= verdicts
 
 
 def opposite_pair():
@@ -819,5 +932,5 @@ def test_accept_test_builds_the_generator_matrix_once(monkeypatch, a_rows, b_row
     gens = build_dual_generators(pair)
     assert len(nullspace_basis(gens.matrix())) == 2
     builds = count_matrix_builds(monkeypatch)
-    assert is_infinitesimally_rigid(pair) is rigid
+    assert is_infinitesimally_rigid(pair.a.row_list(), pair.b.row_list()) is rigid
     assert builds == [gens.count]
