@@ -33,15 +33,21 @@ class ParseError(ValueError):
     pass
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(token: str) -> Fraction:
     """Parse 'p' or 'p/q' with a positive integer denominator."""
-    if not _RATIONAL_RE.match(token):
+    match = _RATIONAL_RE.match(token)
+    if not match:
         raise ParseError(f"not a rational token: {token!r}")
+    # Built from the matched integers: Fraction(token) would parse the
+    # token a second time.
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
     try:
-        return Fraction(token)
+        return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in {token!r}") from exc
 

@@ -18,9 +18,11 @@ public boundary.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 
 BoolMatrix = tuple[tuple[bool, ...], ...]
 
@@ -276,8 +278,9 @@ def _perms(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(r)))
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[j] for j in q)
+@lru_cache(maxsize=None)
+def _perm_index(r: int) -> dict[tuple[int, ...], int]:
+    return {p: i for i, p in enumerate(_perms(r))}
 
 
 def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -331,31 +334,58 @@ def _enc_b(spreads: list[int], order: tuple[int, ...], n: int, r: int) -> tuple[
 
 class _Readings(dict):
     # A side's reading table: its `_enc_b` reading under each inner
-    # permutation, encoded on the first lookup and kept for every later pair.
+    # permutation, keyed by the permutation's position in `_perms(r)`,
+    # encoded on the first lookup and kept for every later pair.
 
     def __init__(self, masks: tuple[int, ...], ground: int, r: int):
         self.spreads, self.ground, self.r = _spread(masks, r), ground, r
 
-    def __missing__(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        self[perm] = reading = _enc_b(self.spreads, perm, self.ground, self.r)
+    def __missing__(self, perm: int) -> tuple[int, ...]:
+        self[perm] = reading = _enc_b(self.spreads, _perms(self.r)[perm], self.ground, self.r)
         return reading
 
 
+class _Columns(dict):
+    # Argmin s -> the positions in `_perms(r)` of the composition q.s
+    # (j -> q[s[j]]) for each alignment q, as one array: composed for the
+    # first side with that argmin and shared by every later side of the
+    # same enumeration, so the table holds at most r! columns.
+
+    def __init__(self, alignments, r: int):
+        self.alignments, self.index = alignments, _perm_index(r)
+        self.typecode = "H" if len(self.index) <= 1 << 16 else "I"
+
+    def __missing__(self, s: tuple[int, ...]) -> array:
+        # itemgetter(*s) composes with s; r = 1 has only the identity.
+        composed = map(itemgetter(*s), self.alignments) if len(s) > 1 else self.alignments
+        self[s] = column = array(self.typecode, map(self.index.__getitem__, composed))
+        return column
+
+
+def _side(
+    masks: tuple[int, ...], ground: int, r: int, key: tuple[int, ...], mins, columns
+) -> tuple:
+    # One side as the pair key reads it: (reading table, side key, the
+    # columns of its argmins s of `_side_key`).  With `columns` None the
+    # side's orders are never read (a B side of a non-square shape).
+    aligned = [columns[s] for s in mins] if columns is not None else []
+    return _Readings(masks, ground, r), key, aligned
+
+
 def _pair_key(
-    m: int, n: int, r: int, side_a: tuple, side_b: tuple, pi: tuple[int, ...]
+    m: int, n: int, side_a: tuple, side_b: tuple, pi: int, pi_inv: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Canonical key of the pair whose B slot j is slot pi[j] of side_b, each
-    # side given as (reading table, side key, argmin inner permutations of
-    # `_side_key`).  The A side is minimized first, so only its argmins can
-    # order the B side: B is read under _compose(pi, s) for each argmin s.
-    # For m = n the transposed pair, A read under _compose(inv(pi), s) for
-    # each argmin s of B, competes too.
-    a_read, a_key, a_mins = side_a
-    b_read, b_key, b_mins = side_b
-    key = (a_key, min(b_read[_compose(pi, s)] for s in a_mins))
+    # Canonical key of the pair whose B slot j is slot q[j] of side_b, q
+    # alignment pi of the sides' columns and inv(q) alignment pi_inv.  The
+    # A side is minimized first, so only its argmins s can order the B side:
+    # B is read under q.s, entry pi of s's column.  For m = n the transposed
+    # pair, A read under inv(q).s for each argmin s of B (entry pi_inv of
+    # its column), competes too.
+    a_read, a_key, a_cols = side_a
+    b_read, b_key, b_cols = side_b
+    key = (a_key, min([b_read[col[pi]] for col in a_cols]))
     if m == n:
-        inv = _invert(pi)
-        key = min(key, (b_key, min(a_read[_compose(inv, s)] for s in b_mins)))
+        key = min(key, (b_key, min([a_read[col[pi_inv]] for col in b_cols])))
     return key
 
 
@@ -377,9 +407,10 @@ def canonical_form(pattern: ZeroPattern) -> ZeroPattern:
     """
     m, n, r = pattern.m, pattern.n, pattern.r
     cols_a, rows_b = pattern.cols_a_masks(), pattern.rows_b_masks()
-    side_a = (_Readings(cols_a, m, r), *_side_key(cols_a, m, r))
-    side_b = (_Readings(rows_b, n, r), *_side_key(rows_b, n, r))
-    return _pattern_from_key(m, n, r, _pair_key(m, n, r, side_a, side_b, _perms(r)[0]))
+    identity = _Columns(_perms(r)[:1], r)
+    side_a = _side(cols_a, m, r, *_side_key(cols_a, m, r), identity)
+    side_b = _side(rows_b, n, r, *_side_key(rows_b, n, r), identity)
+    return _pattern_from_key(m, n, r, _pair_key(m, n, side_a, side_b, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +522,17 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     Columns of the A-pattern and rows of the B-pattern are chosen as ground
     subsets with the pairwise non-containment and per-slot bounds pruned in
     during generation; the two sides are bucketed by zero count and reduced
-    to per-side orbit representatives.  Each A side meets each B side in
-    every inner alignment, and the pair key there is looked up in the two
-    sides' reading tables (a side's B reading under each inner permutation,
-    encoded once per side, never per pair).  The keys are deduplicated and
-    decoded in sorted order, exactly as `canonical_form` decodes its one.
+    to per-side orbit representatives.  Each side is prepared once: its
+    reading table (its B reading under each inner permutation, encoded on
+    first use) and the columns of its argmin inner permutations (each
+    argmin composed with every alignment, as positions in the permutation
+    list), taken from one table per enumeration that both sides share; a
+    B side needs them only for m = n, where it reads them at the inverse
+    alignment.  Each A side then meets each B side in every inner
+    alignment, and the pair key there is a lookup of the one side's columns
+    in the other's reading table: nothing is composed or encoded per pair.
+    The keys are deduplicated and decoded in sorted order, exactly as
+    `canonical_form` decodes its one.
     The cheap POSITIVE_PRODUCT test and the expensive zero rectangle filter
     run last, on representatives only (both are invariant under the full
     group); the rectangle bound holds only at r*r - r + 1 zeros, so any
@@ -532,18 +569,22 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     a_sides = _side_classes(m, r, cap_a, wpoint, cover_a, a_min, zeros - b_min)
     b_sides = _side_classes(n, r, cap_b, wpoint, cover_b, b_min, zeros - a_min)
 
-    perms = _perms(r)
+    perms, index = _perms(r), _perm_index(r)
+    columns = _Columns(perms, r)
+    b_columns = columns if m == n else None
+    # Each alignment's position with that of its inverse, where B reads.
+    alignments = [(pi, index[_invert(q)]) for pi, q in enumerate(perms)]
     found: dict = {}
     for z_a, a_list in sorted(a_sides.items()):
         b_list = b_sides.get(zeros - z_a)
         if not b_list:
             continue
-        b_read_sides = [(_Readings(masks, n, r), key, mins) for masks, key, mins in b_list]
+        b_read_sides = [_side(masks, n, r, key, mins, b_columns) for masks, key, mins in b_list]
         for a_masks, a_key, a_mins in a_list:
-            side_a = (_Readings(a_masks, m, r), a_key, a_mins)
+            side_a = _side(a_masks, m, r, a_key, a_mins, columns)
             for side_b in b_read_sides:
-                for pi in perms:
-                    found.setdefault(_pair_key(m, n, r, side_a, side_b, pi))
+                for pi, pi_inv in alignments:
+                    found.setdefault(_pair_key(m, n, side_a, side_b, pi, pi_inv))
     reps = [_pattern_from_key(m, n, r, key) for key in sorted(found)]
     if PatternFilter.POSITIVE_PRODUCT in fset:
         reps = [p for p in reps if not forces_product_zero(p)]

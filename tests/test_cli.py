@@ -511,3 +511,15 @@ def test_lift_of_fixture_01_reports_kruskal_rank_4(capsys, fixture_file):
     doc = json.loads(out[out.index("\n{\n") + 1 :])
     assert doc["certificate"]["kruskal_rank"] == 4
     assert doc["certificate"]["classification"] == "partially-infinitesimally-rigid"
+
+
+def test_oversized_rational_token_is_input_error(capsys, tmp_path):
+    # A 5,000-digit entry: past the interpreter's limit on integer parsing.
+    lines = formats.dump_factorization(RIGID_5X5[0].pair()).splitlines(keepends=True)
+    assert lines[1].startswith("0 ")
+    lines[1] = "7" * 5000 + lines[1][1:]
+    path = tmp_path / "big.txt"
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -15,15 +15,37 @@ def test_parse_rational_values():
     assert formats.parse_rational("+4/6") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("token", ["1.5", "3/-7", "1/0x2", "a", "", "2/"])
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("+3", 3),
+        ("-0", 0),
+        ("007/014", Fraction(1, 2)),
+        ("-12/8", Fraction(-3, 2)),
+        ("\u0663", 3),
+        ("1\u0663/\u0664", Fraction(13, 4)),
+        ("5/1\n", 5),
+    ],
+)
+def test_parse_rational_agrees_with_fraction_parsing(token, value):
+    # Signs, leading zeros and non-ASCII decimal digits are accepted, with
+    # the value Fraction(token) gives.
+    got = formats.parse_rational(token)
+    assert (type(got), got) == (Fraction, value)
+    assert got == Fraction(token)
+
+
+@pytest.mark.parametrize("token", ["1.5", "3/-7", "1/-2", "1/0x2", "a", "", "2/", " 3"])
 def test_parse_rational_rejects_bad_tokens(token):
-    with pytest.raises(formats.ParseError):
+    with pytest.raises(formats.ParseError, match="not a rational token"):
         formats.parse_rational(token)
 
 
 def test_parse_rational_rejects_zero_denominator():
     with pytest.raises(formats.ParseError, match="denominator"):
         formats.parse_rational("1/0")
+    with pytest.raises(formats.ParseError, match=r"^zero denominator in '3/0'$"):
+        formats.parse_rational("3/0")
 
 
 def test_matrix_round_trip():

@@ -576,3 +576,51 @@ def test_pairing_encodes_each_side_at_most_once_per_inner_order(monkeypatch):
         enumerate_patterns(m, n, 4, 13, table1_filters(m, n))
     assert sides == 84
     assert calls <= 24 * sides
+
+
+def test_pairing_composes_each_argmin_once_per_alignment(monkeypatch):
+    # The table-1 sweep composed 11,952 orders, one per pair, alignment and
+    # argmin.  Composed once per distinct argmin and enumeration, into a
+    # column shared by both sides (and for non-square shapes only by the A
+    # side, the one side whose orders are read), they are at most r! per
+    # argmin of every side, however many pairs the sides meet in.
+    composed = argmins = 0
+    missing, side_classes = patterns._Columns.__missing__, patterns._side_classes
+
+    def counting_missing(self, s):
+        nonlocal composed
+        composed += len(self.alignments)
+        return missing(self, s)
+
+    def counting_sides(*args):
+        nonlocal argmins
+        out = side_classes(*args)
+        argmins += sum(len(mins) for bucket in out.values() for _, _, mins in bucket)
+        return out
+
+    monkeypatch.setattr(patterns._Columns, "__missing__", counting_missing)
+    monkeypatch.setattr(patterns, "_side_classes", counting_sides)
+    for m, n in TABLE1_SHAPES:
+        enumerate_patterns(m, n, 4, 13, table1_filters(m, n))
+    assert argmins == 388
+    assert composed <= 24 * argmins
+    assert composed == 2232
+
+
+def test_sides_share_one_column_per_distinct_argmin(monkeypatch):
+    # All-empty sides: every inner order is an argmin of both, so the table
+    # is S_r's whole multiplication table, built once for the two sides
+    # (r!^2 positions, two bytes each), never once per side or per pair.
+    tables = []
+    init = patterns._Columns.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(patterns._Columns, "__init__", recording_init)
+    assert len(enumerate_patterns(5, 5, 5, 0, frozenset())) == 1
+    (table,) = tables
+    assert len(table) == 120
+    assert all(col.typecode == "H" and len(col) == 120 for col in table.values())
+    assert sorted(col[0] for col in table.values()) == list(range(120))
