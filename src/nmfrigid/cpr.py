@@ -17,21 +17,18 @@ from fractions import Fraction
 
 from .exactlin import RationalMatrix, Vector, matmul, rank
 from .patterns import (
-    _col_masks,
+    NecessaryConditionsReport,
+    ZeroSupport,
     _decode_rows,
-    _pairwise_separating,
     _require_attainable_rank,
-    _row_masks,
     _side_classes,
     _side_key,
-    rectangle_violation_from_masks,
+    condition_report,
 )
 from .rigidity import (
     DEFAULT_KRUSKAL_BUDGET,
-    ConditionResult,
     DualConeGenerators,
     GeneratorSource,
-    NecessaryConditionsReport,
     RigidityCertificate,
     _certify_generators,
     _require_nonnegative,
@@ -109,84 +106,35 @@ def certify_cp(
     return _certify_generators(gens, gens.matrix(), kruskal_budget=kruskal_budget, symmetric=True)
 
 
+# The conditions of `rigidity._CONDITIONS`, labelled for a symmetric factor.
+# Positivity of the Gram matrix is necessary only for r >= 3: at r = 2 the
+# two zeros of a rigid tight factor can sit in complementary rows (the 2x2
+# coordinate permutation is rigid with Gram matrix I), so the
+# subset-minimality argument behind the corollary has nothing to bite.
+_CP_CONDITIONS = (
+    ("zero-count", (), "enough-zeros", "{count} zeros, need at least {tight}"),
+    ("boundary-closed", (), "closed-a", "each ordered inner pair separated by some row of A"),
+    ("column-coverage", (), "covered", "every column of A contains a zero"),
+    ("row-zero-bound", ("positive",), "row-bound",
+     "at most r-2 zeros per row of A (Gram matrix strictly positive)"),
+    ("column-zero-bound", ("tight",), "column-bound",
+     "at most r-1 zeros per column of A (tight zero count)"),
+    ("zero-rectangles", ("tight",), "no-rectangle",
+     "no k x |alpha| zero block with k > r - |alpha| (tight zero count)",
+     "{k} rows zero on columns {alpha}"),
+    ("gram-positive", ("tight", "r>=3"), "positive",
+     "a rigid factor with the tight zero count has strictly positive Gram matrix (r >= 3)"),
+)
+
+
 def cp_necessary_conditions(factor: SymmetricFactor) -> NecessaryConditionsReport:
-    """Combinatorial necessary conditions on the zero pattern of A."""
-    r = factor.r
+    """Combinatorial necessary conditions on the zero pattern of A.
+
+    The tight count is r(r-1)/2+1.  No condition applies at r = 1, where
+    the tangent space is zero and every factor is rigid.
+    """
     zeros = [[x == 0 for x in row] for row in factor.a.row_list()]
-    col_masks = _col_masks(zeros, r)
-    row_masks = _row_masks(zeros)
-    row_zero_counts = [mask.bit_count() for mask in row_masks]
-    c = sum(row_zero_counts)
-    tight = r * (r - 1) // 2 + 1
-    results: list[ConditionResult] = []
-
-    results.append(
-        ConditionResult("zero-count", True, c >= tight, f"{c} zeros, need at least {tight}")
-    )
-    results.append(
-        ConditionResult(
-            "boundary-closed",
-            True,
-            _pairwise_separating(col_masks),
-            "each ordered inner pair separated by some row of A",
-        )
-    )
-    results.append(
-        ConditionResult(
-            "column-coverage",
-            True,
-            all(col_masks),
-            "every column of A contains a zero",
-        )
-    )
-
-    gram = factor.gram()
-    positive = gram.is_strictly_positive()
-    results.append(
-        ConditionResult(
-            "row-zero-bound",
-            positive,
-            all(z <= r - 2 for z in row_zero_counts) if positive else None,
-            "at most r-2 zeros per row of A (Gram matrix strictly positive)",
-        )
-    )
-
-    tight_case = c == tight
-    results.append(
-        ConditionResult(
-            "column-zero-bound",
-            tight_case,
-            all(mask.bit_count() <= r - 1 for mask in col_masks) if tight_case else None,
-            "at most r-1 zeros per column of A (tight zero count)",
-        )
-    )
-    # With no B side the pair search fires exactly when k > r - |alpha|,
-    # at the first such alpha and with beta empty.
-    rect = rectangle_violation_from_masks(r, row_masks, ()) if tight_case else None
-    results.append(
-        ConditionResult(
-            "zero-rectangles",
-            tight_case,
-            (rect is None) if tight_case else None,
-            "no k x |alpha| zero block with k > r - |alpha| (tight zero count)"
-            if rect is None
-            else f"{rect.k} rows zero on columns {rect.alpha}",
-        )
-    )
-    # Positivity of the Gram matrix is necessary only for r >= 3: at r = 2
-    # the two zeros of a rigid tight factor can sit in complementary rows
-    # (the 2x2 coordinate permutation is rigid with Gram matrix I), so the
-    # subset-minimality argument behind the corollary has nothing to bite.
-    gram_applicable = tight_case and r >= 3
-    results.append(
-        ConditionResult(
-            "gram-positive",
-            gram_applicable,
-            positive if gram_applicable else None,
-            "a rigid factor with the tight zero count has strictly positive Gram matrix (r >= 3)",
-        )
-    )
-    return NecessaryConditionsReport(tuple(results))
+    return condition_report(ZeroSupport.of(factor.r, zeros), _CP_CONDITIONS)
 
 
 def canonical_symmetric_pattern(zeros_a: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
@@ -198,7 +146,7 @@ def canonical_symmetric_pattern(zeros_a: tuple[tuple[bool, ...], ...]) -> tuple[
     """
     n = len(zeros_a)
     r = len(zeros_a[0]) if n else 0
-    return _decode_rows(_side_key(_col_masks(zeros_a, r), n, r)[0], r)
+    return _decode_rows(_side_key(ZeroSupport.of(r, zeros_a).cols_a, n, r)[0], r)
 
 
 def enumerate_symmetric_patterns(

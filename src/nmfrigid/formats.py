@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from . import __version__
@@ -44,12 +45,17 @@ def parse_rational(token: str) -> Fraction:
     # Built from the matched integers: Fraction(token) would parse the
     # token a second time.
     num, den = match.groups()
-    if den is None:
-        return Fraction(int(num))
     try:
+        if den is None:
+            return Fraction(int(num))
         return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in {token!r}") from exc
+    except ValueError as exc:  # the interpreter's integer string length limit
+        raise ParseError(
+            f"rational token {token[:20]}... exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def format_rational(value: Fraction) -> str:

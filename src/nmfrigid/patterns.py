@@ -5,23 +5,27 @@ patterns are considered the same when one maps to the other by permuting
 rows of A, permuting columns of B, permuting the inner index (columns of A
 together with rows of B), or, for square products, swapping the roles of
 A and B via transposition.  This module provides the combinatorial
-necessary-condition filters for infinitesimal rigidity, a canonical form
-under that group, and exhaustive enumeration of orbit representatives with
-a given zero count.
+necessary conditions for infinitesimal rigidity, a canonical form under
+that group, and exhaustive enumeration of orbit representatives with a
+given zero count.
 
-Bit tricks: a column of the A-pattern is held as an integer mask over the
-row set, a row of the B-pattern as a mask over the column set.  Every test
-and the whole enumeration run on these masks; booleans appear only at the
-public boundary.
+Bit tricks: the zeros of a pair are one `ZeroSupport`, the rows and
+columns of A and of B each held as integer masks; a symmetric factor
+A A^T is a support with no B side.  One table of named predicates over
+that support holds every necessary condition: the `check_*` filters and
+the reports of `rigidity` and `cpr` all read it, and the positivity of the
+product is read from the masks, never computed.  The enumeration runs on
+the same masks; booleans appear only at the public boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 BoolMatrix = tuple[tuple[bool, ...], ...]
@@ -67,30 +71,13 @@ class ZeroPattern:
             if self.r and all(self.zeros_b[i][l] for i in range(self.r)):
                 raise ValueError(f"column {l} of the B-pattern is entirely zero")
 
+    @cached_property
+    def support(self) -> ZeroSupport:
+        return ZeroSupport.of(self.r, self.zeros_a, self.zeros_b)
+
     @property
     def zero_count(self) -> int:
-        return sum(x for row in self.zeros_a for x in row) + sum(
-            x for row in self.zeros_b for x in row
-        )
-
-    def cols_a_masks(self) -> tuple[int, ...]:
-        """Column j of the A-pattern as a bit mask over rows."""
-        return _col_masks(self.zeros_a, self.r)
-
-    def rows_b_masks(self) -> tuple[int, ...]:
-        """Row i of the B-pattern as a bit mask over columns."""
-        return _row_masks(self.zeros_b)
-
-
-def _row_masks(zeros) -> tuple[int, ...]:
-    # Row i of a boolean zero matrix as a bit mask, bit j for column j.
-    return tuple(sum(1 << j for j, z in enumerate(row) if z) for row in zeros)
-
-
-def _col_masks(zeros, cols: int) -> tuple[int, ...]:
-    # Column j of a boolean zero matrix with `cols` columns as a bit mask,
-    # bit i for row i.
-    return tuple(sum(1 << i for i, row in enumerate(zeros) if row[j]) for j in range(cols))
+        return self.support.zero_count
 
 
 def _decode_rows(rows: tuple[int, ...], width: int) -> BoolMatrix:
@@ -151,7 +138,7 @@ class PatternGroupElement:
 
 
 # ---------------------------------------------------------------------------
-# Necessary-condition checks
+# Necessary conditions
 # ---------------------------------------------------------------------------
 
 def _pairwise_separating(masks: tuple[int, ...]) -> bool:
@@ -163,54 +150,6 @@ def _pairwise_separating(masks: tuple[int, ...]) -> bool:
             if i != j and masks[i] & ~masks[j] == 0:
                 return False
     return True
-
-
-def check_wpoint(pattern: ZeroPattern) -> bool:
-    """Zero count at least r^2-r+1 and both factors boundary closed.
-
-    Boundary closed means: for every ordered inner pair (i, j) some row of A
-    is zero at i but not at j, and some column of B is zero at i but not at
-    j.  In mask terms both sides must be pairwise non-contained.
-    """
-    r = pattern.r
-    if pattern.zero_count < r * r - r + 1:
-        return False
-    return _pairwise_separating(pattern.cols_a_masks()) and _pairwise_separating(
-        pattern.rows_b_masks()
-    )
-
-
-def forces_product_zero(pattern: ZeroPattern) -> bool:
-    """True when some product entry is identically zero under the pattern.
-
-    Entry (i, l) of AB vanishes for every realization exactly when the zero
-    support of row i of A and the zero support of column l of B together
-    cover all r inner indices.  A rigid factorization with the tight zero
-    count has a strictly positive product, so such patterns admit no rigid
-    realization.
-    """
-    row_masks_a = _row_masks(pattern.zeros_a)
-    col_masks_b = _col_masks(pattern.zeros_b, pattern.n)
-    full = (1 << pattern.r) - 1
-    return any(sa | tb == full for sa in row_masks_a for tb in col_masks_b)
-
-
-def _require_tight_count(pattern: ZeroPattern) -> None:
-    r = pattern.r
-    expected = r * r - r + 1
-    if pattern.zero_count != expected:
-        raise ValueError(
-            f"check applies only at exactly {expected} zeros, pattern has {pattern.zero_count}"
-        )
-
-
-def check_column_bound(pattern: ZeroPattern) -> bool:
-    """Every column of A and row of B has <= r-1 zeros: necessary for
-    rigidity at the tight count r^2-r+1, a plain filter at any other."""
-    bound = pattern.r - 1
-    if any(mask.bit_count() > bound for mask in pattern.cols_a_masks()):
-        return False
-    return all(mask.bit_count() <= bound for mask in pattern.rows_b_masks())
 
 
 @dataclass(frozen=True)
@@ -228,45 +167,164 @@ class RectangleViolation:
     l: int
 
 
-def check_zero_rectangles(pattern: ZeroPattern) -> RectangleViolation | None:
-    """Search all inner subsets alpha, beta for an oversized zero rectangle.
+@dataclass(frozen=True)
+class ZeroSupport:
+    """The zeros of A (m x r) and B (r x n) as bit masks.
 
-    At a tight zero count the generators carried by a k x |alpha| zero block
-    of A and a |beta| x l zero block of B must fit inside their common
-    support, which bounds
-    k|alpha| + l|beta| <= (r-|alpha|)|alpha| + (r-|beta|)|beta| - |alpha-beta||beta-alpha|.
-    Returns the first violation in increasing (alpha, beta) mask order, or
-    None if the pattern passes.
+    `rows_a[i]` has bit j set for a zero at A[i, j] and `cols_a[j]` bit i;
+    `rows_b[j]` has bit l set for a zero at B[j, l] and `cols_b[l]` bit j.
+    A symmetric factor A of M = A A^T is a support with an empty B side.
+    Any zeros are accepted, all-zero rows of A and columns of B included.
     """
-    _require_tight_count(pattern)
-    return rectangle_violation_from_masks(
-        pattern.r, _row_masks(pattern.zeros_a), _col_masks(pattern.zeros_b, pattern.n)
-    )
 
+    r: int
+    rows_a: tuple[int, ...]
+    cols_a: tuple[int, ...]
+    rows_b: tuple[int, ...] = ()
+    cols_b: tuple[int, ...] = ()
 
-def rectangle_violation_from_masks(
-    r: int, row_masks_a: tuple[int, ...], col_masks_b: tuple[int, ...]
-) -> RectangleViolation | None:
-    """Rectangle search on raw zero supports (rows of A, columns of B)."""
-    for alpha in range(1 << r):
-        size_a = alpha.bit_count()
-        k = sum(1 for mask in row_masks_a if mask & alpha == alpha)
-        for beta in range(1 << r):
-            size_b = beta.bit_count()
-            l = sum(1 for mask in col_masks_b if mask & beta == beta)
-            bound = (
-                (r - size_a) * size_a
-                + (r - size_b) * size_b
-                - (alpha & ~beta).bit_count() * (beta & ~alpha).bit_count()
-            )
-            if k * size_a + l * size_b > bound:
-                return RectangleViolation(
-                    alpha=tuple(j for j in range(r) if (alpha >> j) & 1),
-                    beta=tuple(j for j in range(r) if (beta >> j) & 1),
-                    k=k,
-                    l=l,
+    @classmethod
+    def of(cls, r: int, zeros_a, zeros_b=()) -> ZeroSupport:
+        """Support of boolean zero matrices, True marking a zero."""
+        bits = [1 << j for j in range(max(r, len(zeros_a), len(zeros_b[0]) if zeros_b else 0))]
+
+        def mask(line) -> int:  # bit j for a zero at position j
+            return sum(itertools.compress(bits, line))
+
+        lines = (zeros_a, zip(*zeros_a), zeros_b, zip(*zeros_b))
+        return cls(r, *(tuple(map(mask, side)) for side in lines))
+
+    @property
+    def zero_count(self) -> int:
+        return sum(mask.bit_count() for mask in self.cols_a + self.rows_b)
+
+    @property
+    def tight_count(self) -> int:
+        # One zero more than the motion space has dimensions: r^2 - r for a
+        # pair, r(r-1)/2 for a symmetric factor.
+        r = self.r
+        return (r * r - r if self.cols_b else r * (r - 1) // 2) + 1
+
+    @cached_property
+    def rectangle(self) -> RectangleViolation | None:
+        """First oversized zero rectangle pair in increasing (alpha, beta)
+        mask order, or None.
+
+        At a tight zero count the generators carried by a k x |alpha| zero
+        block of A and a |beta| x l zero block of B must fit inside their
+        common support, which bounds
+        k|alpha| + l|beta| <= (r-|alpha|)|alpha| + (r-|beta|)|beta| - |alpha-beta||beta-alpha|.
+        With no B side l is 0, so this fires exactly when k > r - |alpha|,
+        at the first such alpha and with beta empty.
+        """
+        r = self.r
+        for alpha in range(1 << r):
+            size_a = alpha.bit_count()
+            k = sum(1 for mask in self.rows_a if mask & alpha == alpha)
+            for beta in range(1 << r):
+                size_b = beta.bit_count()
+                l = sum(1 for mask in self.cols_b if mask & beta == beta)
+                bound = (
+                    (r - size_a) * size_a
+                    + (r - size_b) * size_b
+                    - (alpha & ~beta).bit_count() * (beta & ~alpha).bit_count()
                 )
-    return None
+                if k * size_a + l * size_b > bound:
+                    members = [tuple(j for j in range(r) if x >> j & 1) for x in (alpha, beta)]
+                    return RectangleViolation(*members, k, l)
+        return None
+
+
+# The combinatorial necessary conditions for rigidity, by name, each read
+# off a support alone.  Boundary closed means that for every ordered inner
+# pair (i, j) some row of A (column of B) is zero at i but not at j, that
+# is, the side's masks are pairwise non-contained.  For nonnegative factors
+# an entry of AB (of A A^T when there is no B side) vanishes exactly when
+# the zeros of its row and its column together cover all r inner indices.
+_PREDICATES: dict[str, Callable[[ZeroSupport], bool]] = {
+    "enough-zeros": lambda s: s.zero_count >= s.tight_count,
+    "tight": lambda s: s.zero_count == s.tight_count,
+    "r>=3": lambda s: s.r >= 3,
+    "closed-a": lambda s: _pairwise_separating(s.cols_a),
+    "closed-b": lambda s: _pairwise_separating(s.rows_b),
+    "covered": lambda s: all(s.cols_a) and all(s.rows_b),
+    "row-bound": lambda s: all(x.bit_count() <= s.r - 2 for x in s.rows_a + s.cols_b),
+    "column-bound": lambda s: all(x.bit_count() <= s.r - 1 for x in s.cols_a + s.rows_b),
+    "no-rectangle": lambda s: s.rectangle is None,
+    "positive": lambda s: (
+        (1 << s.r) - 1 not in {a | b for a in s.rows_a for b in s.cols_b or s.rows_a}
+    ),
+}
+
+
+@dataclass(frozen=True)
+class ConditionResult:
+    name: str
+    applicable: bool
+    passed: bool | None
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class NecessaryConditionsReport:
+    conditions: tuple[ConditionResult, ...]
+
+    @property
+    def all_applicable_pass(self) -> bool:
+        return all(c.passed for c in self.conditions if c.applicable)
+
+
+def condition_report(support: ZeroSupport, labels) -> NecessaryConditionsReport:
+    """Report the labelled conditions on one support.
+
+    Each label is (name, predicates under which it applies, predicate,
+    detail[, detail of a failure]).  The details may name the zero count
+    {count} and the tight count {tight}; a failure detail names the fields
+    of the first violating rectangle.  No condition applies at r = 1, where
+    the motion space is zero.
+    """
+    fields = {"count": support.zero_count, "tight": support.tight_count}
+    results = []
+    for name, scope, predicate, detail, *failure in labels:
+        applicable = support.r >= 2 and all(_PREDICATES[p](support) for p in scope)
+        passed = _PREDICATES[predicate](support) if applicable else None
+        text = detail.format_map(fields)
+        if passed is False and failure:
+            text = failure[0].format_map(vars(support.rectangle))
+        results.append(ConditionResult(name, applicable, passed, text))
+    return NecessaryConditionsReport(tuple(results))
+
+
+def check_wpoint(pattern: ZeroPattern) -> bool:
+    """Zero count at least r^2-r+1 and both factors boundary closed."""
+    return all(_PREDICATES[p](pattern.support) for p in ("enough-zeros", "closed-a", "closed-b"))
+
+
+def forces_product_zero(pattern: ZeroPattern) -> bool:
+    """True when some product entry is identically zero under the pattern.
+
+    A rigid factorization with the tight zero count has a strictly positive
+    product, so such patterns admit no rigid realization.
+    """
+    return not _PREDICATES["positive"](pattern.support)
+
+
+def check_column_bound(pattern: ZeroPattern) -> bool:
+    """Every column of A and row of B has <= r-1 zeros: necessary for
+    rigidity at the tight count r^2-r+1, a plain filter at any other."""
+    return _PREDICATES["column-bound"](pattern.support)
+
+
+def check_zero_rectangles(pattern: ZeroPattern) -> RectangleViolation | None:
+    """The first oversized zero rectangle pair (`ZeroSupport.rectangle`), or
+    None if the pattern passes; the bound holds only at r^2-r+1 zeros."""
+    support = pattern.support
+    if not _PREDICATES["tight"](support):
+        raise ValueError(
+            f"check applies only at exactly {support.tight_count} zeros, "
+            f"pattern has {support.zero_count}"
+        )
+    return support.rectangle
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +464,7 @@ def canonical_form(pattern: ZeroPattern) -> ZeroPattern:
     the identity alignment.  Idempotent by construction.
     """
     m, n, r = pattern.m, pattern.n, pattern.r
-    cols_a, rows_b = pattern.cols_a_masks(), pattern.rows_b_masks()
+    cols_a, rows_b = pattern.support.cols_a, pattern.support.rows_b
     identity = _Columns(_perms(r)[:1], r)
     side_a = _side(cols_a, m, r, *_side_key(cols_a, m, r), identity)
     side_b = _side(rows_b, n, r, *_side_key(rows_b, n, r), identity)

@@ -540,128 +540,37 @@ def _lex_index(subset: list[int], c: int) -> int:
 # Necessary conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    applicable: bool
-    passed: bool | None
-    detail: str = ""
+# (name, predicates under which it applies, predicate, detail[, failure
+# detail]), evaluated by `patterns.condition_report`.
+_CONDITIONS = (
+    ("zero-count", (), "enough-zeros", "{count} zeros, need at least {tight}"),
+    ("boundary-closed-a", (), "closed-a", "each ordered inner pair separated by some row of A"),
+    ("boundary-closed-b", (), "closed-b", "each ordered inner pair separated by some column of B"),
+    ("inner-coverage", (), "covered", "every column of A and every row of B contains a zero"),
+    ("row-zero-bound", ("positive",), "row-bound",
+     "at most r-2 zeros per row of A and column of B (product strictly positive)"),
+    ("column-zero-bound", ("tight",), "column-bound",
+     "at most r-1 zeros per column of A and row of B (tight zero count)"),
+    ("zero-rectangles", ("tight",), "no-rectangle",
+     "no oversized zero rectangle pair (tight zero count)",
+     "violated by alpha={alpha} beta={beta} k={k} l={l}"),
+    ("product-positive", ("tight",), "positive",
+     "a rigid factorization with the tight zero count has strictly positive product"),
+)
 
 
-@dataclass(frozen=True)
-class NecessaryConditionsReport:
-    conditions: tuple[ConditionResult, ...]
-
-    @property
-    def all_applicable_pass(self) -> bool:
-        return all(c.passed for c in self.conditions if c.applicable)
-
-
-def necessary_conditions_report(pair: FactorizationPair) -> NecessaryConditionsReport:
+def necessary_conditions_report(pair: FactorizationPair) -> patterns.NecessaryConditionsReport:
     """Evaluate the combinatorial necessary conditions on the zero pattern.
 
     Conditions whose hypotheses do not apply (for example the tight-count
     lemmas when the zero count is not exactly r^2-r+1, or the per-row bound
-    when the product has a zero entry) are reported as not applicable.
-    Works directly on the zero supports so that pairs with an all-zero row
-    of A or column of B (valid inputs that no realizable pattern object
-    represents) still get a report instead of an error.
+    when the product has a zero entry) are reported as not applicable, and
+    so is every condition at r = 1, where the motion space is zero and
+    every pair is rigid.  Works directly on the zero supports so that pairs
+    with an all-zero row of A or column of B (valid inputs that no
+    realizable pattern object represents) still get a report instead of an
+    error.
     """
-    r = pair.r
-    zeros_a = [[x == 0 for x in row] for row in pair.a.row_list()]
-    zeros_b = [[x == 0 for x in row] for row in pair.b.row_list()]
-    cols_a = patterns._col_masks(zeros_a, r)
-    rows_b = patterns._row_masks(zeros_b)
-    row_masks_a = patterns._row_masks(zeros_a)
-    col_masks_b = patterns._col_masks(zeros_b, pair.n)
-    c = sum(mask.bit_count() for mask in cols_a) + sum(mask.bit_count() for mask in rows_b)
-    tight = r * r - r + 1
-    results: list[ConditionResult] = []
-
-    results.append(
-        ConditionResult(
-            "zero-count",
-            True,
-            c >= tight,
-            f"{c} zeros, need at least {tight}",
-        )
-    )
-    results.append(
-        ConditionResult(
-            "boundary-closed-a",
-            True,
-            patterns._pairwise_separating(cols_a),
-            "each ordered inner pair separated by some row of A",
-        )
-    )
-    results.append(
-        ConditionResult(
-            "boundary-closed-b",
-            True,
-            patterns._pairwise_separating(rows_b),
-            "each ordered inner pair separated by some column of B",
-        )
-    )
-    results.append(
-        ConditionResult(
-            "inner-coverage",
-            True,
-            all(cols_a) and all(rows_b),
-            "every column of A and every row of B contains a zero",
-        )
-    )
-
-    product = pair.product()
-    positive = product.is_strictly_positive()
-    row_bound_ok = None
-    if positive:
-        row_bound_ok = all(mask.bit_count() <= r - 2 for mask in row_masks_a) and all(
-            mask.bit_count() <= r - 2 for mask in col_masks_b
-        )
-    results.append(
-        ConditionResult(
-            "row-zero-bound",
-            positive,
-            row_bound_ok,
-            "at most r-2 zeros per row of A and column of B (product strictly positive)",
-        )
-    )
-
-    tight_case = c == tight
-    col_bound_ok = None
-    if tight_case:
-        col_bound_ok = all(mask.bit_count() <= r - 1 for mask in cols_a) and all(
-            mask.bit_count() <= r - 1 for mask in rows_b
-        )
-    results.append(
-        ConditionResult(
-            "column-zero-bound",
-            tight_case,
-            col_bound_ok,
-            "at most r-1 zeros per column of A and row of B (tight zero count)",
-        )
-    )
-    rect = (
-        patterns.rectangle_violation_from_masks(r, row_masks_a, col_masks_b)
-        if tight_case
-        else None
-    )
-    results.append(
-        ConditionResult(
-            "zero-rectangles",
-            tight_case,
-            (rect is None) if tight_case else None,
-            "no oversized zero rectangle pair (tight zero count)"
-            if rect is None
-            else f"violated by alpha={rect.alpha} beta={rect.beta} k={rect.k} l={rect.l}",
-        )
-    )
-    results.append(
-        ConditionResult(
-            "product-positive",
-            tight_case,
-            positive if tight_case else None,
-            "a rigid factorization with the tight zero count has strictly positive product",
-        )
-    )
-    return NecessaryConditionsReport(tuple(results))
+    zeros_a, zeros_b = ([[x == 0 for x in row] for row in f.row_list()] for f in (pair.a, pair.b))
+    support = patterns.ZeroSupport.of(pair.r, zeros_a, zeros_b)
+    return patterns.condition_report(support, _CONDITIONS)

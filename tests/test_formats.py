@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,14 @@ def test_parse_rational_rejects_zero_denominator():
         formats.parse_rational("1/0")
     with pytest.raises(formats.ParseError, match=r"^zero denominator in '3/0'$"):
         formats.parse_rational("3/0")
+
+
+def test_parse_rational_rejects_tokens_over_the_digit_limit():
+    limit = f"limit of {sys.get_int_max_str_digits()} digits"
+    for token in ("7" * 5000, "1/" + "3" * 5000):
+        with pytest.raises(formats.ParseError, match=limit) as exc:
+            formats.parse_rational(token)
+        assert token[:20] in str(exc.value) and len(str(exc.value)) < 80
 
 
 def test_matrix_round_trip():

@@ -251,8 +251,8 @@ def brute_force_reps(m, n, r, zeros, filters):
         if PatternFilter.WPOINT in fset and not check_wpoint(pattern):
             continue
         if PatternFilter.COLUMN_BOUND in fset:
-            cols_ok = all(mask.bit_count() <= r - 1 for mask in pattern.cols_a_masks())
-            rows_ok = all(mask.bit_count() <= r - 1 for mask in pattern.rows_b_masks())
+            cols_ok = all(mask.bit_count() <= r - 1 for mask in pattern.support.cols_a)
+            rows_ok = all(mask.bit_count() <= r - 1 for mask in pattern.support.rows_b)
             if not (cols_ok and rows_ok):
                 continue
         if PatternFilter.ROW_COVERAGE_A in fset and not all(
@@ -309,8 +309,8 @@ def test_enumeration_output_is_canonical_and_duplicate_free():
     assert len(keys) == len(reps)
     for p in reps:
         assert canonical_form(p) == p
-        assert all(mask for mask in p.cols_a_masks())
-        assert all(mask for mask in p.rows_b_masks())
+        assert all(mask for mask in p.support.cols_a)
+        assert all(mask for mask in p.support.rows_b)
 
 
 def test_fixture_patterns_are_exactly_the_5x5_representatives():
@@ -544,7 +544,7 @@ def test_canonical_form_matches_per_pair_encodings():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         r = rng.randint(1, min(m, n, 4))
         pattern = rand_pattern(rng, m, n, r, zero_prob=0.1 + 0.4 * rng.random())
-        cols_a, rows_b = pattern.cols_a_masks(), pattern.rows_b_masks()
+        cols_a, rows_b = pattern.support.cols_a, pattern.support.rows_b
         key = reference_pair_key(
             m, n, r,
             _spread(cols_a, r), *_side_key(cols_a, m, r),
