@@ -62,7 +62,8 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _blocks(text: str) -> list[list[str]]:
+def _blocks(text: str, count: int, what: str) -> list[list[str]]:
+    """The runs of non-blank lines, which must number `count`; `what` opens the error."""
     blocks: list[list[str]] = []
     current: list[str] = []
     for raw in text.splitlines():
@@ -74,17 +75,26 @@ def _blocks(text: str) -> list[list[str]]:
             current = []
     if current:
         blocks.append(current)
+    if len(blocks) != count:
+        raise ParseError(f"{what}, found {len(blocks)}")
     return blocks
 
 
-def _matrix_from_block(lines: list[str]) -> RationalMatrix:
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"matrix header must be 'rows cols', got {lines[0]!r}")
+def _header(line: str, kind: str, names: str) -> list[int]:
+    """The integers of a header line with one field per name in `names`;
+    errors quote at most 40 characters of the line."""
+    shown = repr(line) if len(line) <= 40 else f"{line[:40]!r}..."
+    fields = line.split()
+    if len(fields) != len(names.split()):
+        raise ParseError(f"{kind} header must be '{names}', got {shown}")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        return [int(tok) for tok in fields]
     except ValueError as exc:
-        raise ParseError(f"bad matrix header {lines[0]!r}") from exc
+        raise ParseError(f"bad {kind} header {shown}") from exc
+
+
+def _matrix_from_block(lines: list[str]) -> RationalMatrix:
+    rows, cols = _header(lines[0], "matrix", "rows cols")
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} matrix rows, found {len(lines) - 1}")
     data = []
@@ -97,10 +107,7 @@ def _matrix_from_block(lines: list[str]) -> RationalMatrix:
 
 
 def load_matrix(text: str) -> RationalMatrix:
-    blocks = _blocks(text)
-    if len(blocks) != 1:
-        raise ParseError(f"matrix file must contain one block, found {len(blocks)}")
-    return _matrix_from_block(blocks[0])
+    return _matrix_from_block(*_blocks(text, 1, "matrix file must contain one block"))
 
 
 def dump_matrix(matrix: RationalMatrix) -> str:
@@ -111,14 +118,8 @@ def dump_matrix(matrix: RationalMatrix) -> str:
 
 
 def load_factorization(text: str) -> FactorizationPair:
-    blocks = _blocks(text)
-    if len(blocks) != 2:
-        raise ParseError(
-            f"factorization file must contain two blocks (A, blank line, B), found {len(blocks)}"
-        )
-    a = _matrix_from_block(blocks[0])
-    b = _matrix_from_block(blocks[1])
-    return FactorizationPair(a, b)
+    blocks = _blocks(text, 2, "factorization file must contain two blocks (A, blank line, B)")
+    return FactorizationPair(*map(_matrix_from_block, blocks))
 
 
 def dump_factorization(pair: FactorizationPair) -> str:
@@ -126,10 +127,8 @@ def dump_factorization(pair: FactorizationPair) -> str:
 
 
 def load_symmetric_factor(text: str) -> SymmetricFactor:
-    blocks = _blocks(text)
-    if len(blocks) != 1:
-        raise ParseError(f"symmetric factor file must contain one block, found {len(blocks)}")
-    return SymmetricFactor(_matrix_from_block(blocks[0]))
+    (block,) = _blocks(text, 1, "symmetric factor file must contain one block")
+    return SymmetricFactor(_matrix_from_block(block))
 
 
 def dump_symmetric_factor(factor: SymmetricFactor) -> str:
@@ -137,18 +136,11 @@ def dump_symmetric_factor(factor: SymmetricFactor) -> str:
 
 
 def load_pattern(text: str) -> ZeroPattern:
-    blocks = _blocks(text)
-    if len(blocks) != 2:
-        raise ParseError("pattern file must contain a header+A block, blank line, B block")
-    header = blocks[0][0].split()
-    if len(header) != 3:
-        raise ParseError(f"pattern header must be 'm n r', got {blocks[0][0]!r}")
-    try:
-        m, n, r = (int(tok) for tok in header)
-    except ValueError as exc:
-        raise ParseError(f"bad pattern header {blocks[0][0]!r}") from exc
-    a_lines = blocks[0][1:]
-    b_lines = blocks[1]
+    head, b_lines = _blocks(
+        text, 2, "pattern file must contain a header+A block, blank line, B block"
+    )
+    m, n, r = _header(head[0], "pattern", "m n r")
+    a_lines = head[1:]
     if len(a_lines) != m or len(b_lines) != r:
         raise ParseError(f"expected {m} A-rows and {r} B-rows, got {len(a_lines)} and {len(b_lines)}")
 
@@ -189,6 +181,19 @@ def input_shape(subject) -> dict:
     return {"symmetric": False, "m": subject.m, "r": subject.r, "n": subject.n}
 
 
+# The integer fields of the "certificate" object, in document order: (JSON
+# key, RigidityCertificate attribute).  Only "kruskal_rank" may be null.
+_INT_FIELDS = (
+    ("inner_rank", "r"),
+    ("ambient_dim", "ambient_dim"),
+    ("generator_count", "generator_count"),
+    ("span_rank", "span_rank"),
+    ("lineality_dim", "lineality_dim"),
+    ("dim_w", "dim_w"),
+    ("kruskal_rank", "kruskal_rank"),
+)
+
+
 def certificate_to_document(
     cert: RigidityCertificate,
     input_shape: dict,
@@ -212,13 +217,7 @@ def certificate_to_document(
         "certificate": {
             "symmetric": cert.symmetric,
             "classification": cert.classification.value,
-            "inner_rank": cert.r,
-            "ambient_dim": cert.ambient_dim,
-            "generator_count": cert.generator_count,
-            "span_rank": cert.span_rank,
-            "lineality_dim": cert.lineality_dim,
-            "dim_w": cert.dim_w,
-            "kruskal_rank": cert.kruskal_rank,
+            **{key: getattr(cert, attr) for key, attr in _INT_FIELDS},
             "relint_witness": witness,
             "v_basis": v_basis,
             "v_support": [list(entry) for entry in cert.v_support()] or None,
@@ -226,9 +225,8 @@ def certificate_to_document(
     }
 
 
-_INT_KEYS = ("inner_rank", "ambient_dim", "generator_count", "span_rank", "lineality_dim", "dim_w")
-_BODY_KEYS = frozenset(_INT_KEYS) | {
-    "symmetric", "classification", "kruskal_rank", "relint_witness", "v_basis", "v_support",
+_BODY_KEYS = frozenset(key for key, _ in _INT_FIELDS) | {
+    "symmetric", "classification", "relint_witness", "v_basis", "v_support",
 }
 
 
@@ -265,9 +263,9 @@ def document_to_certificate(doc: dict) -> RigidityCertificate:
     body = doc.get("certificate")
     if not isinstance(body, dict) or not _BODY_KEYS <= body.keys():
         raise ValueError("not a certificate document: no complete \"certificate\" object")
-    for name in _INT_KEYS + ("kruskal_rank",):
-        if type(body[name]) is not int and not (name == "kruskal_rank" and body[name] is None):
-            raise ValueError(f"{name} must be an integer, got {body[name]!r}")
+    for key, _ in _INT_FIELDS:
+        if type(body[key]) is not int and not (key == "kruskal_rank" and body[key] is None):
+            raise ValueError(f"{key} must be an integer, got {body[key]!r}")
     if type(body["symmetric"]) is not bool:
         raise ValueError(f"symmetric must be true or false, got {body['symmetric']!r}")
     if not isinstance(doc.get("flags") or {}, dict):
@@ -280,22 +278,15 @@ def document_to_certificate(doc: dict) -> RigidityCertificate:
         witness = tuple(parse_rational(tok) for tok in body["relint_witness"])
     v_basis = None
     if body["v_basis"] is not None:
-        mats = []
-        for tree in body["v_basis"]:
-            rows = [[parse_rational(tok) for tok in row] for row in tree]
-            mats.append(RationalMatrix.from_rows(rows))
-        v_basis = tuple(mats)
+        v_basis = tuple(
+            RationalMatrix.from_rows([[parse_rational(tok) for tok in row] for row in tree])
+            for tree in body["v_basis"]
+        )
     return RigidityCertificate(
-        r=body["inner_rank"],
-        ambient_dim=body["ambient_dim"],
-        generator_count=body["generator_count"],
-        span_rank=body["span_rank"],
-        lineality_dim=body["lineality_dim"],
+        **{attr: body[key] for key, attr in _INT_FIELDS},
         relint_witness=witness,
-        dim_w=body["dim_w"],
         classification=Classification(body["classification"]),
         v_basis=v_basis,
-        kruskal_rank=body["kruskal_rank"],
         symmetric=body["symmetric"],
     )
 
@@ -304,55 +295,38 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     """Re-check a document against the factorization it certifies.
 
     Certifies the generators of `subject` (a FactorizationPair or
-    SymmetricFactor) again, so no recorded field of the certificate is
-    taken on trust: the input shape, generator count, span rank, lineality,
-    dim_w, classification, V-basis and V support are always compared with
-    the recomputed ones, the Kruskal rank only when the document's flags
-    record the `kruskal_budget` it was computed under.  A recorded witness
-    must re-verify by plain arithmetic (it combines the generators exactly
-    to zero with all coefficients >= 1), and one must be recorded whenever
-    the recomputation finds one.  Raises ValueError with the first
-    discrepancy, returns True otherwise.
+    SymmetricFactor) again.  A recorded witness must re-verify by plain
+    arithmetic (it combines the generators exactly to zero with all
+    coefficients >= 1), and one must be recorded whenever the recomputation
+    finds one.  Every other field, "input" included, must equal its
+    recomputed value as `certificate_to_document` writes both (rationals
+    compare by value); the Kruskal rank only when the flags record the
+    `kruskal_budget` it was computed under.  Raises ValueError naming the
+    first differing key, returns True otherwise.
     """
     cert = document_to_certificate(doc)
     symmetric = isinstance(subject, SymmetricFactor)
     gens = build_skew_generators(subject) if symmetric else build_dual_generators(subject)
-    shape = input_shape(subject)
-    if not _same_tree(doc.get("input"), shape):
-        raise ValueError(f"input mismatch: document {doc.get('input')!r}, input {shape!r}")
-    if gens.count != cert.generator_count:
-        raise ValueError(
-            f"generator count mismatch: document {cert.generator_count}, input {gens.count}"
-        )
     budget = (doc.get("flags") or {}).get("kruskal_budget")
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {budget!r}")
     matrix = gens.matrix()
     recomputed = _certify_generators(gens, matrix, kruskal_budget=budget or 0, symmetric=symmetric)
-    if cert.span_rank != recomputed.span_rank:
-        raise ValueError(
-            f"span rank mismatch: document {cert.span_rank}, recomputed {recomputed.span_rank}"
-        )
     if cert.relint_witness is not None and not verify_witness(matrix, cert.relint_witness):
         raise ValueError(
             "witness does not combine the generators exactly to zero with coefficients >= 1"
         )
     if cert.relint_witness is None and recomputed.relint_witness is not None:
         raise ValueError("document records no witness, recomputation finds one")
-    fields = [
-        "symmetric", "r", "ambient_dim", "lineality_dim", "dim_w", "classification", "v_basis"
-    ]
-    if budget is not None:
-        fields.append("kruskal_rank")
-    for name in fields:
-        recorded, derived = getattr(cert, name), getattr(recomputed, name)
-        if recorded != derived:
-            raise ValueError(f"{name} mismatch: document {recorded!r}, recomputed {derived!r}")
-    support = [list(entry) for entry in recomputed.v_support()] or None
-    if not _same_tree(doc["certificate"]["v_support"], support):
-        raise ValueError(
-            f"v_support mismatch: document {doc['certificate']['v_support']!r}, recomputed {support!r}"
-        )
+    # The reader keeps neither the input shape nor the V support.
+    recorded = {"input": doc.get("input"), **certificate_to_document(cert, {})["certificate"]}
+    recorded["v_support"] = doc["certificate"]["v_support"]
+    derived = {"input": input_shape(subject)}
+    derived.update(certificate_to_document(recomputed, {})["certificate"])
+    skip = {"relint_witness"} if budget is not None else {"relint_witness", "kruskal_rank"}
+    for key, value in derived.items():
+        if key not in skip and not _same_tree(recorded[key], value):
+            raise ValueError(f"{key} mismatch: document {recorded[key]!r}, recomputed {value!r}")
     return True
 
 

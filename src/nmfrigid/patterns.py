@@ -296,8 +296,9 @@ def condition_report(support: ZeroSupport, labels) -> NecessaryConditionsReport:
 
 
 def check_wpoint(pattern: ZeroPattern) -> bool:
-    """Zero count at least r^2-r+1 and both factors boundary closed."""
-    return all(_PREDICATES[p](pattern.support) for p in ("enough-zeros", "closed-a", "closed-b"))
+    """Zero count at least r^2-r+1 and both factors boundary closed; vacuous at r = 1."""
+    names = ("enough-zeros", "closed-a", "closed-b")
+    return pattern.r < 2 or all(_PREDICATES[p](pattern.support) for p in names)
 
 
 def forces_product_zero(pattern: ZeroPattern) -> bool:
@@ -612,7 +613,7 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     tight = r * r - r + 1
     if PatternFilter.ZERO_RECTANGLES in fset and zeros != tight:
         raise ValueError(f"zero-rectangles applies only at exactly {tight} zeros, not {zeros}")
-    if wpoint and zeros < tight:
+    if wpoint and r >= 2 and zeros < tight:
         return []
 
     colbound = PatternFilter.COLUMN_BOUND in fset

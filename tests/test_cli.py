@@ -287,6 +287,27 @@ def test_realize_refuses_wpoint_failure(capsys, tmp_path):
     assert "pair conditions" in err
 
 
+def test_rank_one_patterns_pass_the_wpoint_conditions(capsys, tmp_path):
+    # No necessary condition applies at r = 1, where every pair is rigid.
+    code, out, _ = run(
+        capsys, "enumerate", "--shape", "2", "2", "--rank", "1", "--zeros", "0",
+        "--filters", "wpoint",
+    )
+    assert (code, out) == (0, "1\n")
+    pattern_path = tmp_path / "pattern.txt"
+    pattern_path.write_text("1 1 1\n.\n\n.\n")
+    out_path = tmp_path / "realized.txt"
+    code, out, err = run(
+        capsys, "realize", "--pattern", str(pattern_path), "--seed", "1",
+        "--out", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["certificate"]["classification"] == "infinitesimally-rigid"
+    pair = formats.load_factorization(out_path.read_text())
+    assert formats.verify_certificate_document(doc, pair)
+
+
 def test_realize_budget_exhausted(capsys, tmp_path):
     pattern = RIGID_5X5[0].pair().zero_pattern()
     path = tmp_path / "pattern.txt"
@@ -523,3 +544,20 @@ def test_oversized_rational_token_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (("check",), "1 " + "9" * 5001 + "\n1\n\n1 1\n1\n"),
+        (("realize", "--pattern"), "1 1 " + "9" * 5001 + "\n.\n\n.\n"),
+    ],
+    ids=["matrix", "pattern"],
+)
+def test_overlong_header_error_is_one_short_line(capsys, tmp_path, command, text):
+    # A 5,001-digit header field: the error quotes only the start of the line.
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 100

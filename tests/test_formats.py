@@ -7,7 +7,7 @@ from nmfrigid import formats
 from nmfrigid.cpr import SymmetricFactor, certify_cp
 from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import RIGID_5X5, lift_demo_pair, unique_7_zero_pattern_r3
-from nmfrigid.rigidity import certify
+from nmfrigid.rigidity import Classification, certify
 
 
 def test_parse_rational_values():
@@ -147,7 +147,7 @@ def test_certificate_verify_detects_tampering():
         cert, {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n}
     )
     doc["certificate"]["span_rank"] = 11
-    with pytest.raises(ValueError, match="span rank"):
+    with pytest.raises(ValueError, match="span_rank"):
         formats.verify_certificate_document(doc, pair)
 
     doc["certificate"]["span_rank"] = 12
@@ -186,7 +186,7 @@ def test_forged_interior_certificate_is_rejected():
         ("classification", "undetermined", "classification"),
         ("lineality_dim", 11, "lineality_dim"),
         ("dim_w", 5, "dim_w"),
-        ("inner_rank", 3, "r mismatch"),
+        ("inner_rank", 3, "inner_rank"),
         ("v_basis", [[["0"] * 4] * 4], "v_basis"),
         ("kruskal_rank", 11, "kruskal_rank"),
     ],
@@ -318,3 +318,39 @@ def test_verify_builds_the_generator_matrix_once(monkeypatch, document):
     builds = count_matrix_builds(monkeypatch)
     assert formats.verify_certificate_document(doc, subject)
     assert builds == [count]
+
+
+def _forged(value):
+    # A different value of the same JSON type: the first leaf changed.
+    if isinstance(value, list):
+        return [_forged(value[0]), *value[1:]]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    verdicts = [c.value for c in Classification]
+    if value in verdicts:
+        return verdicts[(verdicts.index(value) + 1) % len(verdicts)]
+    return formats.format_rational(formats.parse_rational(value) + 1)
+
+
+def test_verify_names_each_forged_certificate_key():
+    # Under a recorded budget every key but the witness, which is checked by
+    # arithmetic, must equal its recomputed value.
+    subject, doc = _lifted_document()
+    body = doc["certificate"]
+    keys = [key for key in body if key != "relint_witness"]
+    assert None not in [body[key] for key in keys]
+    for key in keys:
+        forged = _with_body(doc, **{key: _forged(body[key])})
+        assert type(forged["certificate"][key]) is type(body[key])
+        with pytest.raises(ValueError, match=f"^{key} mismatch: document "):
+            formats.verify_certificate_document(forged, subject)
+
+
+def test_verify_compares_v_basis_tokens_by_value():
+    subject, doc = _lifted_document()
+    first = doc["certificate"]["v_basis"][0]
+    assert first[0][0] == "0" and first[0][3] == "1"
+    first[0][0], first[0][3] = "0/5", "2/2"
+    assert formats.verify_certificate_document(doc, subject)

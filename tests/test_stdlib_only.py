@@ -1,7 +1,8 @@
 """The package runs on the standard library alone.
 
 Every import in `src/nmfrigid` is relative or names a standard library
-module, and the project declares no runtime dependency.
+module, the project declares no runtime dependency, and every module
+parses under the oldest Python that pyproject.toml admits.
 """
 
 import ast
@@ -33,3 +34,12 @@ def test_package_imports_only_the_standard_library():
 def test_project_declares_no_runtime_dependency():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_package_parses_at_the_declared_python_floor():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert floor
+    version = tuple(map(int, floor.groups()))
+    for path in sorted((ROOT / "src" / "nmfrigid").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
