@@ -13,9 +13,8 @@ anything else is definitively not rigid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactlin import RationalMatrix, Vector, matmul, rank
+from .exactlin import RationalMatrix, matmul, rank
 from .patterns import (
     NecessaryConditionsReport,
     ZeroSupport,
@@ -31,6 +30,7 @@ from .rigidity import (
     GeneratorSource,
     RigidityCertificate,
     _certify_generators,
+    _generator_columns,
     _require_nonnegative,
 )
 
@@ -66,29 +66,20 @@ def skew_coordinate_pairs(r: int) -> tuple[tuple[int, int], ...]:
 def build_skew_generators(factor: SymmetricFactor) -> DualConeGenerators:
     """One generator per zero of A, in row-major order over the entries.
 
-    The zero at (i, j) imposes d_j . a_i >= 0 on skew matrices D; in the
-    above-diagonal coordinates the functional has +a_{i,k} at pair (k, j)
-    with k < j and -a_{i,l} at pair (j, l) with l > j.  For r = 1 the
-    tangent space is zero dimensional and the generator list is empty.
+    The zero at (i, j) imposes d_j . a_i >= 0 on skew matrices D: its pair
+    generator g, read at each above-diagonal pair (k, l) as g[k, l] - g[l, k]
+    (+a_{i,k} at (k, j), -a_{i,l} at (j, l)).  For r = 1 the tangent space
+    is zero dimensional and the list is empty.
     """
     r = factor.r
     pairs = skew_coordinate_pairs(r)
-    index = {pair: pos for pos, pair in enumerate(pairs)}
-    vectors: list[Vector] = []
-    sources: list[GeneratorSource] = []
-    if r >= 2:
-        for i in range(factor.n):
-            row = factor.a.row(i)
-            for j in range(r):
-                if row[j] == 0:
-                    vec = [Fraction(0)] * len(pairs)
-                    for k in range(j):
-                        vec[index[(k, j)]] = row[k]
-                    for l in range(j + 1, r):
-                        vec[index[(j, l)]] = -row[l]
-                    vectors.append(tuple(vec))
-                    sources.append(GeneratorSource("A", i, j))
-    return DualConeGenerators(r, len(pairs), tuple(vectors), tuple(sources))
+    # g at the pairs, then at the flipped pairs; no Fraction arithmetic for x - 0.
+    coords = [*pairs, *[(l, k) for k, l in pairs]]
+    columns, sources = _generator_columns(factor.a.row_list() if r >= 2 else (), (), r, coords)
+    h = len(pairs)
+    vectors = tuple(tuple([x - y if y else x for x, y in zip(g[:h], g[h:])]) for g in columns)
+    sources = tuple(GeneratorSource(*s) for s in sources)
+    return DualConeGenerators(r, len(pairs), vectors, sources)
 
 
 def certify_cp(

@@ -22,6 +22,7 @@ from .cpr import SymmetricFactor, build_skew_generators
 from .exactlin import RationalMatrix
 from .patterns import ZeroPattern
 from .rigidity import (
+    DEFAULT_KRUSKAL_BUDGET,
     Classification,
     FactorizationPair,
     RigidityCertificate,
@@ -80,10 +81,16 @@ def _blocks(text: str, count: int, what: str) -> list[list[str]]:
     return blocks
 
 
+def _shown(value) -> str:
+    """repr(value), a line or a number read from one, for a loader error;
+    past 40 characters, the repr of its first 40 followed by "..."."""
+    text = str(value)
+    return repr(value) if len(text) <= 40 else f"{type(value)(text[:40])!r}..."
+
+
 def _header(line: str, kind: str, names: str) -> list[int]:
-    """The integers of a header line with one field per name in `names`;
-    errors quote at most 40 characters of the line."""
-    shown = repr(line) if len(line) <= 40 else f"{line[:40]!r}..."
+    """The integers of a header line with one field per name in `names`."""
+    shown = _shown(line)
     fields = line.split()
     if len(fields) != len(names.split()):
         raise ParseError(f"{kind} header must be '{names}', got {shown}")
@@ -96,12 +103,14 @@ def _header(line: str, kind: str, names: str) -> list[int]:
 def _matrix_from_block(lines: list[str]) -> RationalMatrix:
     rows, cols = _header(lines[0], "matrix", "rows cols")
     if len(lines) - 1 != rows:
-        raise ParseError(f"expected {rows} matrix rows, found {len(lines) - 1}")
+        raise ParseError(f"expected {_shown(rows)} matrix rows, found {len(lines) - 1}")
     data = []
     for line in lines[1:]:
         tokens = line.split()
         if len(tokens) != cols:
-            raise ParseError(f"expected {cols} entries per row, got {len(tokens)} in {line!r}")
+            raise ParseError(
+                f"expected {_shown(cols)} entries per row, got {len(tokens)} in {_shown(line)}"
+            )
         data.extend(parse_rational(tok) for tok in tokens)
     return RationalMatrix(rows, cols, tuple(data))
 
@@ -142,13 +151,16 @@ def load_pattern(text: str) -> ZeroPattern:
     m, n, r = _header(head[0], "pattern", "m n r")
     a_lines = head[1:]
     if len(a_lines) != m or len(b_lines) != r:
-        raise ParseError(f"expected {m} A-rows and {r} B-rows, got {len(a_lines)} and {len(b_lines)}")
+        counts = f"{len(a_lines)} and {len(b_lines)}"
+        raise ParseError(f"expected {_shown(m)} A-rows and {_shown(r)} B-rows, got {counts}")
 
     def decode(lines: list[str], width: int) -> tuple[tuple[bool, ...], ...]:
         rows = []
         for line in lines:
             if len(line) != width or any(ch not in ".0" for ch in line):
-                raise ParseError(f"pattern row must be {width} chars over '.0', got {line!r}")
+                raise ParseError(
+                    f"pattern row must be {_shown(width)} chars over '.0', got {_shown(line)}"
+                )
             rows.append(tuple(ch == "0" for ch in line))
         return tuple(rows)
 
@@ -253,16 +265,19 @@ def document_to_certificate(doc: dict) -> RigidityCertificate:
 
     Raises ValueError when the tree is not shaped like a certificate
     document: "kind" not "rigidity-certificate", no "certificate" object
-    with every field, an integer field that is not an int (a float or a
-    bool is refused), "symmetric" not a bool, "flags" neither an object nor
-    null, or a witness or V-basis that is not null or nested lists of
-    rational strings.
+    with exactly the known keys, an integer field that is not an int (a
+    float or a bool is refused), "symmetric" not a bool, "flags" neither an
+    object nor null, or a witness or V-basis that is not null or nested
+    lists of rational strings.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "rigidity-certificate":
         raise ValueError("not a certificate document: \"kind\" is not \"rigidity-certificate\"")
     body = doc.get("certificate")
     if not isinstance(body, dict) or not _BODY_KEYS <= body.keys():
         raise ValueError("not a certificate document: no complete \"certificate\" object")
+    unknown = sorted(body.keys() - _BODY_KEYS)
+    if unknown:
+        raise ValueError(f"unknown \"certificate\" key {_shown(unknown[0])}")
     for key, _ in _INT_FIELDS:
         if type(body[key]) is not int and not (key == "kruskal_rank" and body[key] is None):
             raise ValueError(f"{key} must be an integer, got {body[key]!r}")
@@ -300,9 +315,10 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     coefficients >= 1), and one must be recorded whenever the recomputation
     finds one.  Every other field, "input" included, must equal its
     recomputed value as `certificate_to_document` writes both (rationals
-    compare by value); the Kruskal rank only when the flags record the
-    `kruskal_budget` it was computed under.  Raises ValueError naming the
-    first differing key, returns True otherwise.
+    compare by value); the Kruskal rank under the flags' `kruskal_budget`,
+    or, when none is recorded, under `DEFAULT_KRUSKAL_BUDGET` unless it is
+    null.  Raises ValueError naming the first differing key, returns True
+    otherwise.
     """
     cert = document_to_certificate(doc)
     symmetric = isinstance(subject, SymmetricFactor)
@@ -310,6 +326,8 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     budget = (doc.get("flags") or {}).get("kruskal_budget")
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {budget!r}")
+    if budget is None and cert.kruskal_rank is not None:
+        budget = DEFAULT_KRUSKAL_BUDGET
     matrix = gens.matrix()
     recomputed = _certify_generators(gens, matrix, kruskal_budget=budget or 0, symmetric=symmetric)
     if cert.relint_witness is not None and not verify_witness(matrix, cert.relint_witness):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from . import patterns
@@ -138,6 +138,28 @@ class DualConeGenerators:
         return RationalMatrix.from_columns(self.vectors, self.ambient_dim)
 
 
+def _generator_columns(a_rows, b_cols, r: int, coords) -> tuple[list[list], list[tuple]]:
+    """The generator of each zero over the (k, l) motion coordinates
+    `coords`, with its source ("A" or "B", i, j): A-zeros row-major, then
+    B-zeros by row of B.  A zero at (i, j) of A has entry A[i, k] at (k, j),
+    one of B has -B[l, j] at (i, l); the other entries are the zero itself,
+    so the vectors hold the type of the input entries."""
+    columns, sources = [], []
+    for i, row in enumerate(a_rows):
+        for j in range(r):
+            if row[j] == 0:
+                zero = row[j]
+                columns.append([row[k] if l == j else zero for k, l in coords])
+                sources.append(("A", i, j))
+    for i in range(r):
+        for j, col in enumerate(b_cols):
+            if col[i] == 0:
+                zero = col[i]
+                columns.append([-col[l] if k == i else zero for k, l in coords])
+                sources.append(("B", i, j))
+    return columns, sources
+
+
 def build_dual_generators(pair: FactorizationPair) -> DualConeGenerators:
     """One generator per zero: A-zeros in row-major order, then B-zeros.
 
@@ -145,28 +167,10 @@ def build_dual_generators(pair: FactorizationPair) -> DualConeGenerators:
     zero at (i, j) of A means exactly that row i of A has a zero in slot j.
     """
     r = pair.r
-    vectors: list[Vector] = []
-    sources: list[GeneratorSource] = []
-    zero = Fraction(0)
-    for i in range(pair.m):
-        row = pair.a.row(i)
-        for j in range(r):
-            if row[j] == 0:
-                vec = [zero] * (r * r)
-                for k in range(r):
-                    vec[k * r + j] = row[k]
-                vectors.append(tuple(vec))
-                sources.append(GeneratorSource("A", i, j))
-    for i in range(r):
-        for j in range(pair.n):
-            if pair.b[i, j] == 0:
-                col = pair.b.column(j)
-                vec = [zero] * (r * r)
-                for l in range(r):
-                    vec[i * r + l] = -col[l]
-                vectors.append(tuple(vec))
-                sources.append(GeneratorSource("B", i, j))
-    return DualConeGenerators(r, r * r, tuple(vectors), tuple(sources))
+    coords = [(k, l) for k in range(r) for l in range(r)]
+    columns, sources = _generator_columns(pair.a.row_list(), pair.b.transpose().row_list(), r, coords)
+    sources = tuple(GeneratorSource(*s) for s in sources)
+    return DualConeGenerators(r, r * r, tuple(map(tuple, columns)), sources)
 
 
 @dataclass(frozen=True)
@@ -222,30 +226,20 @@ class RigidityCertificate:
 
 
 def _zero_diagonal_slice_basis(gens: DualConeGenerators) -> tuple[RationalMatrix, ...]:
-    # Basis of V = {D : <g, D> = 0 for all generators, diag D = 0}, read off
-    # the kernel of the generator rows stacked with r diagonal selectors.
+    # Basis of V = {D : <g, D> = 0 for all generators, diag D = 0}.  No
+    # generator touches the diagonal, so its columns are free: their kernel
+    # vectors are the diagonal units, dropped here; the others vanish on it.
     r = gens.r
-    rows = [list(v) for v in gens.vectors]
-    for d in range(r):
-        picker = [Fraction(0)] * (r * r)
-        picker[d * r + d] = Fraction(1)
-        rows.append(picker)
-    stacked = RationalMatrix.from_rows(rows) if rows else RationalMatrix.zeros(0, r * r)
-    basis = nullspace_basis(stacked)
-    return tuple(RationalMatrix(r, r, vec) for vec in basis)
+    rows = RationalMatrix(gens.count, r * r, tuple([x for vec in gens.vectors for x in vec]))
+    return tuple(RationalMatrix(r, r, v) for v in nullspace_basis(rows) if not any(v[:: r + 1]))
 
 
 def _squares_to_zero(basis: tuple[RationalMatrix, ...]) -> bool:
-    # D^2 = 0 for every element of span(basis) iff each basis element squares
-    # to zero and each pair anticommutes.
-    zero = None
-    for mat in basis:
-        zero = RationalMatrix.zeros(mat.rows, mat.cols)
-        if matmul(mat, mat) != zero:
-            return False
-    for x, y in combinations(basis, 2):
+    # D^2 = 0 for every element of span(basis) iff XY + YX = 0 for every
+    # pair of basis elements X, Y, with X = Y included.
+    for x, y in combinations_with_replacement(basis, 2):
         xy = matmul(x, y)
-        yx = matmul(y, x)
+        yx = xy if x is y else matmul(y, x)
         if any(p + q != 0 for p, q in zip(xy.data, yx.data)):
             return False
     return True
@@ -345,14 +339,9 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     """
     r = len(b_rows)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    columns = []
-    for row in a_rows:
-        if 0 in row:
-            row = integer_multiple(row)
-            columns += [[row[k] if l == j else 0 for k, l in coords] for j in range(r) if not row[j]]
-    cols_b = [integer_multiple(col) for col in zip(*b_rows)]
-    for i in range(r):
-        columns += [[-col[l] if k == i else 0 for k, l in coords] for col in cols_b if not col[i]]
+    a_rows = [integer_multiple(row) if 0 in row else row for row in a_rows]
+    b_cols = [integer_multiple(col) for col in zip(*b_rows)]
+    columns, _ = _generator_columns(a_rows, b_cols, r, coords)
     count = len(columns)
     echelon, pivots, scale = _echelon([list(row) for row in zip(*columns)], count)
     if len(pivots) != len(coords):

@@ -39,35 +39,11 @@ from nmfrigid.rigidity import (
     kruskal_rank_of_columns,
     necessary_conditions_report,
 )
+from test_rigidity import pair_from, rand_pair
 
 
 def report(line: str) -> None:
     print(f"[acceptance] {line}")
-
-
-def pair_from(a_rows, b_rows):
-    return FactorizationPair(
-        RationalMatrix.from_rows(a_rows), RationalMatrix.from_rows(b_rows)
-    )
-
-
-def rand_pair(rng, max_r=3, max_outer=4, zero_prob=0.35, hi=9):
-    while True:
-        r = rng.randint(2, max_r)
-        m = rng.randint(r, max_outer)
-        n = rng.randint(r, max_outer)
-        a = [
-            [0 if rng.random() < zero_prob else rng.randint(1, hi) for _ in range(r)]
-            for _ in range(m)
-        ]
-        b = [
-            [0 if rng.random() < zero_prob else rng.randint(1, hi) for _ in range(n)]
-            for _ in range(r)
-        ]
-        try:
-            return pair_from(a, b)
-        except ValueError:
-            continue
 
 
 def test_criterion_1_fixture_suite():

@@ -551,11 +551,17 @@ def test_oversized_rational_token_is_input_error(capsys, tmp_path):
     [
         (("check",), "1 " + "9" * 5001 + "\n1\n\n1 1\n1\n"),
         (("realize", "--pattern"), "1 1 " + "9" * 5001 + "\n.\n\n.\n"),
+        (("check",), "9" * 4000 + " 1\n1\n\n1 1\n1\n"),
+        (("check",), "1 2\n" + " ".join(["7" * 4000] * 3) + "\n\n2 1\n1\n1\n"),
+        (("realize", "--pattern"), "9" * 4000 + " 1 1\n.\n\n.\n"),
+        (("realize", "--pattern"), "1 1 1\n" + "." * 5000 + "\n\n.\n"),
     ],
-    ids=["matrix", "pattern"],
+    ids=["matrix", "pattern", "matrix-rows", "row-entries", "pattern-rows", "pattern-row"],
 )
 def test_overlong_header_error_is_one_short_line(capsys, tmp_path, command, text):
-    # A 5,001-digit header field: the error quotes only the start of the line.
+    # A 5,001-digit header field, a 4,000-digit row count (which parses), a
+    # row of 4,000-digit tokens or a 5,000-character pattern row: every
+    # loader error quotes only the start of a long field or line.
     path = tmp_path / "long.txt"
     path.write_text(text)
     code, out, err = run(capsys, *command, str(path))

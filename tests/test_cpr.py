@@ -15,7 +15,7 @@ from nmfrigid.cpr import (
 )
 from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import CIRCULANT_3X3_FACTOR
-from nmfrigid.rigidity import Classification, FactorizationPair
+from nmfrigid.rigidity import Classification, FactorizationPair, build_dual_generators
 
 
 def factor_from(rows):
@@ -83,6 +83,23 @@ def test_positive_factor_has_no_generators():
 def test_r1_has_empty_ambient():
     gens = build_skew_generators(factor_from([[1], [0], [2]]))
     assert gens.count == 0 and gens.ambient_dim == 0
+
+
+def test_skew_generators_fold_the_pair_generators_of_the_same_zeros():
+    # The zero at (i, j) of A gives the pair generator g of that zero (with
+    # any B); read on skew matrices it is g[k, l] - g[l, k] at pair (k, l).
+    rng = random.Random(23)
+    for _ in range(60):
+        factor = rand_factor(rng, max_r=4)
+        r = factor.r
+        pair_gens = build_dual_generators(FactorizationPair(factor.a, RationalMatrix.identity(r)))
+        folded = [
+            (source, tuple(g[k * r + l] - g[l * r + k] for k, l in skew_coordinate_pairs(r)))
+            for g, source in zip(pair_gens.vectors, pair_gens.sources)
+            if source.factor == "A"
+        ]
+        gens = build_skew_generators(factor)
+        assert list(zip(gens.sources, gens.vectors)) == folded
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -17,37 +17,8 @@ from nmfrigid.cone import lp_feasible
 from nmfrigid.exactlin import RationalMatrix, matmul, matvec
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
 from nmfrigid.patterns import ZeroPattern, canonical_form
-from nmfrigid.rigidity import (
-    Classification,
-    FactorizationPair,
-    build_dual_generators,
-    certify,
-)
-
-
-def pair_from(a_rows, b_rows):
-    return FactorizationPair(
-        RationalMatrix.from_rows(a_rows), RationalMatrix.from_rows(b_rows)
-    )
-
-
-def rand_pair(rng, max_r=3, max_outer=4, zero_prob=0.35, hi=9):
-    while True:
-        r = rng.randint(2, max_r)
-        m = rng.randint(r, max_outer)
-        n = rng.randint(r, max_outer)
-        a = [
-            [0 if rng.random() < zero_prob else rng.randint(1, hi) for _ in range(r)]
-            for _ in range(m)
-        ]
-        b = [
-            [0 if rng.random() < zero_prob else rng.randint(1, hi) for _ in range(n)]
-            for _ in range(r)
-        ]
-        try:
-            return pair_from(a, b)
-        except ValueError:
-            continue
+from nmfrigid.rigidity import Classification, build_dual_generators, certify
+from test_rigidity import pair_from, rand_pair
 
 
 def _free_variable_system(vectors, coords, pinned=None):

@@ -198,11 +198,23 @@ def test_verify_rederives_every_recorded_field(field, value, message):
         formats.verify_certificate_document(doc, pair)
 
 
-def test_verify_checks_kruskal_rank_only_under_a_recorded_budget():
+def test_verify_checks_kruskal_rank_under_the_recorded_or_default_budget():
+    # What `certify` writes by default: the rank under the default budget,
+    # with no flags recorded.  Without a recorded budget an integer rank is
+    # checked under the default one, and null is accepted.
+    pair = RIGID_5X5[0].pair()
+    shape = {"symmetric": False, "m": pair.m, "r": pair.r, "n": pair.n}
+    doc = formats.certificate_to_document(certify(pair), shape)
+    assert doc["flags"] == {} and doc["certificate"]["kruskal_rank"] == 12
+    assert formats.verify_certificate_document(doc, pair)
+    for forged in (3, -1, 99):
+        doc["certificate"]["kruskal_rank"] = forged
+        with pytest.raises(ValueError, match="kruskal_rank"):
+            formats.verify_certificate_document(doc, pair)
     pair, doc = _rigid_document(budget=None)
     assert doc["certificate"]["kruskal_rank"] is None
-    doc["certificate"]["kruskal_rank"] = 3
     assert formats.verify_certificate_document(doc, pair)
+    doc["certificate"]["kruskal_rank"] = 3
     doc["flags"]["kruskal_budget"] = 13
     with pytest.raises(ValueError, match="kruskal_rank"):
         formats.verify_certificate_document(doc, pair)
@@ -215,6 +227,14 @@ def test_verify_checks_kruskal_rank_only_under_a_recorded_budget():
         doc["flags"]["kruskal_budget"] = bad
         with pytest.raises(ValueError, match="kruskal_budget"):
             formats.verify_certificate_document(doc, pair)
+
+
+def test_verify_refuses_an_unknown_certificate_key():
+    pair, doc = _rigid_document()
+    assert formats.verify_certificate_document(doc, pair)
+    doc["certificate"]["farkas"] = [1]
+    with pytest.raises(ValueError, match="unknown \"certificate\" key 'farkas'"):
+        formats.verify_certificate_document(doc, pair)
 
 
 def test_verify_rejects_forged_symmetric_verdict():

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from nmfrigid.cpr import SymmetricFactor, build_skew_generators
 from nmfrigid.exactlin import RationalMatrix, integer_multiple, matmul, nullspace_basis, rank
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
 from nmfrigid.rigidity import (
     Classification,
     FactorizationPair,
+    _zero_diagonal_slice_basis,
     build_dual_generators,
     certify,
     is_infinitesimally_rigid,
@@ -81,6 +83,16 @@ def test_generators_have_zero_diagonal():
         r = pair.r
         for v in gens.vectors:
             assert all(v[d * r + d] == 0 for d in range(r))
+
+
+def test_builder_vectors_hold_only_fractions():
+    # Int rows become Fractions in the matrices, and every generator entry,
+    # the zero ones included, is read from them.
+    rng = random.Random(5)
+    for _ in range(40):
+        pair = rand_pair(rng, max_r=4)
+        for gens in (build_dual_generators(pair), build_skew_generators(SymmetricFactor(pair.a))):
+            assert all(type(x) is Fraction for vec in gens.vectors for x in vec)
 
 
 def test_negative_entry_rejected_with_location():
@@ -169,6 +181,26 @@ def test_duality_identity_lineality_plus_dim_w():
         assert lin + dim_w(pair) == pair.r * pair.r
         cert = certify(pair, kruskal_budget=0)
         assert cert.lineality_dim == lin
+
+
+def stacked_picker_slice_basis(gens):
+    # Reference: the kernel of the generator rows stacked with r diagonal
+    # selector rows.
+    r = gens.r
+    rows = [list(v) for v in gens.vectors]
+    for d in range(r):
+        picker = [Fraction(0)] * (r * r)
+        picker[d * r + d] = Fraction(1)
+        rows.append(picker)
+    return tuple(RationalMatrix(r, r, vec) for vec in nullspace_basis(RationalMatrix.from_rows(rows)))
+
+
+def test_zero_diagonal_slice_basis_matches_the_stacked_picker_reference():
+    rng = random.Random(17)
+    pairs = [lift_demo_lifted_pair()] + [rand_pair(rng, max_r=4) for _ in range(80)]
+    for pair in pairs:
+        gens = build_dual_generators(pair)
+        assert _zero_diagonal_slice_basis(gens) == stacked_picker_slice_basis(gens)
 
 
 # ---------------------------------------------------------------------------
