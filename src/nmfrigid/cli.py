@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__, formats
 from .cpr import certify_cp
+from .exactlin import _shown
 from .fixtures import RIGID_5X5, BenchmarkFactorization
 from .patterns import PatternFilter, check_wpoint, enumerate_patterns, table1_filters
 from .realize import LiftInfeasibleError, RealizationSearchConfig, lift_partially_rigid, realize_pattern
@@ -102,7 +103,7 @@ def _parse_filters(spec: str, m: int, n: int) -> frozenset[PatternFilter]:
                 out.add(PatternFilter(name))
             except ValueError:
                 raise ValueError(
-                    f"unknown filter {name!r}; use table1, theorem or "
+                    f"unknown filter {_shown(name)}; use table1, theorem or "
                     + ", ".join(f.value for f in PatternFilter)
                 )
     return frozenset(out)
@@ -206,13 +207,18 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def _budget(text: str) -> int:
+def _int(text: str) -> int:
+    # argparse's own message for type=int, with the value quoted by _shown.
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
+
+
+def _budget(text: str) -> int:
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {_shown(value)}")
     return value
 
 
@@ -238,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     cp_check.set_defaults(func=cmd_check, symmetric=True)
 
     enum = sub.add_parser("enumerate", help="enumerate canonical zero patterns")
-    enum.add_argument("--shape", nargs=2, type=int, required=True, metavar=("M", "N"))
-    enum.add_argument("--rank", type=int, required=True)
-    enum.add_argument("--zeros", type=int, required=True)
+    enum.add_argument("--shape", nargs=2, type=_int, required=True, metavar=("M", "N"))
+    enum.add_argument("--rank", type=_int, required=True)
+    enum.add_argument("--zeros", type=_int, required=True)
     enum.add_argument(
         "--filters",
         default="table1",
@@ -251,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     real = sub.add_parser("realize", help="search for a rigid realization of a pattern")
     real.add_argument("--pattern", required=True)
-    real.add_argument("--seed", type=int, default=1)
-    real.add_argument("--range", nargs=2, type=int, default=(1, 1000), metavar=("LO", "HI"))
-    real.add_argument("--max-samples", type=int, default=10000)
+    real.add_argument("--seed", type=_int, default=1)
+    real.add_argument("--range", nargs=2, type=_int, default=(1, 1000), metavar=("LO", "HI"))
+    real.add_argument("--max-samples", type=_int, default=10000)
     real.add_argument("--kruskal-budget", type=_budget, default=DEFAULT_KRUSKAL_BUDGET)
     real.add_argument("--out", help="write the factorization here instead of stdout")
     real.set_defaults(func=cmd_realize)

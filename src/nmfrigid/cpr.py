@@ -15,15 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import RationalMatrix, matmul, rank
-from .patterns import (
-    NecessaryConditionsReport,
-    ZeroSupport,
-    _decode_rows,
-    _require_attainable_rank,
-    _side_classes,
-    _side_key,
-    condition_report,
-)
+from .patterns import NecessaryConditionsReport, ZeroSupport, condition_report
 from .rigidity import (
     DEFAULT_KRUSKAL_BUDGET,
     DualConeGenerators,
@@ -79,7 +71,7 @@ def build_skew_generators(factor: SymmetricFactor) -> DualConeGenerators:
     h = len(pairs)
     vectors = tuple(tuple([x - y if y else x for x, y in zip(g[:h], g[h:])]) for g in columns)
     sources = tuple(GeneratorSource(*s) for s in sources)
-    return DualConeGenerators(r, len(pairs), vectors, sources)
+    return DualConeGenerators(r, len(pairs), vectors, sources, symmetric=True)
 
 
 def certify_cp(
@@ -93,8 +85,7 @@ def certify_cp(
     not rigid.  For r <= 1 the tangent space is trivial and the factor is
     rigid vacuously.
     """
-    gens = build_skew_generators(factor)
-    return _certify_generators(gens, gens.matrix(), kruskal_budget=kruskal_budget, symmetric=True)
+    return _certify_generators(build_skew_generators(factor), kruskal_budget)
 
 
 # The conditions of `rigidity._CONDITIONS`, labelled for a symmetric factor.
@@ -126,37 +117,3 @@ def cp_necessary_conditions(factor: SymmetricFactor) -> NecessaryConditionsRepor
     """
     zeros = [[x == 0 for x in row] for row in factor.a.row_list()]
     return condition_report(ZeroSupport.of(factor.r, zeros), _CP_CONDITIONS)
-
-
-def canonical_symmetric_pattern(zeros_a: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
-    """Canonical form of a factor zero pattern under row and column permutations.
-
-    No transpose and no second factor here: a symmetric factor is one side
-    of a pair pattern, so this is the side key of `patterns` (rows sorted,
-    row-major reading minimized over all column permutations), decoded.
-    """
-    n = len(zeros_a)
-    r = len(zeros_a[0]) if n else 0
-    return _decode_rows(_side_key(ZeroSupport.of(r, zeros_a).cols_a, n, r)[0], r)
-
-
-def enumerate_symmetric_patterns(
-    n: int, r: int, zeros: int, require_pairs: bool = True, column_bound: bool = False
-) -> list[tuple[tuple[bool, ...], ...]]:
-    """Canonical factor zero patterns with the given zero count.
-
-    `require_pairs` imposes the one-sided boundary-closed condition (some
-    row zero at i and nonzero at j for every ordered pair), which is the
-    symmetric counterpart of the rigidity count filter; `column_bound`
-    imposes at most r-1 zeros per column.  The columns of A are generated
-    and reduced to orbit representatives by the side generator of
-    `patterns`, which also rejects an all-zero row of A (it drops no rank
-    but is never realizable).  No published counts exist for this case, so
-    the enumeration is provided as a generic tool only.
-    """
-    if n < 1 or r < 1 or zeros < 0:
-        raise ValueError("dimensions must be positive and zeros nonnegative")
-    _require_attainable_rank(n, n, r)
-    cap = min(n, r - 1 if column_bound else n)
-    sides = _side_classes(n, r, cap, require_pairs, False, zeros, zeros)
-    return sorted(_decode_rows(key, r) for _, key, _ in sides.get(zeros, ()))

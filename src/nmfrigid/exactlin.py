@@ -33,6 +33,14 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {value!r} of type {type(value).__name__}")
 
 
+def _shown(value) -> str:
+    """A line, token or number of the input as an error quotes it: a string
+    by its repr, a number as written; past 40 characters, the first 40 and "..."."""
+    text = str(value)
+    quoted = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return quoted if len(text) <= 40 else f"{quoted}..."
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """Dense row-major matrix of exact rationals."""
@@ -101,13 +109,6 @@ class RationalMatrix:
 
     def is_strictly_positive(self) -> bool:
         return all(x > 0 for x in self.data)
-
-    def __str__(self) -> str:
-        rendered = [[str(x) for x in self.row(i)] for i in range(self.rows)]
-        widths = [max(len(rendered[i][j]) for i in range(self.rows)) if self.rows else 0 for j in range(self.cols)]
-        return "\n".join(
-            " ".join(cell.rjust(widths[j]) for j, cell in enumerate(row)) for row in rendered
-        )
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .cone import verify_witness
 from .cpr import SymmetricFactor, build_skew_generators
-from .exactlin import RationalMatrix
+from .exactlin import RationalMatrix, _shown
 from .patterns import ZeroPattern
 from .rigidity import (
     DEFAULT_KRUSKAL_BUDGET,
@@ -79,13 +79,6 @@ def _blocks(text: str, count: int, what: str) -> list[list[str]]:
     if len(blocks) != count:
         raise ParseError(f"{what}, found {len(blocks)}")
     return blocks
-
-
-def _shown(value) -> str:
-    """repr(value), a line or a number read from one, for a loader error;
-    past 40 characters, the repr of its first 40 followed by "..."."""
-    text = str(value)
-    return repr(value) if len(text) <= 40 else f"{type(value)(text[:40])!r}..."
 
 
 def _header(line: str, kind: str, names: str) -> list[int]:
@@ -321,16 +314,15 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     otherwise.
     """
     cert = document_to_certificate(doc)
-    symmetric = isinstance(subject, SymmetricFactor)
-    gens = build_skew_generators(subject) if symmetric else build_dual_generators(subject)
+    build = build_skew_generators if isinstance(subject, SymmetricFactor) else build_dual_generators
+    gens = build(subject)
     budget = (doc.get("flags") or {}).get("kruskal_budget")
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {budget!r}")
     if budget is None and cert.kruskal_rank is not None:
         budget = DEFAULT_KRUSKAL_BUDGET
-    matrix = gens.matrix()
-    recomputed = _certify_generators(gens, matrix, kruskal_budget=budget or 0, symmetric=symmetric)
-    if cert.relint_witness is not None and not verify_witness(matrix, cert.relint_witness):
+    recomputed = _certify_generators(gens, budget or 0)
+    if cert.relint_witness is not None and not verify_witness(gens.matrix(), cert.relint_witness):
         raise ValueError(
             "witness does not combine the generators exactly to zero with coefficients >= 1"
         )

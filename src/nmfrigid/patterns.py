@@ -28,6 +28,8 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
+from .exactlin import _shown
+
 BoolMatrix = tuple[tuple[bool, ...], ...]
 
 
@@ -90,7 +92,7 @@ def _require_attainable_rank(m: int, n: int, r: int) -> None:
     # A full-rank m x r factor needs r <= m and an r x n one needs r <= n.
     if r > min(m, n):
         raise ValueError(
-            f"inner rank {r} exceeds min(m, n) = {min(m, n)}: "
+            f"inner rank {_shown(r)} exceeds min(m, n) = {_shown(min(m, n))}: "
             "no full-rank factorization has that inner size"
         )
 
@@ -612,7 +614,9 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     _require_attainable_rank(m, n, r)
     tight = r * r - r + 1
     if PatternFilter.ZERO_RECTANGLES in fset and zeros != tight:
-        raise ValueError(f"zero-rectangles applies only at exactly {tight} zeros, not {zeros}")
+        raise ValueError(
+            f"zero-rectangles applies only at exactly {_shown(tight)} zeros, not {_shown(zeros)}"
+        )
     if wpoint and r >= 2 and zeros < tight:
         return []
 
@@ -650,6 +654,40 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     if PatternFilter.ZERO_RECTANGLES in fset:
         reps = [p for p in reps if check_zero_rectangles(p) is None]
     return reps
+
+
+def canonical_symmetric_pattern(zeros_a: BoolMatrix) -> BoolMatrix:
+    """Canonical form of a factor zero pattern under row and column permutations.
+
+    No transpose and no second factor here: a symmetric factor is one side
+    of a pair pattern, so this is its side key (rows sorted, row-major
+    reading minimized over all column permutations), decoded.
+    """
+    n = len(zeros_a)
+    r = len(zeros_a[0]) if n else 0
+    return _decode_rows(_side_key(ZeroSupport.of(r, zeros_a).cols_a, n, r)[0], r)
+
+
+def enumerate_symmetric_patterns(
+    n: int, r: int, zeros: int, require_pairs: bool = True, column_bound: bool = False
+) -> list[BoolMatrix]:
+    """Canonical factor zero patterns with the given zero count.
+
+    `require_pairs` imposes the one-sided boundary-closed condition (some
+    row zero at i and nonzero at j for every ordered pair), which is the
+    symmetric counterpart of the rigidity count filter; `column_bound`
+    imposes at most r-1 zeros per column.  The columns of A are generated
+    and reduced to orbit representatives by the side generator of the pair
+    enumeration, which also rejects an all-zero row of A (it drops no rank
+    but is never realizable).  No published counts exist for this case, so
+    the enumeration is provided as a generic tool only.
+    """
+    if n < 1 or r < 1 or zeros < 0:
+        raise ValueError("dimensions must be positive and zeros nonnegative")
+    _require_attainable_rank(n, n, r)
+    cap = min(n, r - 1 if column_bound else n)
+    sides = _side_classes(n, r, cap, require_pairs, False, zeros, zeros)
+    return sorted(_decode_rows(key, r) for _, key, _ in sides.get(zeros, ()))
 
 
 def table1_filters(m: int, n: int) -> frozenset[PatternFilter]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -36,6 +37,7 @@ from .exactlin import (
     RationalMatrix,
     Vector,
     _echelon,
+    _shown,
     integer_multiple,
     kernel_vector,
     matmul,
@@ -59,7 +61,7 @@ def _require_nonnegative(name: str, mat: RationalMatrix) -> None:
     for i in range(mat.rows):
         for j in range(mat.cols):
             if mat[i, j] < 0:
-                raise ValueError(f"{name}[{i},{j}] = {mat[i, j]} is negative")
+                raise ValueError(f"{name}[{i},{j}] = {_shown(mat[i, j])} is negative")
 
 
 @dataclass(frozen=True)
@@ -121,21 +123,26 @@ class DualConeGenerators:
     """Vectorized generators, one per zero, with their origins.
 
     The ambient dimension is r^2 for factorization pairs and r(r-1)/2 for
-    symmetric factors in skew coordinates.
+    symmetric factors in skew coordinates; `symmetric` tells the two apart.
     """
 
     r: int
     ambient_dim: int
     vectors: tuple[Vector, ...]
     sources: tuple[GeneratorSource, ...]
+    symmetric: bool = False
 
     @property
     def count(self) -> int:
         return len(self.vectors)
 
-    def matrix(self) -> RationalMatrix:
-        """ambient_dim x count matrix whose columns are the generators."""
+    @cached_property
+    def _matrix(self) -> RationalMatrix:
         return RationalMatrix.from_columns(self.vectors, self.ambient_dim)
+
+    def matrix(self) -> RationalMatrix:
+        """ambient_dim x count matrix of the generators, built once."""
+        return self._matrix
 
 
 def _generator_columns(a_rows, b_cols, r: int, coords) -> tuple[list[list], list[tuple]]:
@@ -214,14 +221,7 @@ class RigidityCertificate:
 
     def v_support(self) -> tuple[tuple[int, int], ...]:
         """Entries (row, col), 0-based, touched by any V-basis element."""
-        if not self.v_basis:
-            return ()
-        support = set()
-        for mat in self.v_basis:
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    if mat[i, j] != 0:
-                        support.add((i, j))
+        support = {divmod(k, v.cols) for v in self.v_basis or () for k, x in enumerate(v.data) if x}
         return tuple(sorted(support))
 
 
@@ -265,16 +265,12 @@ def certify(
     The Kruskal rank of the generator matrix is attached when the subset
     budget allows (pass 0 to skip it).
     """
-    gens = build_dual_generators(pair)
-    return _certify_generators(gens, gens.matrix(), kruskal_budget=kruskal_budget, symmetric=False)
+    return _certify_generators(build_dual_generators(pair), kruskal_budget)
 
 
-def _certify_generators(
-    gens: DualConeGenerators, matrix: RationalMatrix, kruskal_budget: int, symmetric: bool
-) -> RigidityCertificate:
-    # `matrix` is gens.matrix(), built by the caller so that a verifier can
-    # check a recorded witness against the same matrix.
+def _certify_generators(gens: DualConeGenerators, kruskal_budget: int) -> RigidityCertificate:
     r, ambient_dim = gens.r, gens.ambient_dim
+    matrix = gens.matrix()
     kernel = nullspace_basis(matrix)
     span_rank = gens.count - len(kernel)
     witness, lin_dim = _relint_stage(matrix, kernel)
@@ -282,16 +278,16 @@ def _certify_generators(
         lin_dim = lineality_dimension(matrix)
     dim_w = ambient_dim - lin_dim
 
+    # The nontrivial motions: the zero-diagonal matrices for a pair, whose
+    # diagonal motions are trivial, and every skew matrix for a factor.
+    motion_dim = ambient_dim if gens.symmetric else ambient_dim - r
     v_basis = None
-    if symmetric:
-        if lin_dim == span_rank == ambient_dim and witness is not None:
-            classification = Classification.INFINITESIMALLY_RIGID
-        else:
-            # Without trivial deformations, any nonzero W element is a
-            # genuine infinitesimal motion.
-            classification = Classification.NOT_RIGID
-    elif lin_dim == span_rank == ambient_dim - r and witness is not None:
+    if lin_dim == span_rank == motion_dim and witness is not None:
         classification = Classification.INFINITESIMALLY_RIGID
+    elif gens.symmetric:
+        # Without trivial deformations, any nonzero W element is a genuine
+        # infinitesimal motion.
+        classification = Classification.NOT_RIGID
     elif dim_w == ambient_dim:
         classification = Classification.INTERIOR_CERTIFIED
     elif witness is not None and r < dim_w < ambient_dim:
@@ -316,7 +312,7 @@ def _certify_generators(
         classification=classification,
         v_basis=v_basis,
         kruskal_rank=kruskal,
-        symmetric=symmetric,
+        symmetric=gens.symmetric,
     )
 
 

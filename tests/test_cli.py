@@ -567,3 +567,82 @@ def test_overlong_header_error_is_one_short_line(capsys, tmp_path, command, text
     code, out, err = run(capsys, *command, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 100
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (("check",), "1 2\n1 -" + "9" * 4000 + "\n\n2 1\n1\n1\n"),
+        (("check",), "1 2\n1 -" + "9" * 2000 + "/1" + "0" * 1999 + "\n\n2 1\n1\n1\n"),
+        (("cp-check",), "2 1\n-" + "9" * 4000 + "\n1\n"),
+    ],
+    ids=["pair-integer", "pair-fraction", "factor"],
+)
+def test_long_negative_entry_error_is_one_short_line(capsys, tmp_path, command, text):
+    # The entry parses (4,000 digits is under the interpreter's limit) and
+    # the factor check refuses it, quoting only its first 40 characters.
+    path = tmp_path / "negative.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert_one_input_error(code, out, err)
+    assert len(err) < 100 and err.endswith("... is negative\n")
+
+
+_INT_OPTIONS = [
+    ("check", "--kruskal-budget"),
+    ("realize", "--seed"),
+    ("realize", "--range"),
+    ("realize", "--max-samples"),
+    ("enumerate", "--shape"),
+    ("enumerate", "--rank"),
+    ("enumerate", "--zeros"),
+]
+
+
+def _parse_error(capsys, command, option, value):
+    # The last stderr line of an argparse refusal of `value` for `option`.
+    others = {
+        "check": ["path"],
+        "realize": ["--pattern", "p"],
+        "enumerate": ["--shape", "3", "3", "--rank", "2", "--zeros", "3"],
+    }[command]
+    nargs = 2 if option in ("--range", "--shape") else 1
+    with pytest.raises(SystemExit) as exc:
+        main([command, *others, option, value, *["1"] * (nargs - 1)])
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, option", _INT_OPTIONS)
+def test_integer_options_keep_argparse_messages_for_short_values(capsys, command, option):
+    line = _parse_error(capsys, command, option, "x")
+    assert line == f"nmfr {command}: error: argument {option}: invalid int value: 'x'"
+
+
+@pytest.mark.parametrize("command, option", _INT_OPTIONS)
+def test_integer_options_quote_long_values_briefly(capsys, command, option):
+    # 5,000 digits: past the interpreter's limit, so int() refuses them.
+    line = _parse_error(capsys, command, option, "9" * 5000)
+    assert line.startswith(f"nmfr {command}: error: argument {option}: invalid int value: '9999")
+    assert line.endswith("'...") and len(line) < 120
+
+
+def test_negative_long_kruskal_budget_is_quoted_briefly(capsys):
+    line = _parse_error(capsys, "check", "--kruskal-budget", "-" + "9" * 4000)
+    assert line.startswith("nmfr check: error: argument --kruskal-budget: must be nonnegative, got -99")
+    assert line.endswith("...") and len(line) < 120
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--shape", "2", "2", "--rank", "9" * 4000, "--zeros", "0"),
+        ("--shape", "3", "3", "--rank", "2", "--zeros", "9" * 4000, "--filters", "zero-rectangles"),
+        ("--shape", "3", "3", "--rank", "2", "--zeros", "3", "--filters", "f" * 5000),
+    ],
+    ids=["rank", "zeros", "filter"],
+)
+def test_enumerate_refusal_quotes_long_values_briefly(capsys, args):
+    code, out, err = run(capsys, "enumerate", *args)
+    assert_one_input_error(code, out, err)
+    assert "..." in err and len(err) < 200

@@ -7,14 +7,13 @@ import pytest
 from nmfrigid.cpr import (
     SymmetricFactor,
     build_skew_generators,
-    canonical_symmetric_pattern,
     certify_cp,
     cp_necessary_conditions,
-    enumerate_symmetric_patterns,
     skew_coordinate_pairs,
 )
 from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import CIRCULANT_3X3_FACTOR
+from nmfrigid.patterns import canonical_symmetric_pattern, enumerate_symmetric_patterns
 from nmfrigid.rigidity import Classification, FactorizationPair, build_dual_generators
 
 
@@ -423,3 +422,41 @@ def test_cp_zero_rectangles_detail_names_first_block():
     (cond,) = [c for c in report.conditions if c.name == "zero-rectangles"]
     assert (cond.applicable, cond.passed) == (True, False)
     assert cond.detail == "2 rows zero on columns (0, 1)"
+
+
+# ---------------------------------------------------------------------------
+# The generators carry their kind; the core decides both kinds by one rule
+# ---------------------------------------------------------------------------
+
+def test_builders_record_the_kind_and_build_one_matrix():
+    from nmfrigid.fixtures import RIGID_5X5
+
+    pair = RIGID_5X5[0].pair()
+    pair_gens = build_dual_generators(pair)
+    skew_gens = build_skew_generators(SymmetricFactor(pair.a))
+    assert (pair_gens.symmetric, skew_gens.symmetric) == (False, True)
+    for gens in (pair_gens, skew_gens):
+        matrix = gens.matrix()
+        assert matrix is gens.matrix()
+        assert (matrix.rows, matrix.cols) == (gens.ambient_dim, gens.count)
+        assert [matrix.column(j) for j in range(gens.count)] == list(gens.vectors)
+
+
+def test_certify_cp_reports_only_the_two_symmetric_classes():
+    # Without trivial motions a factor is rigid or not rigid: the pair-only
+    # classes (interior, partial, undetermined) never appear, and the
+    # certificate is marked symmetric.
+    from nmfrigid.fixtures import RIGID_5X5
+
+    factors = [SymmetricFactor(a) for fx in RIGID_5X5 for a in (fx.pair().a, fx.pair().b.transpose())]
+    rng = random.Random(19)
+    factors += [rand_factor(rng, max_r=4, max_n=6, zero_prob=rng.choice([0.2, 0.4])) for _ in range(150)]
+    seen = set()
+    for factor in factors:
+        cert = certify_cp(factor, kruskal_budget=0)
+        assert cert.symmetric
+        rigid = cert.lineality_dim == cert.span_rank == cert.ambient_dim and cert.relint_witness is not None
+        expected = Classification.INFINITESIMALLY_RIGID if rigid else Classification.NOT_RIGID
+        assert cert.classification is expected
+        seen.add(expected)
+    assert seen == {Classification.INFINITESIMALLY_RIGID, Classification.NOT_RIGID}

@@ -314,3 +314,15 @@ def test_kernel_vectors_are_integer_and_scaled_by_the_last_pivot():
             ints = kernel_vector(echelon, pivots, scale, j, m.cols)
             assert all(type(x) is int for x in ints)
             assert ints == [x * scale for x in vec]
+
+
+def test_shown_quotes_at_most_40_characters():
+    from nmfrigid.exactlin import _shown
+
+    assert _shown("x" * 40) == repr("x" * 40)
+    assert _shown("x" * 41) == repr("x" * 40) + "..."
+    assert _shown("it's") == repr("it's")
+    assert _shown(-1) == "-1" and _shown(Fraction(-1, 2)) == "-1/2"
+    assert _shown(10**39) == "1" + "0" * 39
+    assert _shown(10**40) == "1" + "0" * 39 + "..."
+    assert _shown(-Fraction(10**30, 10**30 + 1)) == str(-Fraction(10**30, 10**30 + 1))[:40] + "..."
