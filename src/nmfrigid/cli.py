@@ -18,7 +18,7 @@ from . import __version__, formats
 from .cpr import certify_cp
 from .exactlin import _shown
 from .fixtures import RIGID_5X5, BenchmarkFactorization
-from .patterns import PatternFilter, check_wpoint, enumerate_patterns, table1_filters
+from .patterns import THEOREM_FILTERS, PatternFilter, check_wpoint, enumerate_patterns, table1_filters
 from .realize import LiftInfeasibleError, RealizationSearchConfig, lift_partially_rigid, realize_pattern
 from .rigidity import DEFAULT_KRUSKAL_BUDGET, Classification, certify
 
@@ -88,16 +88,11 @@ def cmd_check(args) -> int:
 
 def _parse_filters(spec: str, m: int, n: int) -> frozenset[PatternFilter]:
     names = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    presets = {"table1": table1_filters(m, n), "theorem": THEOREM_FILTERS}
     out: set[PatternFilter] = set()
     for name in names:
-        if name == "table1":
-            out |= table1_filters(m, n)
-        elif name == "theorem":
-            out |= {
-                PatternFilter.WPOINT,
-                PatternFilter.ROW_COVERAGE_A,
-                PatternFilter.POSITIVE_PRODUCT,
-            }
+        if name in presets:
+            out |= presets[name]
         else:
             try:
                 out.add(PatternFilter(name))

@@ -69,8 +69,6 @@ def lp_feasible(
 
     # Shift to y = x - lower_bounds >= 0.
     shifted_rhs = [b - vec_dot(equalities.row(i), lower_bounds) for i, b in enumerate(rhs)]
-    if n_cols == 0:
-        return () if all(b == 0 for b in shifted_rhs) else None
 
     # Rows with negative right-hand side are negated so artificials start
     # feasible at value |shifted_rhs|; the artificial block is the identity,
@@ -134,8 +132,6 @@ def zero_in_relative_interior(generators: RationalMatrix) -> Vector | None:
     closed, LP-expressible condition "all coefficients >= 1".  No columns
     describe the cone {0}, a linear space, and get the empty witness ().
     """
-    if not generators.cols:
-        return ()
     return lp_feasible(
         generators, zero_vector(generators.rows), (Fraction(1),) * generators.cols
     )

@@ -30,7 +30,7 @@ def _coerce(value) -> Fraction:
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)
-    raise TypeError(f"cannot build an exact rational from {value!r} of type {type(value).__name__}")
+    raise TypeError(f"cannot build an exact rational from {_shown(value)} of type {type(value).__name__}")
 
 
 def _shown(value) -> str:

@@ -42,7 +42,7 @@ def parse_rational(token: str) -> Fraction:
     """Parse 'p' or 'p/q' with a positive integer denominator."""
     match = _RATIONAL_RE.match(token)
     if not match:
-        raise ParseError(f"not a rational token: {token!r}")
+        raise ParseError(f"not a rational token: {_shown(token)}")
     # Built from the matched integers: Fraction(token) would parse the
     # token a second time.
     num, den = match.groups()
@@ -51,7 +51,7 @@ def parse_rational(token: str) -> Fraction:
             return Fraction(int(num))
         return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in {token!r}") from exc
+        raise ParseError(f"zero denominator in {_shown(token)}") from exc
     except ValueError as exc:  # the interpreter's integer string length limit
         raise ParseError(
             f"rational token {token[:20]}... exceeds the limit of "
@@ -273,9 +273,11 @@ def document_to_certificate(doc: dict) -> RigidityCertificate:
         raise ValueError(f"unknown \"certificate\" key {_shown(unknown[0])}")
     for key, _ in _INT_FIELDS:
         if type(body[key]) is not int and not (key == "kruskal_rank" and body[key] is None):
-            raise ValueError(f"{key} must be an integer, got {body[key]!r}")
+            raise ValueError(f"{key} must be an integer, got {_shown(body[key])}")
     if type(body["symmetric"]) is not bool:
-        raise ValueError(f"symmetric must be true or false, got {body['symmetric']!r}")
+        raise ValueError(f"symmetric must be true or false, got {_shown(body['symmetric'])}")
+    if body["classification"] not in [c.value for c in Classification]:
+        raise ValueError(f"{_shown(body['classification'])} is not a valid Classification")
     if not isinstance(doc.get("flags") or {}, dict):
         raise ValueError("\"flags\" must be an object or null")
     for name, depth in (("relint_witness", 1), ("v_basis", 3)):
@@ -318,7 +320,7 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     gens = build(subject)
     budget = (doc.get("flags") or {}).get("kruskal_budget")
     if budget is not None and (type(budget) is not int or budget < 0):
-        raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {budget!r}")
+        raise ValueError(f"kruskal_budget flag must be a nonnegative integer, got {_shown(budget)}")
     if budget is None and cert.kruskal_rank is not None:
         budget = DEFAULT_KRUSKAL_BUDGET
     recomputed = _certify_generators(gens, budget or 0)
@@ -336,7 +338,7 @@ def verify_certificate_document(doc: dict, subject) -> bool:
     skip = {"relint_witness"} if budget is not None else {"relint_witness", "kruskal_rank"}
     for key, value in derived.items():
         if key not in skip and not _same_tree(recorded[key], value):
-            raise ValueError(f"{key} mismatch: document {recorded[key]!r}, recomputed {value!r}")
+            raise ValueError(f"{key} mismatch: document {_shown(recorded[key])}, recomputed {_shown(value)}")
     return True
 
 

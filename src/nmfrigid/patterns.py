@@ -690,6 +690,11 @@ def enumerate_symmetric_patterns(
     return sorted(_decode_rows(key, r) for _, key, _ in sides.get(zeros, ()))
 
 
+# The `theorem` preset: the conditions of the main theorem alone, the
+# other published reading of the 5x5 count.
+THEOREM_FILTERS = frozenset({PatternFilter.WPOINT, PatternFilter.ROW_COVERAGE_A, PatternFilter.POSITIVE_PRODUCT})
+
+
 def table1_filters(m: int, n: int) -> frozenset[PatternFilter]:
     """Filter set reproducing the published shape-by-shape pattern counts.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import lp_feasible
-from .exactlin import RationalMatrix, rank
+from .exactlin import RationalMatrix, _shown, rank
 from .patterns import ZeroPattern, check_wpoint
 from .rigidity import (
     Classification,
@@ -50,7 +50,7 @@ class RealizationSearchConfig:
         for name in ("entry_low", "entry_high", "max_samples"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+                raise ValueError(f"{name} must be an int, got {_shown(value)}")
         if not (0 < self.entry_low <= self.entry_high):
             raise ValueError("need 0 < entry_low <= entry_high")
         if self.max_samples < 0:

@@ -10,9 +10,9 @@ lineality computation and one relative-interior feasibility test, all in
 exact arithmetic.  All three start from the kernel of the generator matrix:
 when it has dimension at most one (the tight zero count r^2-r+1 of every
 rigid pattern), it answers the relative-interior and lineality questions
-by itself, and no LP runs.  The same kernel gives the Kruskal rank: at
-dimension at most two its circuits are read off directly and the subset
-search is counted instead of run.
+by itself, and no LP runs.  The same kernel locates the dependent column
+subsets of the Kruskal search; at dimension at most two they are read off
+its circuits and no subset is tested.
 
 The first-order deformation cone W is dual to the generator cone, so its
 dimension is r^2 minus the lineality dimension of the generators.  When W
@@ -216,13 +216,19 @@ class RigidityCertificate:
         """
         if self.kruskal_rank is None:
             return None
-        target = self.ambient_dim if self.symmetric else self.ambient_dim - self.r
-        return self.kruskal_rank == min(self.generator_count, target)
+        return self.kruskal_rank == min(self.generator_count, _motion_dim(self))
 
     def v_support(self) -> tuple[tuple[int, int], ...]:
         """Entries (row, col), 0-based, touched by any V-basis element."""
         support = {divmod(k, v.cols) for v in self.v_basis or () for k, x in enumerate(v.data) if x}
         return tuple(sorted(support))
+
+
+def _motion_dim(subject: DualConeGenerators | RigidityCertificate) -> int:
+    """Dimension of the nontrivial motions: the zero-diagonal matrices for
+    a pair, whose diagonal motions are trivial, and every skew matrix for a
+    symmetric factor."""
+    return subject.ambient_dim if subject.symmetric else subject.ambient_dim - subject.r
 
 
 def _zero_diagonal_slice_basis(gens: DualConeGenerators) -> tuple[RationalMatrix, ...]:
@@ -274,15 +280,10 @@ def _certify_generators(gens: DualConeGenerators, kruskal_budget: int) -> Rigidi
     kernel = nullspace_basis(matrix)
     span_rank = gens.count - len(kernel)
     witness, lin_dim = _relint_stage(matrix, kernel)
-    if lin_dim is None:
-        lin_dim = lineality_dimension(matrix)
     dim_w = ambient_dim - lin_dim
 
-    # The nontrivial motions: the zero-diagonal matrices for a pair, whose
-    # diagonal motions are trivial, and every skew matrix for a factor.
-    motion_dim = ambient_dim if gens.symmetric else ambient_dim - r
     v_basis = None
-    if lin_dim == span_rank == motion_dim and witness is not None:
+    if lin_dim == span_rank == _motion_dim(gens) and witness is not None:
         classification = Classification.INFINITESIMALLY_RIGID
     elif gens.symmetric:
         # Without trivial deformations, any nonzero W element is a genuine
@@ -348,19 +349,20 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     return _cone_from_kernel(kernel, count)[0] is not None
 
 
-def _relint_stage(
-    matrix: RationalMatrix, kernel: list[Vector]
-) -> tuple[Vector | None, int | None]:
-    """Relative-interior witness of the generator cone, and its lineality
-    dimension when that comes with it (None when it needs its own LPs).
+def _relint_stage(matrix: RationalMatrix, kernel: list[Vector]) -> tuple[Vector | None, int]:
+    """Relative-interior witness of the generator cone and its lineality
+    dimension.
 
-    A kernel of dimension at most one decides both; otherwise the witness
-    is the feasibility LP's vertex, and with one the cone is its span.
+    A kernel of dimension at most one decides both.  Otherwise the witness
+    is the feasibility LP's vertex; with one the cone is its span, and
+    without one the lineality LPs measure it.
     """
     if len(kernel) <= 1:
         return _cone_from_kernel(kernel, matrix.cols)
     witness = zero_in_relative_interior(matrix)
-    return witness, (None if witness is None else matrix.cols - len(kernel))
+    if witness is None:
+        return None, lineality_dimension(matrix)
+    return witness, matrix.cols - len(kernel)
 
 
 def _cone_from_kernel(kernel: list[Vector], count: int) -> tuple[Vector | None, int]:
@@ -401,31 +403,22 @@ def kruskal_rank_of_columns(
     """Largest k such that every k columns are linearly independent.
 
     Defined by a descending search from min(count, rank) = count - d, d the
-    kernel dimension: the first level whose subsets, taken in
-    `combinations` order, are all independent is the answer, and every
-    subset tested counts one unit against `budget`.  When the budget runs
-    out the result is reported as unknown (None) rather than approximated.
-    An empty column list has Kruskal rank zero by convention.  `kernel`, a
+    kernel dimension.  At each level k the subsets are taken in
+    `combinations` order: the first dependent one, at position p, charges
+    p + 1 units against `budget` and sends the search a level down, and a
+    level without one charges C(count, k) and answers k.  A search whose
+    charge would pass the budget reports unknown (None) rather than an
+    approximation.  No columns, or no passing level, give 0.  `kernel`, a
     basis of the right kernel of the columns, saves recomputing it when the
-    caller already holds one; each basis vector is scaled to integers.
+    caller holds one.
 
-    For d <= 2 the subsets are counted, not tested.  The circuits (minimal
-    dependent sets) of the columns are the minimal supports of kernel
-    vectors: none for d = 0, the support of the kernel vector for d = 1,
-    and for d = 2 one circuit per parallel class P of nonzero kernel
-    columns, the columns outside P and outside the zero kernel columns Z.
-    The answer is g - 1, g the smallest circuit size (count, after one
-    subset, when there is no circuit), and the search would charge, at each
-    failing level k from count - d down to g, the position of the lex-first
-    k-subset containing a circuit plus one, then all C(count, g - 1)
-    subsets of the passing level (if g >= 2).  This costs
-    O(count^2 * classes) integer operations and no elimination.
-
-    For d >= 3 each subset is tested on the dual side: a column set S is
-    dependent exactly when some nonzero kernel vector is supported inside S,
-    that is when the d rows of the kernel basis become dependent once the
-    columns in S are dropped.  So S is independent iff the d x (count - |S|)
-    kernel block outside S has rank d, a small rank in place of a tall one.
+    The kernel locates the dependent subsets: S is dependent exactly when
+    some nonzero kernel vector is supported inside S.  For d <= 2 the first
+    dependent k-subset is the lex-first superset of a circuit read off the
+    kernel (`_small_kernel_circuits`), so no subset is tested.  For d >= 3
+    the subsets are tested in turn, at most as many as the budget has left:
+    S is independent iff the d x (count - |S|) kernel block outside S has
+    rank d, a small rank in place of a tall one.
     """
     c = len(columns)
     if c == 0:
@@ -435,35 +428,46 @@ def kruskal_rank_of_columns(
     kernel = [integer_multiple(v) for v in kernel]
     d = len(kernel)
     if d <= 2:
-        answer, charge = _counted_kruskal(_small_kernel_circuits(kernel), c, d)
-        return answer if budget >= charge else None
-    k = c - d
+        circuits = _small_kernel_circuits(kernel)
+
+        def first_dependent(k: int, _limit: int) -> int | None:
+            firsts = [_first_superset(circuit, k, c) for circuit in circuits if len(circuit) <= k]
+            return min(_lex_index(first, c) for first in firsts) if firsts else None
+
+    else:
+
+        def first_dependent(k: int, limit: int) -> int | None:
+            # Past `limit` tested subsets, the position reached stands in:
+            # its charge is already over the budget.
+            for position, subset in enumerate(combinations(range(c), k)):
+                if position == limit:
+                    return position
+                outside = [j for j in range(c) if j not in subset]
+                # Lists, not generators, feed tuple() and lcm(*...) here and
+                # in rank: a tuple grown from a generator is resized on the
+                # way, and 30,000 of them fill the tuple free lists (~3 MB).
+                block = RationalMatrix(d, len(outside), tuple([row[j] for row in kernel for j in outside]))
+                if rank(block) != d:
+                    return position
+            return None
+
     used = 0
-    while k >= 1:
-        level_ok = True
-        for subset in combinations(range(c), k):
-            if used >= budget:
-                return None
-            used += 1
-            outside = [j for j in range(c) if j not in subset]
-            # Lists, not generators, feed tuple() and lcm(*...) here and in
-            # rank: a tuple grown from a generator is resized on the way,
-            # and 30,000 of them fill the tuple free lists (~3 MB of RSS).
-            block = RationalMatrix(
-                d, len(outside), tuple([row[j] for row in kernel for j in outside])
-            )
-            if rank(block) != d:
-                level_ok = False
-                break
-        if level_ok:
+    for k in range(c - d, 0, -1):
+        position = first_dependent(k, budget - used)
+        tested = comb(c, k) if position is None else position + 1
+        if used + tested > budget:
+            return None
+        if position is None:
             return k
-        k -= 1
+        used += tested
     return 0
 
 
 def _small_kernel_circuits(kernel: list[list[int]]) -> list[list[int]]:
     """Circuits of the columns, as sorted index lists, from an integer
-    kernel basis of dimension at most two."""
+    kernel basis of dimension at most two: none for d = 0, the support of
+    the kernel vector for d = 1, and for d = 2 one circuit per parallel
+    class P of nonzero kernel columns, the nonzero kernel columns outside P."""
     if len(kernel) < 2:
         return [[j for j, x in enumerate(v) if x] for v in kernel]
     top, bottom = kernel
@@ -484,19 +488,6 @@ def _small_kernel_circuits(kernel: list[list[int]]) -> list[list[int]]:
         [j for j in range(c) if (top[j] or bottom[j]) and j not in cls]
         for cls in classes
     ]
-
-
-def _counted_kruskal(circuits: list[list[int]], c: int, d: int) -> tuple[int, int]:
-    """Kruskal rank of c columns with kernel dimension d, and the subsets
-    the descending search charges to reach it, from the circuits alone."""
-    if not circuits:
-        return c, 1
-    g = min(len(circuit) for circuit in circuits)
-    charge = comb(c, g - 1) if g >= 2 else 0
-    for k in range(g, c - d + 1):
-        first = min(_first_superset(circuit, k, c) for circuit in circuits if len(circuit) <= k)
-        charge += _lex_index(first, c) + 1
-    return g - 1, charge
 
 
 def _first_superset(circuit: list[int], k: int, c: int) -> list[int]:

@@ -646,3 +646,27 @@ def test_enumerate_refusal_quotes_long_values_briefly(capsys, args):
     code, out, err = run(capsys, "enumerate", *args)
     assert_one_input_error(code, out, err)
     assert "..." in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "token", ["x" * 5000, "1/" + "0" * 4000], ids=["junk", "zero-denominator"]
+)
+def test_long_bad_token_error_is_one_short_line(capsys, tmp_path, token):
+    path = tmp_path / "token.txt"
+    path.write_text(f"1 1\n{token}\n\n1 1\n1\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert_one_input_error(code, out, err)
+    assert err.endswith("...\n") and len(err) < 100
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_check_symmetric_is_cp_check(capsys, tmp_path, json_flag):
+    # `check --symmetric` and `cp-check` are one command under two names.
+    for index, fixture in enumerate(RIGID_5X5):
+        pair = fixture.pair()
+        for side, a in (("a", pair.a), ("bt", pair.b.transpose())):
+            path = tmp_path / f"factor-{index:02d}-{side}.txt"
+            path.write_text(formats.dump_symmetric_factor(SymmetricFactor(a)))
+            cp = run(capsys, "cp-check", str(path), *json_flag)
+            assert run(capsys, "check", "--symmetric", str(path), *json_flag) == cp
+            assert cp[0] == 0 and cp[2] == ""

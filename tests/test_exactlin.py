@@ -326,3 +326,11 @@ def test_shown_quotes_at_most_40_characters():
     assert _shown(10**39) == "1" + "0" * 39
     assert _shown(10**40) == "1" + "0" * 39 + "..."
     assert _shown(-Fraction(10**30, 10**30 + 1)) == str(-Fraction(10**30, 10**30 + 1))[:40] + "..."
+
+
+def test_non_rational_entries_are_named_briefly():
+    with pytest.raises(TypeError, match=r"^cannot build an exact rational from 0\.5 of type float$"):
+        RationalMatrix.from_rows([[0.5]])
+    with pytest.raises(TypeError) as exc:
+        RationalMatrix.from_rows([[[0] * 5000]])
+    assert str(exc.value).endswith("... of type list") and len(str(exc.value)) < 100

@@ -374,3 +374,67 @@ def test_verify_compares_v_basis_tokens_by_value():
     assert first[0][0] == "0" and first[0][3] == "1"
     first[0][0], first[0][3] = "0/5", "2/2"
     assert formats.verify_certificate_document(doc, subject)
+
+
+_LONG = "x" * 5000
+
+
+def _flagged(doc, budget):
+    return {**doc, "flags": {"kruskal_budget": budget}}
+
+
+@pytest.mark.parametrize(
+    "make, limit",
+    [
+        (lambda doc: _with_body(doc, span_rank=_LONG), 100),
+        (lambda doc: _with_body(doc, symmetric=_LONG), 100),
+        (lambda doc: _with_body(doc, classification=_LONG), 100),
+        (lambda doc: _flagged(doc, _LONG), 100),
+        (lambda doc: _with_body(doc, v_support=[[0, 0]] * 1000), 130),
+        (lambda doc: {**doc, "input": {"m": _LONG}}, 130),
+    ],
+    ids=["integer-field", "symmetric", "classification", "budget-flag", "v-support", "input"],
+)
+def test_document_errors_quote_long_values_briefly(make, limit):
+    # A field, a flag or a header of 5,000 characters: the message quotes
+    # its first 40, and a mismatch also the first 40 of the recomputed value.
+    pair, doc = _rigid_document()
+    with pytest.raises(ValueError) as exc:
+        formats.verify_certificate_document(make(doc), pair)
+    assert "..." in str(exc.value) and len(str(exc.value)) <= limit
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda doc: _with_body(doc, span_rank=12.0), "span_rank must be an integer, got 12.0"),
+        (lambda doc: _with_body(doc, symmetric=0), "symmetric must be true or false, got 0"),
+        (lambda doc: _with_body(doc, classification="rigid"), "'rigid' is not a valid Classification"),
+        (lambda doc: _with_body(doc, classification=None), "None is not a valid Classification"),
+        (
+            lambda doc: _flagged(doc, "13"),
+            "kruskal_budget flag must be a nonnegative integer, got '13'",
+        ),
+        (lambda doc: _with_body(doc, dim_w=5), "dim_w mismatch: document 5, recomputed 4"),
+        (
+            lambda doc: _with_body(doc, v_support=[[1, 2]]),
+            "v_support mismatch: document [[1, 2]], recomputed None",
+        ),
+    ],
+)
+def test_document_errors_keep_their_bytes_for_short_values(make, message):
+    pair, doc = _rigid_document()
+    with pytest.raises(ValueError) as exc:
+        formats.verify_certificate_document(make(doc), pair)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "token",
+    [_LONG, "1/" + "0" * 4000, "1/" + "0" * 4000 + "x"],
+    ids=["junk", "zero-denominator", "junk-after-zeros"],
+)
+def test_parse_rational_quotes_long_tokens_briefly(token):
+    with pytest.raises(formats.ParseError) as exc:
+        formats.parse_rational(token)
+    assert str(exc.value).endswith("...") and len(str(exc.value)) < 100

@@ -324,3 +324,10 @@ def test_free_weight_lift_extends_the_weight_schedules(monkeypatch):
 def test_lift_rejects_non_rigid_input():
     with pytest.raises(ValueError, match="undetermined"):
         lift_partially_rigid(circulant_pair())
+
+
+@pytest.mark.parametrize("field", ["entry_low", "entry_high", "max_samples"])
+def test_config_quotes_long_values_briefly(field):
+    with pytest.raises(ValueError) as exc:
+        RealizationSearchConfig(**{field: "9" * 5000})
+    assert str(exc.value) == f"{field} must be an int, got {'9' * 40!r}..."

@@ -966,3 +966,39 @@ def test_accept_test_builds_the_generator_matrix_once(monkeypatch, a_rows, b_row
     builds = count_matrix_builds(monkeypatch)
     assert is_infinitesimally_rigid(pair.a.row_list(), pair.b.row_list()) is rigid
     assert builds == [gens.count]
+
+
+def test_kernel_search_ranks_no_more_subsets_than_the_budget(monkeypatch):
+    # With a kernel of dimension three or more each subset is one rank of a
+    # kernel block, and the search stops before the one that would pass the
+    # budget: at every budget it ranks at most that many blocks, and exactly
+    # the threshold's worth once it answers.
+    from nmfrigid import rigidity
+
+    calls = 0
+    real_rank = rigidity.rank
+
+    def counting(matrix):
+        nonlocal calls
+        calls += 1
+        return real_rank(matrix)
+
+    monkeypatch.setattr(rigidity, "rank", counting)
+    rng = random.Random(406)
+    checked = 0
+    while checked < 40:
+        height = rng.randint(1, 4)
+        cols = tuple(
+            tuple(Fraction(rng.choice((0, 0, 1, -1, 2))) for _ in range(height))
+            for _ in range(rng.randint(height + 3, 8))
+        )
+        kernel = nullspace_basis(RationalMatrix.from_columns(cols, height))
+        if len(kernel) < 3:
+            continue
+        answer, threshold = primal_kruskal(cols, 10**6)
+        for budget in range(threshold + 2):
+            calls = 0
+            got = kruskal_rank_of_columns(cols, budget, kernel=kernel)
+            assert got == (answer if budget >= threshold else None)
+            assert calls == min(budget, threshold)
+        checked += 1
