@@ -52,12 +52,17 @@ def lp_feasible(
     when the system is infeasible.  `rhs` and `lower_bounds` take what
     `RationalMatrix` entries take: ints, Fractions and strings, not floats.
 
-    The tableau is integer: each structural column and the right-hand side
-    are scaled by the lcm of their own denominators, positive scalings that
-    keep every reduced-cost sign and the order of every ratio, so the pivots
-    are those of the rational simplex.  Each pivot is one `eliminate` step,
-    the reduced-cost row riding along as the last row; Fraction appears only
-    in the shift by the lower bounds and in the point handed back.
+    The tableau is integer: the structural columns and the right-hand side
+    only, each scaled by the lcm of its denominators; positive scalings keep
+    every reduced-cost sign and ratio order, so the pivots are those of the
+    rational simplex.  Each pivot is one `eliminate` step, the cost row riding
+    along as the last row; Fraction appears only in the shift by the lower
+    bounds and in the point handed back.  Leaving out the artificials' identity
+    block is exact.  Bland's rule enters an artificial only when no structural
+    column qualifies, and at a positive objective that basis proves the system
+    infeasible.  At objective 0 every pivot is degenerate and keeps the point,
+    so the simplex stops there.  `eliminate` acts on each column alone, so
+    `prev` and the kept entries are those of the full tableau.
     """
     n_rows, n_cols = equalities.rows, equalities.cols
     rhs = [_coerce(b) for b in rhs]
@@ -70,33 +75,29 @@ def lp_feasible(
     # Shift to y = x - lower_bounds >= 0.
     shifted_rhs = [b - vec_dot(equalities.row(i), lower_bounds) for i, b in enumerate(rhs)]
 
-    # Rows with negative right-hand side are negated so artificials start
-    # feasible at value |shifted_rhs|; the artificial block is the identity,
-    # so the first pivot runs at prev = 1.
+    # Rows with negative right-hand side are negated so artificials start >= 0.
     scales = [lcm(*(x.denominator for x in equalities.column(j))) for j in range(n_cols)]
     scales.append(lcm(*(b.denominator for b in shifted_rhs)))
     table: list[list[int]] = []
     for i, b in enumerate(shifted_rhs):
         sign = -1 if b < 0 else 1
         row = [sign * x.numerator * (s // x.denominator) for x, s in zip(equalities.row(i), scales)]
-        row.extend(1 if k == i else 0 for k in range(n_rows))
         row.append(sign * b.numerator * (scales[-1] // b.denominator))
         table.append(row)
 
-    basis = [n_cols + i for i in range(n_rows)]  # the artificial variables
+    basis = [n_cols + i for i in range(n_rows)]  # markers of basic artificials
 
     # Reduced-cost row for minimizing the sum of artificials.
-    cost = [0] * n_cols + [1] * n_rows + [0]
+    cost = [0] * (n_cols + 1)
     for row in table:
         cost = [c - x for c, x in zip(cost, row)]
     table.append(cost)
 
     prev = 1  # every row is prev times its rational value, prev > 0
-    while True:
-        cost = table[-1]
+    while cost[-1] != 0:  # the artificial sum is -cost[-1] / prev
         entering = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
         if entering is None:
-            break
+            return None
         leaving = None
         for i in range(n_rows):
             coef = table[i][entering]
@@ -112,9 +113,7 @@ def lp_feasible(
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
         prev = eliminate(table, leaving, entering, prev)
         basis[leaving] = entering
-
-    if cost[-1] != 0:  # the optimal artificial sum is -cost[-1] / prev
-        return None
+        cost = table[-1]
 
     x = list(lower_bounds)
     for i, var in enumerate(basis):

@@ -36,7 +36,11 @@ def _coerce(value) -> Fraction:
 def _shown(value) -> str:
     """A line, token or number of the input as an error quotes it: a string
     by its repr, a number as written; past 40 characters, the first 40 and "..."."""
-    text = str(value)
+    try:
+        text = str(value)
+    except ValueError:  # an int past the str limit: 10**e <= |value| < 10**(e + 2)
+        e = (abs(value).bit_length() - 1) * 30102999566398119521373889472449 // 10**32
+        text = f"{'-' if value < 0 else ''}<{e + 1 + (abs(value) >= 10 ** (e + 1))}-digit int>"
     quoted = repr(text[:40]) if isinstance(value, str) else text[:40]
     return quoted if len(text) <= 40 else f"{quoted}..."
 

@@ -12,11 +12,12 @@ changes the digest.
 
 import hashlib
 
-from nmfrigid import formats
+from nmfrigid import cone, formats, realize
 from nmfrigid.cli import main
 from nmfrigid.cpr import SymmetricFactor
 from nmfrigid.fixtures import RIGID_5X5
 from nmfrigid.patterns import enumerate_patterns, table1_filters
+from test_cone import _cap_pivots, _fraction_simplex
 from test_rigidity import twelve_zero_variants
 
 CORPUS_ITEMS = 331
@@ -61,3 +62,26 @@ def test_cli_corpus_bytes_are_pinned(capsys, tmp_path):
         item = "\0".join([" ".join(argv), str(code), captured.out, captured.err, ""])
         digest.update(item.replace(str(tmp_path), "<tmp>").encode("utf-8"))
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+def test_every_corpus_lp_matches_the_fraction_simplex(capsys, monkeypatch, tmp_path):
+    # Every relint, lineality and lift LP the corpus runs, each answered as
+    # the Fraction-tableau reference answers it, and the pivots they take.
+    lps = []
+
+    def recording(*args):
+        answer = lp_feasible(*args)
+        lps.append((args, answer))
+        return answer
+
+    lp_feasible = cone.lp_feasible
+    for module in (cone, realize):
+        monkeypatch.setattr(module, "lp_feasible", recording)
+    pivots = _cap_pivots(monkeypatch, 10**4)
+    for argv in corpus_argvs(tmp_path):
+        main(argv)
+    capsys.readouterr()
+    assert len(lps) == 60
+    for args, answer in lps:
+        assert answer == _fraction_simplex(*args)
+    assert len(pivots) == 450

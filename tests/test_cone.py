@@ -235,6 +235,55 @@ def test_lp_matches_fraction_simplex_on_random_systems():
     assert 1000 < feasible < 2500
 
 
+def _cap_pivots(monkeypatch, cap):
+    """The list that `lp_feasible` appends one entry to per pivot; past `cap`
+    pivots it fails, so a simplex that cycles fails the test, not hangs it."""
+    pivots = []
+
+    def capped(*args):
+        pivots.append(None)
+        assert len(pivots) <= cap, "the simplex is cycling"
+        return eliminate(*args)
+
+    eliminate = cone_module.eliminate
+    monkeypatch.setattr(cone_module, "eliminate", capped)
+    return pivots
+
+
+def test_lp_leaving_tie_goes_to_the_lowest_basic_index(monkeypatch):
+    # x0 enters on row 2.  Then x2 enters at ratio 0 on row 0, whose basic
+    # variable is an artificial, and on row 2, whose basic variable is x0:
+    # Bland's rule sends x0 out.  Sending out the artificial, the first of
+    # the tied rows, ends at (0, 1, 1/3, 1/3) instead.
+    pivots = _cap_pivots(monkeypatch, 20)
+    system = RationalMatrix.from_rows([[0, -1, 3, 0], [1, 0, 3, 0], [3, 0, 1, -1]])
+    rhs, bounds = frac_vec(0, 1, 0), zero_vector(4)
+    assert lp_feasible(system, rhs, bounds) == frac_vec(1, 0, 0, 3)
+    assert _fraction_simplex(system, rhs, bounds) == frac_vec(1, 0, 0, 3)
+    assert len(pivots) == 4
+
+
+def test_lp_terminates_on_beales_cycling_example(monkeypatch):
+    # Beale (1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 subject to the first
+    # three rows with slacks x1, x2, x3, a degenerate vertex on which the
+    # largest-coefficient rule cycles.  The last row asks for the optimum,
+    # -1/20, with slack s.  Columns: x4 x5 x6 x7 x1 x2 x3 s.
+    pivots = _cap_pivots(monkeypatch, 50)
+    system = RationalMatrix.from_rows(
+        [
+            ["1/4", -8, -1, 9, 1, 0, 0, 0],
+            ["1/2", -12, "-1/2", 3, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0, 0, 1, 0],
+            ["-3/4", 20, "-1/2", 6, 0, 0, 0, 1],
+        ]
+    )
+    rhs, bounds = frac_vec(0, 0, 1, "-1/20"), zero_vector(8)
+    point = frac_vec("11/10", "1/32", 1, "13/120", 0, 0, 0, 0)
+    assert lp_feasible(system, rhs, bounds) == point
+    assert _fraction_simplex(system, rhs, bounds) == point
+    assert len(pivots) == 6
+
+
 def test_relint_witness_for_opposite_rays():
     cone = cone_of(2, (frac_vec(1, 0), frac_vec(-1, 0)))
     witness = zero_in_relative_interior(cone)
@@ -333,6 +382,13 @@ def test_lineality_lp_count_on_fixture_cp_factors(monkeypatch):
         for a in (pair.a, pair.b.transpose()):
             certify_cp(SymmetricFactor(a), kruskal_budget=0)
     assert len(calls) == 15
+
+
+def test_lineality_of_a_linear_space_takes_one_lp(monkeypatch):
+    # The first LP finds every generator two-sided, so no second LP runs.
+    calls = _count_lps(monkeypatch)
+    assert lineality_dimension(cone_of(2, (frac_vec(1, 0), frac_vec(-1, 0)))) == 1
+    assert len(calls) == 1
 
 
 def test_lineality_of_a_one_sided_kernel_takes_one_lp(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,14 @@ def test_nullspace_of_circulant_generators_is_one_dimensional():
     assert len(basis) == 1
     # The single relation uses every generator: all six coordinates nonzero.
     assert all(x != 0 for x in basis[0])
+
+
+def test_entry_outside_the_matrix_raises():
+    m = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert m[1, 2] == 6
+    for key in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError, match=r"outside 2x3 matrix"):
+            m[key]
 
 
 def test_matmul_identity():
@@ -326,6 +335,16 @@ def test_shown_quotes_at_most_40_characters():
     assert _shown(10**39) == "1" + "0" * 39
     assert _shown(10**40) == "1" + "0" * 39 + "..."
     assert _shown(-Fraction(10**30, 10**30 + 1)) == str(-Fraction(10**30, 10**30 + 1))[:40] + "..."
+
+
+def test_shown_quotes_an_int_past_the_str_limit_by_its_digit_count():
+    from nmfrigid.exactlin import _shown
+
+    limit = sys.get_int_max_str_digits()
+    for digits in (limit + 1, limit + 2, 3 * limit + 7):
+        assert _shown(10 ** (digits - 1)) == f"<{digits}-digit int>"
+        assert _shown(1 - 10**digits) == f"-<{digits}-digit int>"
+    assert _shown(-(10**5000)) == "-<5001-digit int>"
 
 
 def test_non_rational_entries_are_named_briefly():

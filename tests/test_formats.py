@@ -429,6 +429,14 @@ def test_document_errors_keep_their_bytes_for_short_values(make, message):
     assert str(exc.value) == message
 
 
+def test_a_budget_flag_too_long_for_str_keeps_its_message():
+    pair, doc = _rigid_document()
+    with pytest.raises(ValueError) as exc:
+        formats.verify_certificate_document(_flagged(doc, -(10**5000)), pair)
+    message = "kruskal_budget flag must be a nonnegative integer, got -<5001-digit int>"
+    assert str(exc.value) == message and len(message) < 100
+
+
 @pytest.mark.parametrize(
     "token",
     [_LONG, "1/" + "0" * 4000, "1/" + "0" * 4000 + "x"],

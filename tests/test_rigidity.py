@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -38,6 +39,20 @@ def rand_pair(rng, max_r=3, max_outer=4, zero_prob=0.35, hi=9):
             [0 if rng.random() < zero_prob else rng.randint(1, hi) for _ in range(n)]
             for _ in range(r)
         ]
+        try:
+            return pair_from(a, b)
+        except ValueError:
+            continue
+
+
+def seeded_wide_pair(rng, r):
+    """A 2r x r by r x 2r pair with r^2 + 1 zeros at seeded places among
+    its 4r^2 entries and entries from 1 to 9 elsewhere."""
+    while True:
+        zeros = set(rng.sample(range(4 * r * r), r * r + 1))
+        entries = [0 if k in zeros else rng.randint(1, 9) for k in range(4 * r * r)]
+        a = [entries[i * r : (i + 1) * r] for i in range(2 * r)]
+        b = [entries[2 * r * r + i * 2 * r : 2 * r * r + (i + 1) * 2 * r] for i in range(r)]
         try:
             return pair_from(a, b)
         except ValueError:
@@ -131,6 +146,20 @@ def test_certify_positive_pair_is_interior():
     assert cert.dim_w == 4 and cert.generator_count == 0
     # The cone {0} is a linear space: its witness is (), which is not None.
     assert cert.relint_witness == () and cert.relint_witness is not None
+
+
+def test_certify_digest_on_seeded_r6_pairs():
+    # Each generator matrix is 36 x 37 with a kernel of dimension 7, so the
+    # relint LP, and the lineality LPs where it finds no witness, run on it.
+    rng = random.Random(6)
+    certs = [certify(seeded_wide_pair(rng, 6), kruskal_budget=0) for _ in range(3)]
+    assert [c.classification for c in certs] == [
+        Classification.UNDETERMINED,
+        Classification.INTERIOR_CERTIFIED,
+        Classification.UNDETERMINED,
+    ]
+    digest = hashlib.sha256("".join(map(repr, certs)).encode()).hexdigest()
+    assert digest == "a7c8e8e1773c27d0e73047f11bdc552c5c4930cc19e85f2d5baac1030ddaed67"
 
 
 def test_certify_lifted_demo_is_partially_rigid():
@@ -790,7 +819,7 @@ def small_kernel_columns(rng):
     return tuple(cols), kinds
 
 
-def test_counted_kruskal_matches_primal_search_on_small_kernels():
+def test_kruskal_on_small_kernels_matches_primal_search():
     from nmfrigid.rigidity import _small_kernel_circuits
 
     e1, e2, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0),) * 2
