@@ -57,12 +57,16 @@ def lp_feasible(
     every reduced-cost sign and ratio order, so the pivots are those of the
     rational simplex.  Each pivot is one `eliminate` step, the cost row riding
     along as the last row; Fraction appears only in the shift by the lower
-    bounds and in the point handed back.  Leaving out the artificials' identity
-    block is exact.  Bland's rule enters an artificial only when no structural
-    column qualifies, and at a positive objective that basis proves the system
+    bounds and in the point handed back.  Row i is levels[i] times its
+    rational value, and every level is a past pivot, so positive: a
+    reduced-cost sign is the sign of its entry, a ratio is taken within one
+    row where the level cancels, and the point reads table[i][-1] /
+    levels[i].  Leaving out the artificials' identity block is exact.
+    Bland's rule enters an artificial only when no structural column
+    qualifies, and at a positive objective that basis proves the system
     infeasible.  At objective 0 every pivot is degenerate and keeps the point,
     so the simplex stops there.  `eliminate` acts on each column alone, so
-    `prev` and the kept entries are those of the full tableau.
+    the levels and the kept entries are those of the full tableau.
     """
     n_rows, n_cols = equalities.rows, equalities.cols
     rhs = [_coerce(b) for b in rhs]
@@ -93,8 +97,9 @@ def lp_feasible(
         cost = [c - x for c, x in zip(cost, row)]
     table.append(cost)
 
-    prev = 1  # every row is prev times its rational value, prev > 0
-    while cost[-1] != 0:  # the artificial sum is -cost[-1] / prev
+    levels = [1] * (n_rows + 1)  # row i is levels[i] > 0 times its rational value
+    prev = 1
+    while cost[-1] != 0:  # the artificial sum is -cost[-1] / levels[-1]
         entering = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
         if entering is None:
             return None
@@ -111,14 +116,14 @@ def lp_feasible(
                 leaving = i
         if leaving is None:  # impossible: the phase-1 objective is at least 0
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
-        prev = eliminate(table, leaving, entering, prev)
+        prev = eliminate(table, levels, leaving, entering, prev)
         basis[leaving] = entering
         cost = table[-1]
 
     x = list(lower_bounds)
     for i, var in enumerate(basis):
         if var < n_cols:
-            x[var] += Fraction(table[i][-1] * scales[var], prev * scales[-1])
+            x[var] += Fraction(table[i][-1] * scales[var], levels[i] * scales[-1])
     return tuple(x)
 
 

@@ -6,10 +6,14 @@ flip, so no float ever enters these routines.  Matrix entries are
 each row of denominators and then runs fraction-free on Python ints, so
 Fraction appears only at the boundary: in the entries passed in and in the
 kernel vectors handed back.  Every pivot, here and in the simplex of
-`cone`, is one `eliminate` step.  Elimination here is forward only
-(Bareiss 1968): `rank` stops after it, and `nullspace_basis` finishes by
-exact integer back-substitution.  Callers that hold integers already, like
-the per-sample accept test of `rigidity`, run `_echelon` and
+`cone`, is one `eliminate` step.  That step is lazy: each row carries its
+own level, the pivot it was last rewritten at, and a pivot rewrites only
+the rows nonzero in its column, so the zeros of a sparse matrix (the
+generator matrix has one sparse column per zero) cost nothing; every row
+it writes is the row dense Bareiss (1968) elimination writes.  Elimination
+here is forward only: `rank` stops after it, and `nullspace_basis`
+finishes by exact integer back-substitution.  Callers that hold integers
+already, like the per-sample accept test of `rigidity`, run `_echelon` and
 `kernel_vector` on them directly.  Matrices are small (a few hundred
 entries at most), dense and immutable; elimination uses the first nonzero
 pivot in column order so kernels and ranks are bit-identical across runs.
@@ -38,11 +42,23 @@ def _shown(value) -> str:
     by its repr, a number as written; past 40 characters, the first 40 and "..."."""
     try:
         text = str(value)
-    except ValueError:  # an int past the str limit: 10**e <= |value| < 10**(e + 2)
-        e = (abs(value).bit_length() - 1) * 30102999566398119521373889472449 // 10**32
-        text = f"{'-' if value < 0 else ''}<{e + 1 + (abs(value) >= 10 ** (e + 1))}-digit int>"
+    except ValueError:  # an int or Fraction past the str limit, or a container of one
+        if not isinstance(value, (int, Fraction)):
+            return f"<{type(value).__name__}>"
+        text = _digits(value.numerator)
+        if value.denominator != 1:
+            text += f"/{_digits(value.denominator)}"
     quoted = repr(text[:40]) if isinstance(value, str) else text[:40]
     return quoted if len(text) <= 40 else f"{quoted}..."
+
+
+def _digits(value: int) -> str:
+    """An int as written or, past the str limit, by its sign and digit count."""
+    try:
+        return str(value)
+    except ValueError:  # 10**e <= |value| < 10**(e + 2)
+        e = (abs(value).bit_length() - 1) * 30102999566398119521373889472449 // 10**32
+        return f"{'-' if value < 0 else ''}<{e + 1 + (abs(value) >= 10 ** (e + 1))}-digit int>"
 
 
 @dataclass(frozen=True)
@@ -111,9 +127,6 @@ class RationalMatrix:
         data = tuple(self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         return RationalMatrix(self.cols, self.rows, data)
 
-    def is_strictly_positive(self) -> bool:
-        return all(x > 0 for x in self.data)
-
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact matrix product; raises on inner-dimension mismatch."""
@@ -139,27 +152,37 @@ def integer_multiple(v: Sequence) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in v]
 
 
-def eliminate(rows: list[list[int]], p: int, col: int, prev: int) -> int:
-    """One fraction-free pivot on integer rows, in place.
+def eliminate(rows: list[list[int]], levels: list[int], p: int, col: int, prev: int) -> int:
+    """One lazy fraction-free pivot on integer rows, in place.
 
-    Clears column `col` from every row but `p` with
-    (piv*row_i - f*row_p) // prev, where piv = rows[p][col] and f is row i's
-    entry in `col`; row `p` stays as it is.  Returns piv, the `prev` of the
-    next step.  Started at prev = 1 and run on rows that earlier steps have
-    all passed through (the whole tableau of the simplex, the unreduced
-    tail in `_echelon`), every entry stays a minor of the input, so each
-    division is exact by Sylvester's identity (Bareiss 1968).
+    Row i is levels[i] times its rational value, the row of rational
+    elimination, and `prev` is the last pivot (1 before the first).  Row `p`
+    is first brought up to level `prev`, x*prev // levels[p]; its entry
+    piv in column `col` is the pivot.  Every other row nonzero in `col`
+    becomes (piv*row_i - f*row_p) // levels[i], where f is row i's entry in
+    `col`, and takes level piv, as row `p` does.  A row zero in `col` is
+    left as it is, the same list, just as rational elimination leaves its
+    value.  Returns piv, the `prev` of the next step.
+
+    These are the rows of dense Bareiss (1968) elimination, each as it
+    stood when a pivot last rewrote it: dense Bareiss would have rescaled a
+    row zero in the pivot column by piv/prev, and those scalings multiply
+    out to prev/levels[i].  Started with every level 1 at prev = 1 and run
+    on rows that earlier steps have all passed through (the whole tableau
+    of the simplex, the unreduced tail in `_echelon`), every rewritten row
+    is a dense Bareiss row, whose entries are minors of the input, so each
+    division is exact by Sylvester's identity.
     """
     row_p = rows[p]
+    if levels[p] != prev:
+        row_p = rows[p] = [x * prev // levels[p] for x in row_p]
     piv = row_p[col]
     for i, row_i in enumerate(rows):
-        if i == p:
-            continue
         f = row_i[col]
-        if f:
-            rows[i] = [(piv * x - f * y) // prev for x, y in zip(row_i, row_p)]
-        elif piv != prev:
-            rows[i] = [piv * x // prev for x in row_i]
+        if f and i != p:
+            rows[i] = [(piv * x - f * y) // levels[i] for x, y in zip(row_i, row_p)]
+            levels[i] = piv
+    levels[p] = piv
     return piv
 
 
@@ -177,16 +200,20 @@ def _echelon(work: list[list[int]], cols: int) -> tuple[list[list[int]], list[in
     has its first nonzero entry in pivot column k, and `scale` is the last
     pivot (1 when there is none).  Each pivot is one `eliminate` step on the
     rows not yet used as pivots, which clears the pivot column below the
-    pivot and nowhere else; the pivot row then leaves `work`.  The pivot is
-    the first row of `work` nonzero in the column, and the pivot columns --
-    the columns outside the span of the ones before them -- are those of
-    rational elimination, so rank and kernel are too.  Callers with
-    rational entries clear each row of denominators first (`_integer_rows`),
-    a positive row scaling that changes neither the row space nor where
-    zeros fall.
+    pivot and nowhere else; the pivot row then leaves `work` with its
+    level.  A row left alone keeps an older level, but it reaches the
+    echelon only through the step that brings it up to the last pivot, so
+    the echelon rows and the scale are those of dense Bareiss elimination.
+    The pivot is the first row of `work` nonzero in the column, and the
+    pivot columns -- the columns outside the span of the ones before them --
+    are those of rational elimination, so rank and kernel are too.  Callers
+    with rational entries clear each row of denominators first
+    (`_integer_rows`), a positive row scaling that changes neither the row
+    space nor where zeros fall.
     """
     echelon: list[list[int]] = []
     pivots: list[int] = []
+    levels = [1] * len(work)
     prev = 1
     for col in range(cols):
         if not work:
@@ -194,8 +221,9 @@ def _echelon(work: list[list[int]], cols: int) -> tuple[list[list[int]], list[in
         found = next((i for i, row in enumerate(work) if row[col]), None)
         if found is None:
             continue
-        prev = eliminate(work, found, col, prev)
+        prev = eliminate(work, levels, found, col, prev)
         echelon.append(work.pop(found))
+        del levels[found]
         pivots.append(col)
     return echelon, pivots, prev
 

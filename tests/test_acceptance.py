@@ -39,7 +39,7 @@ from nmfrigid.rigidity import (
     kruskal_rank_of_columns,
     necessary_conditions_report,
 )
-from test_rigidity import pair_from, rand_pair
+from test_rigidity import pair_from, rand_pair, strictly_positive
 
 
 def report(line: str) -> None:
@@ -210,7 +210,7 @@ def test_criterion_8_property_suites():
                 1 for x in source.b.data if x == 0
             )
             if zeros == source.r**2 - source.r + 1:
-                assert source.product().is_strictly_positive()
+                assert strictly_positive(source.product())
             rigid_seen += 1
     assert rigid_seen >= 15
     report(f"criterion 8c PASS: necessary-condition consistency ({rigid_seen} rigid instances)")

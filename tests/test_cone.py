@@ -198,9 +198,9 @@ def _fraction_simplex(equalities, rhs, lower_bounds):
     return tuple(y[j] + lower_bounds[j] for j in range(n_cols))
 
 
-def _random_lp(rng):
+def _random_lp(rng, max_rows=4, max_cols=6):
     """A small system drawn to hit empty shapes, fractions, signs and ties."""
-    n_rows, n_cols = rng.randint(0, 4), rng.randint(0, 6)
+    n_rows, n_cols = rng.randint(0, max_rows), rng.randint(0, max_cols)
 
     def entry():
         if rng.random() < 0.3:
@@ -233,6 +233,24 @@ def test_lp_matches_fraction_simplex_on_random_systems():
         feasible += expected is not None
     assert (0, 0) in shapes and len(shapes) == 35
     assert 1000 < feasible < 2500
+
+
+def test_lp_with_lazy_pivots_matches_fraction_simplex_on_larger_systems(monkeypatch):
+    # With up to 7 rows, most pivot columns miss a row, so rows wait below
+    # the last pivot's level and pivot rows are brought up to it first.
+    raised = []
+
+    def spy(rows, levels, p, col, prev):
+        raised.append(levels[p] != prev)
+        return eliminate(rows, levels, p, col, prev)
+
+    eliminate = cone_module.eliminate
+    monkeypatch.setattr(cone_module, "eliminate", spy)
+    rng = random.Random(20190612)
+    for _ in range(400):
+        system, rhs, bounds = _random_lp(rng, 7, 9)
+        assert lp_feasible(system, rhs, bounds) == _fraction_simplex(system, rhs, bounds)
+    assert len(raised) > 500 and sum(raised) > 50
 
 
 def _cap_pivots(monkeypatch, cap):

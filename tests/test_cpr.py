@@ -15,6 +15,7 @@ from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import CIRCULANT_3X3_FACTOR
 from nmfrigid.patterns import canonical_symmetric_pattern, enumerate_symmetric_patterns
 from nmfrigid.rigidity import Classification, FactorizationPair, build_dual_generators
+from test_rigidity import strictly_positive
 
 
 def factor_from(rows):
@@ -215,7 +216,7 @@ def test_rigid_verdicts_pass_conditions():
             # The positivity corollary genuinely fails at r = 2 (coordinate
             # permutations are rigid with an identity Gram matrix).
             if zeros == tight and factor.r >= 3:
-                assert factor.gram().is_strictly_positive()
+                assert strictly_positive(factor.gram())
             seen += 1
     assert seen > 0
 

@@ -246,6 +246,16 @@ def test_elimination_accepts_integer_entries():
 # Forward elimination against fraction-free Gauss-Jordan
 # ---------------------------------------------------------------------------
 
+def dense_bareiss_step(rows, p, col, prev):
+    # Reference: the dense fraction-free pivot, which rescales every row but
+    # `p`, including the rows zero in column `col`; returns the pivot.
+    piv = rows[p][col]
+    for i, row in enumerate(rows):
+        if i != p:
+            rows[i] = [(piv * x - row[col] * y) // prev for x, y in zip(row, rows[p])]
+    return piv
+
+
 def gauss_jordan_reference(m):
     # Reference: the fraction-free Gauss-Jordan reduction the library ran
     # before its elimination became forward only.  Every pivot clears its
@@ -260,7 +270,7 @@ def gauss_jordan_reference(m):
         if found is None:
             continue
         work[piv_row], work[found] = work[found], work[piv_row]
-        prev = eliminate(work, piv_row, col, prev)
+        prev = dense_bareiss_step(work, piv_row, col, prev)
         pivots.append(col)
         piv_row += 1
         if piv_row == m.rows:
@@ -292,19 +302,94 @@ def test_forward_elimination_matches_gauss_jordan_on_random_matrices():
         assert_same_as_gauss_jordan(rand_matrix(rng, rows, cols, lo=-60, hi=60, denom=13))
 
 
+EMPTY_AND_ZERO_SHAPES = ((0, 0), (0, 1), (0, 5), (1, 0), (6, 0), (4, 4), (3, 7), (7, 3))
+
+
+def zero_lined_matrix(rng):
+    # A sparse matrix with some whole rows and columns set to zero.
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    data = [list(sparse_rational_matrix(rng, 1, cols).row(0)) for _ in range(rows)]
+    for i in rng.sample(range(rows), rng.randint(0, rows)):
+        data[i] = [Fraction(0)] * cols
+    for j in rng.sample(range(cols), rng.randint(0, cols)):
+        for row in data:
+            row[j] = Fraction(0)
+    return RationalMatrix.from_rows(data)
+
+
 def test_forward_elimination_matches_gauss_jordan_on_zero_lines_and_empty_shapes():
     rng = random.Random(401)
-    for rows, cols in ((0, 0), (0, 1), (0, 5), (1, 0), (6, 0), (4, 4), (3, 7), (7, 3)):
+    for rows, cols in EMPTY_AND_ZERO_SHAPES:
         assert_same_as_gauss_jordan(RationalMatrix.zeros(rows, cols))
     for _ in range(300):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        data = [list(sparse_rational_matrix(rng, 1, cols).row(0)) for _ in range(rows)]
-        for i in rng.sample(range(rows), rng.randint(0, rows)):
-            data[i] = [Fraction(0)] * cols
-        for j in rng.sample(range(cols), rng.randint(0, cols)):
-            for row in data:
-                row[j] = Fraction(0)
-        assert_same_as_gauss_jordan(RationalMatrix.from_rows(data))
+        assert_same_as_gauss_jordan(zero_lined_matrix(rng))
+
+
+# ---------------------------------------------------------------------------
+# Lazy pivots against dense Bareiss elimination
+# ---------------------------------------------------------------------------
+
+def dense_echelon(work, cols):
+    # Reference: forward elimination with the dense step, which rescales the
+    # rows zero in the pivot column too; returns what `_echelon` returns.
+    echelon, pivots, prev = [], [], 1
+    for col in range(cols):
+        found = next((i for i, row in enumerate(work) if row[col]), None)
+        if found is not None:
+            prev = dense_bareiss_step(work, found, col, prev)
+            echelon.append(work.pop(found))
+            pivots.append(col)
+    return echelon, pivots, prev
+
+
+def test_lazy_echelon_equals_dense_bareiss():
+    # Rows, pivot columns and scale, number for number.
+    rng = random.Random(403)
+    matrices = [RationalMatrix.zeros(rows, cols) for rows, cols in EMPTY_AND_ZERO_SHAPES]
+    matrices += [zero_lined_matrix(rng) for _ in range(300)]
+    matrices += [sparse_rational_matrix(rng, rng.randint(0, 9), rng.randint(0, 9)) for _ in range(800)]
+    matrices += [
+        rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), lo=-60, hi=60, denom=13)
+        for _ in range(200)
+    ]
+    for fx in RIGID_5X5:  # sparse columns: one generator per zero
+        g = build_dual_generators(fx.pair()).matrix()
+        matrices += [g, g.transpose()]
+    for m in matrices:
+        rows = [integer_multiple(m.row(i)) for i in range(m.rows)]
+        assert _echelon([list(row) for row in rows], m.cols) == dense_echelon(rows, m.cols)
+
+
+def test_eliminate_leaves_rows_zero_in_the_pivot_column_alone():
+    # Gauss-Jordan pivots, as the simplex makes them, on the whole list.  A
+    # row zero in the pivot column stays the same list at the same level; a
+    # rewritten row and the pivot row take the pivot as level; and every row
+    # is its dense Bareiss row times levels[i] / prev throughout.
+    rng = random.Random(404)
+    untouched = raised = 0
+    for _ in range(400):
+        m = sparse_rational_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+        lazy = [integer_multiple(m.row(i)) for i in range(m.rows)]
+        dense = [list(row) for row in lazy]
+        levels, prev, used = [1] * m.rows, 1, set()
+        for col in range(m.cols):
+            p = next((i for i in range(m.rows) if i not in used and lazy[i][col]), None)
+            if p is None:
+                continue
+            used.add(p)
+            before, old_levels = list(lazy), list(levels)
+            raised += levels[p] != prev
+            piv = eliminate(lazy, levels, p, col, prev)
+            assert piv == dense_bareiss_step(dense, p, col, prev)
+            for i in range(m.rows):
+                if i != p and not before[i][col]:
+                    assert lazy[i] is before[i] and levels[i] == old_levels[i]
+                    untouched += 1
+                else:
+                    assert levels[i] == piv
+                assert [x * piv for x in lazy[i]] == [y * levels[i] for y in dense[i]]
+            prev = piv
+    assert untouched > 1000 and raised > 100
 
 
 def test_kernel_vectors_are_integer_and_scaled_by_the_last_pivot():
@@ -345,6 +430,19 @@ def test_shown_quotes_an_int_past_the_str_limit_by_its_digit_count():
         assert _shown(10 ** (digits - 1)) == f"<{digits}-digit int>"
         assert _shown(1 - 10**digits) == f"-<{digits}-digit int>"
     assert _shown(-(10**5000)) == "-<5001-digit int>"
+
+
+def test_shown_quotes_a_fraction_past_the_str_limit_by_its_parts():
+    from nmfrigid.exactlin import _shown
+
+    assert _shown(Fraction(1, 10**5000)) == "1/<5001-digit int>"
+    assert _shown(Fraction(-(10**5000), 3)) == "-<5001-digit int>/3"
+    assert _shown(Fraction(10**5000 + 1, 10**6000)) == "<5001-digit int>/<6001-digit int>"
+    assert _shown(Fraction(10**6000)) == "<6001-digit int>"
+    # A container that str refuses is named by its type.
+    assert _shown([10**5000]) == "<list>"
+    with pytest.raises(TypeError, match=r"^cannot build an exact rational from <list> of type list$"):
+        RationalMatrix.from_rows([[[10**5000]]])
 
 
 def test_non_rational_entries_are_named_briefly():
