@@ -16,8 +16,9 @@ remain the reference the kernel answers are tested against.
 
 No facet or vertex description is ever computed; rank plus these LPs
 cover everything callers need, and the simplex with Bland's rule
-terminates in exact arithmetic without perturbation.  It pivots on Python
-ints with the fraction-free step of `exactlin`, so, as there, Fraction
+terminates in exact arithmetic without perturbation.  It shifts by the
+lower bounds and pivots on Python ints, with the fraction-free step of
+`exactlin`, and `verify_witness` sums on ints too, so, as there, Fraction
 appears only at the boundary.
 """
 
@@ -30,11 +31,10 @@ from .exactlin import (
     RationalMatrix,
     Vector,
     _coerce,
+    _integer_rows,
     eliminate,
-    is_zero_vector,
-    matvec,
+    integer_multiple,
     rank,
-    vec_dot,
     zero_vector,
 )
 
@@ -52,21 +52,24 @@ def lp_feasible(
     when the system is infeasible.  `rhs` and `lower_bounds` take what
     `RationalMatrix` entries take: ints, Fractions and strings, not floats.
 
-    The tableau is integer: the structural columns and the right-hand side
-    only, each scaled by the lcm of its denominators; positive scalings keep
-    every reduced-cost sign and ratio order, so the pivots are those of the
-    rational simplex.  Each pivot is one `eliminate` step, the cost row riding
-    along as the last row; Fraction appears only in the shift by the lower
-    bounds and in the point handed back.  Row i is levels[i] times its
-    rational value, and every level is a past pivot, so positive: a
-    reduced-cost sign is the sign of its entry, a ratio is taken within one
-    row where the level cancels, and the point reads table[i][-1] /
-    levels[i].  Leaving out the artificials' identity block is exact.
-    Bland's rule enters an artificial only when no structural column
-    qualifies, and at a positive objective that basis proves the system
-    infeasible.  At objective 0 every pivot is degenerate and keeps the point,
-    so the simplex stops there.  `eliminate` acts on each column alone, so
-    the levels and the kept entries are those of the full tableau.
+    The tableau is integer: the structural columns, each scaled by the lcm
+    of its denominators, and the right-hand side shifted by the lower
+    bounds, computed on those integer columns and scaled by
+    d = lcm(scales[j] * den lower_bounds[j], den rhs[i]) over the nonzero
+    bounds.  Positive scalings keep every reduced-cost sign and ratio order,
+    so the pivots are those of the rational simplex.  Each pivot is one
+    `eliminate` step, the cost row riding along as the last row; Fraction
+    appears only in the inputs and in the point handed back.  Row i is
+    levels[i] times its rational value, and every level is a past pivot, so
+    positive: a reduced-cost sign is the sign of its entry, a ratio is taken
+    within one row where the level cancels, and the point reads
+    table[i][-1] * scales[var] / (levels[i] * d).  Leaving out the
+    artificials' identity block is exact.  Bland's rule enters an
+    artificial only when no structural column qualifies, and at a positive
+    objective that basis proves the system infeasible.  At objective 0
+    every pivot is degenerate and keeps the point, so the simplex stops
+    there.  `eliminate` acts on each column alone, so the levels and the
+    kept entries are those of the full tableau.
     """
     n_rows, n_cols = equalities.rows, equalities.cols
     rhs = [_coerce(b) for b in rhs]
@@ -76,18 +79,21 @@ def lp_feasible(
     if len(lower_bounds) != n_cols:
         raise ValueError(f"{len(lower_bounds)} lower bounds for {n_cols} variables")
 
-    # Shift to y = x - lower_bounds >= 0.
-    shifted_rhs = [b - vec_dot(equalities.row(i), lower_bounds) for i, b in enumerate(rhs)]
-
-    # Rows with negative right-hand side are negated so artificials start >= 0.
+    # Shift to y = x - lower_bounds >= 0: row i's right-hand side times d
+    # is rhs[i]*d - sum_j row[j] * lower_bounds[j] * d / scales[j].
     scales = [lcm(*(x.denominator for x in equalities.column(j))) for j in range(n_cols)]
-    scales.append(lcm(*(b.denominator for b in shifted_rhs)))
+    d = lcm(*(s * x.denominator for x, s in zip(lower_bounds, scales) if x), *(b.denominator for b in rhs))
+    weights = [
+        (j, x.numerator * (d // (s * x.denominator)))
+        for j, (x, s) in enumerate(zip(lower_bounds, scales))
+        if x
+    ]
     table: list[list[int]] = []
-    for i, b in enumerate(shifted_rhs):
-        sign = -1 if b < 0 else 1
-        row = [sign * x.numerator * (s // x.denominator) for x, s in zip(equalities.row(i), scales)]
-        row.append(sign * b.numerator * (scales[-1] // b.denominator))
-        table.append(row)
+    for i, b in enumerate(rhs):
+        row = [x.numerator * (s // x.denominator) for x, s in zip(equalities.row(i), scales)]
+        row.append(b.numerator * (d // b.denominator) - sum(row[j] * w for j, w in weights))
+        # Rows with negative right-hand side are negated so artificials start >= 0.
+        table.append([-x for x in row] if row[-1] < 0 else row)
 
     basis = [n_cols + i for i in range(n_rows)]  # markers of basic artificials
 
@@ -123,7 +129,7 @@ def lp_feasible(
     x = list(lower_bounds)
     for i, var in enumerate(basis):
         if var < n_cols:
-            x[var] += Fraction(table[i][-1] * scales[var], levels[i] * scales[-1])
+            x[var] += Fraction(table[i][-1] * scales[var], levels[i] * d)
     return tuple(x)
 
 
@@ -172,7 +178,12 @@ def lineality_dimension(generators: RationalMatrix) -> int:
 
 def verify_witness(generators: RationalMatrix, coefficients: Vector) -> bool:
     """Re-check a witness by plain arithmetic: one coefficient per column,
-    each >= 1, combining the columns to zero."""
+    each >= 1, combining the columns to zero.
+
+    The sums are taken on integers: the coefficients and each row of
+    `generators` are cleared of denominators once, positive scalings that
+    keep every sum's zero."""
     if len(coefficients) != generators.cols or any(c < 1 for c in coefficients):
         return False
-    return is_zero_vector(matvec(generators, coefficients))
+    weights = integer_multiple(coefficients)
+    return all(sum(x * w for x, w in zip(row, weights) if x) == 0 for row in _integer_rows(generators))

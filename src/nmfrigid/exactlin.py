@@ -13,10 +13,13 @@ generator matrix has one sparse column per zero) cost nothing; every row
 it writes is the row dense Bareiss (1968) elimination writes.  Elimination
 here is forward only: `rank` stops after it, and `nullspace_basis`
 finishes by exact integer back-substitution.  Callers that hold integers
-already, like the per-sample accept test of `rigidity`, run `_echelon` and
-`kernel_vector` on them directly.  Matrices are small (a few hundred
-entries at most), dense and immutable; elimination uses the first nonzero
-pivot in column order so kernels and ranks are bit-identical across runs.
+already, like the per-sample accept test of `rigidity`, or that clear
+their rows of denominators themselves, like its zero-diagonal slice V, run
+`_echelon` and `kernel_vector` on them directly; the simplex of `cone`
+shifts by its lower bounds on integers as well.  Matrices are small (a few
+hundred entries at most), dense and immutable; elimination uses the first
+nonzero pivot in column order so kernels and ranks are bit-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -273,17 +276,5 @@ def nullspace_basis(m: RationalMatrix) -> list[Vector]:
 def vec_neg(a: Vector) -> Vector:
     return tuple(-x for x in a)
 
-def vec_dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-def is_zero_vector(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
-
-
-def matvec(m: RationalMatrix, v: Vector) -> Vector:
-    if len(v) != m.cols:
-        raise ValueError(f"vector of length {len(v)} against {m.rows}x{m.cols} matrix")
-    return tuple(vec_dot(m.row(i), v) for i in range(m.rows))

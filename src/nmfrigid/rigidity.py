@@ -232,22 +232,42 @@ def _motion_dim(subject: DualConeGenerators | RigidityCertificate) -> int:
 
 
 def _zero_diagonal_slice_basis(gens: DualConeGenerators) -> tuple[RationalMatrix, ...]:
-    # Basis of V = {D : <g, D> = 0 for all generators, diag D = 0}.  No
-    # generator touches the diagonal, so its columns are free: their kernel
-    # vectors are the diagonal units, dropped here; the others vanish on it.
+    # Basis of V = {D : <g, D> = 0 for all generators, diag D = 0}: the
+    # reduced-row-echelon kernel basis of the generator rows, which clearing
+    # each row of denominators keeps.  No generator touches the diagonal, so
+    # its columns are free and their kernel vectors, the diagonal units, are
+    # not V; the vector of each other free column vanishes on the diagonal.
     r = gens.r
-    rows = RationalMatrix(gens.count, r * r, tuple([x for vec in gens.vectors for x in vec]))
-    return tuple(RationalMatrix(r, r, v) for v in nullspace_basis(rows) if not any(v[:: r + 1]))
+    cols = r * r
+    echelon, pivots, scale = _echelon([integer_multiple(vec) for vec in gens.vectors], cols)
+    skipped = set(pivots).union(range(0, cols, r + 1))  # pivot columns and the diagonal
+    basis = []
+    for free in range(cols):
+        if free not in skipped:
+            vec = kernel_vector(echelon, pivots, scale, free, cols)
+            basis.append(RationalMatrix(r, r, tuple([Fraction(x, scale) for x in vec])))
+    return tuple(basis)
 
 
 def _squares_to_zero(basis: tuple[RationalMatrix, ...]) -> bool:
     # D^2 = 0 for every element of span(basis) iff XY + YX = 0 for every
-    # pair of basis elements X, Y, with X = Y included.
-    for x, y in combinations_with_replacement(basis, 2):
-        xy = matmul(x, y)
-        yx = xy if x is y else matmul(y, x)
-        if any(p + q != 0 for p, q in zip(xy.data, yx.data)):
-            return False
+    # pair of basis elements X, Y, with X = Y included.  Positive scalings
+    # of X and Y keep that, so it is tested on their integer multiples.
+    mats = []
+    for m in basis:
+        flat = integer_multiple(m.data)
+        mats.append([flat[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)])
+    for x, y in combinations_with_replacement(mats, 2):
+        for x_row, y_row in zip(x, y):
+            # Row i of XY + YX: the rows of Y weighted by row i of X, plus
+            # the rows of X weighted by row i of Y; the zeros add nothing.
+            total = [0] * len(x_row)
+            for weights, rows in ((x_row, y), (y_row, x)):
+                for w, row in zip(weights, rows):
+                    if w:
+                        total = [t + w * v for t, v in zip(total, row)]
+            if any(total):
+                return False
     return True
 
 

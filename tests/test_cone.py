@@ -16,12 +16,13 @@ from nmfrigid.exactlin import (
     RationalMatrix,
     nullspace_basis,
     rank,
-    vec_dot,
     vec_neg,
     zero_vector,
 )
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair
 from nmfrigid.rigidity import FactorizationPair, build_dual_generators, certify
+from test_exactlin import is_zero_vector, matvec, vec_dot
+from test_rigidity import twelve_zero_variants
 
 
 def frac_vec(*values):
@@ -251,6 +252,33 @@ def test_lp_with_lazy_pivots_matches_fraction_simplex_on_larger_systems(monkeypa
         system, rhs, bounds = _random_lp(rng, 7, 9)
         assert lp_feasible(system, rhs, bounds) == _fraction_simplex(system, rhs, bounds)
     assert len(raised) > 500 and sum(raised) > 50
+
+
+def test_lp_shift_matches_fraction_simplex_past_64_bit_denominators():
+    # The shifted right-hand side is scaled by d = lcm(scales[j] * den l_j,
+    # den b_i).  Column entries have denominators 2**65 and 3**41, past
+    # 2**64; lower bounds, fractional and negative, have 13 and 17**16, and
+    # the right-hand sides 5, 7 and 11**19, coprime to every column scale.
+    rng = random.Random(20191105)
+
+    def draw(dens, low, high, zero=0.0):
+        if rng.random() < zero:
+            return Fraction(0)
+        return Fraction(rng.randint(low, high), rng.choice(dens))
+
+    feasible = negative_bounds = 0
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 6)
+        system = RationalMatrix.from_rows(
+            [[draw((1, 2**65, 3**41), -9, 9, 0.3) for _ in range(n_cols)] for _ in range(n_rows)]
+        )
+        bounds = tuple(draw((1, 13, 17**16), -40, 40, 0.2) for _ in range(n_cols))
+        rhs = tuple(draw((5, 7, 11**19), -50, 50) for _ in range(n_rows))
+        expected = _fraction_simplex(system, rhs, bounds)
+        assert lp_feasible(system, rhs, bounds) == expected
+        feasible += expected is not None
+        negative_bounds += any(x < 0 and x.denominator > 1 for x in bounds)
+    assert 60 < feasible < 240 and negative_bounds > 100
 
 
 def _cap_pivots(monkeypatch, cap):
@@ -519,3 +547,48 @@ def test_kernel_witness_equals_lp_witness_on_fixture_patterns():
         assert witness == reference
         verdicts.add(reference is not None)
     assert verdicts == {True, False}
+
+
+def _verify_witness_reference(generators, coefficients):
+    """Reference: the witness check on Fractions, with `matvec`."""
+    if len(coefficients) != generators.cols or any(c < 1 for c in coefficients):
+        return False
+    return is_zero_vector(matvec(generators, coefficients))
+
+
+def _witness_subjects():
+    """(generator matrix, certified witness or None) of the 15 fixtures,
+    their 195 twelve-zero variants and the 30 CP factors, A and B^T of each
+    fixture."""
+    for fx in RIGID_5X5:
+        pair = fx.pair()
+        for subject in (pair, *twelve_zero_variants(pair)):
+            cert = certify(subject, kruskal_budget=0)
+            yield build_dual_generators(subject).matrix(), cert.relint_witness
+        for a in (pair.a, pair.b.transpose()):
+            factor = SymmetricFactor(a)
+            cert = certify_cp(factor, kruskal_budget=0)
+            yield build_skew_generators(factor).matrix(), cert.relint_witness
+
+
+def test_verify_witness_matches_the_fraction_reference_and_refuses_tampering():
+    rng = random.Random(20191106)
+    subjects = witnessed = 0
+    for matrix, witness in _witness_subjects():
+        subjects += 1
+        tries = [
+            (Fraction(1),) * matrix.cols,
+            tuple(Fraction(rng.randint(3, 12), rng.randint(1, 3)) for _ in range(matrix.cols)),
+        ]
+        if witness is not None:
+            witnessed += 1
+            j = next(j for j in range(matrix.cols) if any(matrix.column(j)))
+            raised = witness[:j] + (witness[j] + 1,) + witness[j + 1 :]
+            lowered = witness[:j] + (Fraction(1, 2),) + witness[j + 1 :]
+            assert verify_witness(matrix, witness)
+            assert not verify_witness(matrix, raised)
+            assert not verify_witness(matrix, lowered)
+            tries += [witness, raised, lowered]
+        for coefficients in tries:
+            assert verify_witness(matrix, coefficients) is _verify_witness_reference(matrix, coefficients)
+    assert (subjects, witnessed) == (240, 23)

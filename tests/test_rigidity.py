@@ -11,6 +11,7 @@ from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
 from nmfrigid.rigidity import (
     Classification,
     FactorizationPair,
+    _squares_to_zero,
     _zero_diagonal_slice_basis,
     build_dual_generators,
     certify,
@@ -230,6 +231,54 @@ def test_zero_diagonal_slice_basis_matches_the_stacked_picker_reference():
     for pair in pairs:
         gens = build_dual_generators(pair)
         assert _zero_diagonal_slice_basis(gens) == stacked_picker_slice_basis(gens)
+
+
+def squares_to_zero_reference(basis):
+    # Reference: XY + YX = 0 for every pair of basis elements, on Fraction
+    # products.
+    for x, y in itertools.combinations_with_replacement(basis, 2):
+        xy, yx = matmul(x, y), matmul(y, x)
+        if any(p + q for p, q in zip(xy.data, yx.data)):
+            return False
+    return True
+
+
+def test_squares_to_zero_matches_the_fraction_product_reference():
+    # V-like bases: zero-diagonal r x r matrices with sparse entries whose
+    # denominators reach past 2**64.  Half are supported on rows R times
+    # columns C with R and C disjoint, so every product vanishes; the rest
+    # have free supports, and include pairs with X^2 = Y^2 = 0 but
+    # XY + YX != 0, such as E_01 and E_10.
+    rng = random.Random(20191107)
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3**41, 2**65)))
+
+    def element(r, rows, cols):
+        data = [Fraction(0)] * (r * r)
+        for i in rows:
+            for j in cols:
+                if i != j and rng.random() < 0.6:
+                    data[i * r + j] = entry()
+        return RationalMatrix(r, r, tuple(data))
+
+    verdicts = []
+    for _ in range(300):
+        r = rng.randint(2, 6)
+        if rng.random() < 0.5:
+            rows = set(rng.sample(range(r), rng.randint(1, r - 1)))
+            cols = [j for j in range(r) if j not in rows]
+        else:
+            rows = cols = range(r)
+        basis = tuple(element(r, rows, cols) for _ in range(rng.randint(1, 3)))
+        expected = squares_to_zero_reference(basis)
+        assert _squares_to_zero(basis) is expected
+        verdicts.append(expected)
+    e01 = RationalMatrix.from_rows([[0, "1/3"], [0, 0]])
+    e10 = RationalMatrix.from_rows([[0, 0], [2**70, 0]])
+    assert _squares_to_zero((e01,)) and _squares_to_zero((e10,))
+    assert not _squares_to_zero((e01, e10)) and not squares_to_zero_reference((e01, e10))
+    assert 100 < sum(verdicts) < 250
 
 
 # ---------------------------------------------------------------------------
@@ -781,13 +830,19 @@ def test_kernel_kruskal_matches_primal_search_on_twelve_zero_variants():
     assert seen == 15 * 13
 
 
-def test_lifted_fixture_kruskal_rank_and_charge_are_pinned():
+def test_lifted_fixture_kruskal_rank_and_charge_are_pinned(monkeypatch):
+    from nmfrigid import rigidity
     from nmfrigid.realize import lift_partially_rigid
 
     gens = build_dual_generators(lift_partially_rigid(RIGID_5X5[0].pair()))
     assert gens.count == 18 and len(nullspace_basis(gens.matrix())) == 2
+    # A kernel of dimension 2 charges its subsets from its circuits and
+    # tests none of them.
+    tested = []
+    monkeypatch.setattr(rigidity, "rank", lambda m: tested.append(m) or rank(m))
     assert kruskal_rank_of_columns(gens.vectors, 30184) is None
     assert kruskal_rank_of_columns(gens.vectors, 30185) == 4
+    assert tested == []
 
 
 # ---------------------------------------------------------------------------
