@@ -19,7 +19,7 @@ from .cpr import certify_cp
 from .exactlin import _shown
 from .fixtures import RIGID_5X5, BenchmarkFactorization
 from .patterns import THEOREM_FILTERS, PatternFilter, check_wpoint, enumerate_patterns, table1_filters
-from .realize import LiftInfeasibleError, RealizationSearchConfig, lift_partially_rigid, realize_pattern
+from .realize import WPOINT_REFUSAL, LiftInfeasibleError, RealizationSearchConfig, lift_partially_rigid, realize_pattern
 from .rigidity import DEFAULT_KRUSKAL_BUDGET, Classification, certify
 
 EXIT_OK = 0
@@ -126,9 +126,7 @@ def cmd_enumerate(args) -> int:
 def cmd_realize(args) -> int:
     pattern = formats.load_pattern(_read_text(args.pattern))
     if not check_wpoint(pattern):
-        return _fail_input(
-            "pattern fails the zero-count/pair conditions, no rigid realization exists"
-        )
+        return _fail_input(WPOINT_REFUSAL)
     config = RealizationSearchConfig(
         entry_low=args.range[0],
         entry_high=args.range[1],

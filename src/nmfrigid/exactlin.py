@@ -11,15 +11,14 @@ own level, the pivot it was last rewritten at, and a pivot rewrites only
 the rows nonzero in its column, so the zeros of a sparse matrix (the
 generator matrix has one sparse column per zero) cost nothing; every row
 it writes is the row dense Bareiss (1968) elimination writes.  Elimination
-here is forward only: `rank` stops after it, and `nullspace_basis`
-finishes by exact integer back-substitution.  Callers that hold integers
-already, like the per-sample accept test of `rigidity`, or that clear
-their rows of denominators themselves, like its zero-diagonal slice V, run
-`_echelon` and `kernel_vector` on them directly; the simplex of `cone`
-shifts by its lower bounds on integers as well.  Matrices are small (a few
-hundred entries at most), dense and immutable; elimination uses the first
-nonzero pivot in column order so kernels and ranks are bit-identical
-across runs.
+here is forward only: `rank` stops after it, and `integer_kernel`
+finishes by exact integer back-substitution.  The certification core of
+`rigidity`, its accept test and its zero-diagonal slice V keep that
+kernel in integers, and `nullspace_basis` is its Fraction view; the
+simplex of `cone` shifts by its lower bounds on integers as well.
+Matrices are small (a few hundred entries at most), dense and immutable;
+elimination uses the first nonzero pivot in column order so kernels and
+ranks are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -255,22 +254,26 @@ def rank(m: RationalMatrix) -> int:
     return len(_echelon(_integer_rows(m), m.cols)[1])
 
 
+def integer_kernel(rows: list[list[int]], cols: int) -> tuple[int, int, list[list[int]]]:
+    """(rank, scale, kernel basis) of the integer rows `rows`, which it
+    consumes, over `cols` columns: `_echelon`, then one `kernel_vector` per
+    free column in column order, each `scale` times the vector the reduced
+    row echelon form gives."""
+    echelon, pivots, scale = _echelon(rows, cols)
+    pivot_set = set(pivots)
+    vectors = [kernel_vector(echelon, pivots, scale, j, cols) for j in range(cols) if j not in pivot_set]
+    return len(pivots), scale, vectors
+
+
 def nullspace_basis(m: RationalMatrix) -> list[Vector]:
     """Deterministic basis of the right kernel; empty iff rank equals cols.
 
     The vector for free column j has 1 at j, 0 at the other free columns
     and, at the pivot columns, the unique values that put it in the
-    kernel: `kernel_vector` divided by the scale.  These are the vectors
-    the reduced row echelon form gives.
+    kernel: `integer_kernel`'s vector divided by the scale.
     """
-    echelon, pivots, scale = _echelon(_integer_rows(m), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free not in pivot_set:
-            vec = kernel_vector(echelon, pivots, scale, free, m.cols)
-            basis.append(tuple([Fraction(x, scale) for x in vec]))
-    return basis
+    _, scale, vectors = integer_kernel(_integer_rows(m), m.cols)
+    return [tuple([Fraction(x, scale) for x in vec]) for vec in vectors]
 
 
 def vec_neg(a: Vector) -> Vector:

@@ -33,6 +33,10 @@ from .rigidity import (
 )
 
 
+# The refusal of a pattern that fails `check_wpoint`, in the library and the CLI.
+WPOINT_REFUSAL = "pattern fails the zero-count/pair conditions, no rigid realization exists"
+
+
 class LiftInfeasibleError(RuntimeError):
     """No positive weighting of B's columns admits a lift of the pair."""
 
@@ -72,7 +76,7 @@ def realize_pattern(
     # This also refuses a pattern that forces a column of A or a row of B to
     # be zero: its zero mask contains every other one (r = 1 cannot hold it).
     if not check_wpoint(pattern):
-        raise ValueError("pattern fails the zero-count/pair conditions; no rigid realization exists")
+        raise ValueError(WPOINT_REFUSAL)
 
     rng = random.Random(config.seed)
     low, high = config.entry_low, config.entry_high

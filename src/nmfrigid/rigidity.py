@@ -36,10 +36,10 @@ from .cone import lineality_dimension, zero_in_relative_interior
 from .exactlin import (
     RationalMatrix,
     Vector,
-    _echelon,
+    _integer_rows,
     _shown,
+    integer_kernel,
     integer_multiple,
-    kernel_vector,
     matmul,
     nullspace_basis,
     rank,
@@ -231,37 +231,28 @@ def _motion_dim(subject: DualConeGenerators | RigidityCertificate) -> int:
     return subject.ambient_dim if subject.symmetric else subject.ambient_dim - subject.r
 
 
-def _zero_diagonal_slice_basis(gens: DualConeGenerators) -> tuple[RationalMatrix, ...]:
-    # Basis of V = {D : <g, D> = 0 for all generators, diag D = 0}: the
-    # reduced-row-echelon kernel basis of the generator rows, which clearing
-    # each row of denominators keeps.  No generator touches the diagonal, so
-    # its columns are free and their kernel vectors, the diagonal units, are
-    # not V; the vector of each other free column vanishes on the diagonal.
+def _zero_diagonal_slice_basis(gens: DualConeGenerators) -> tuple[int, list[list[int]]]:
+    # (scale, vectors): a basis of V = {D : <g, D> = 0 for all generators,
+    # diag D = 0}, each vector `scale` times the reduced-row-echelon kernel
+    # vector of the generator rows, which clearing each row of denominators
+    # keeps.  No generator touches the diagonal, so its columns are free and
+    # their kernel vectors are the diagonal units, which are not V; the
+    # vector of every other free column vanishes on the diagonal.
     r = gens.r
-    cols = r * r
-    echelon, pivots, scale = _echelon([integer_multiple(vec) for vec in gens.vectors], cols)
-    skipped = set(pivots).union(range(0, cols, r + 1))  # pivot columns and the diagonal
-    basis = []
-    for free in range(cols):
-        if free not in skipped:
-            vec = kernel_vector(echelon, pivots, scale, free, cols)
-            basis.append(RationalMatrix(r, r, tuple([Fraction(x, scale) for x in vec])))
-    return tuple(basis)
+    _, scale, vectors = integer_kernel([integer_multiple(vec) for vec in gens.vectors], r * r)
+    return scale, [vec for vec in vectors if not any(vec[:: r + 1])]
 
 
-def _squares_to_zero(basis: tuple[RationalMatrix, ...]) -> bool:
-    # D^2 = 0 for every element of span(basis) iff XY + YX = 0 for every
-    # pair of basis elements X, Y, with X = Y included.  Positive scalings
-    # of X and Y keep that, so it is tested on their integer multiples.
-    mats = []
-    for m in basis:
-        flat = integer_multiple(m.data)
-        mats.append([flat[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)])
+def _squares_to_zero(vectors: list[list[int]], r: int) -> bool:
+    # D^2 = 0 for every element of the span of the flattened r x r integer
+    # matrices `vectors` iff XY + YX = 0 for every pair of them, X = Y
+    # included.
+    mats = [[vec[i * r : (i + 1) * r] for i in range(r)] for vec in vectors]
     for x, y in combinations_with_replacement(mats, 2):
         for x_row, y_row in zip(x, y):
             # Row i of XY + YX: the rows of Y weighted by row i of X, plus
             # the rows of X weighted by row i of Y; the zeros add nothing.
-            total = [0] * len(x_row)
+            total = [0] * r
             for weights, rows in ((x_row, y), (y_row, x)):
                 for w, row in zip(weights, rows):
                     if w:
@@ -297,13 +288,14 @@ def certify(
 def _certify_generators(gens: DualConeGenerators, kruskal_budget: int) -> RigidityCertificate:
     r, ambient_dim = gens.r, gens.ambient_dim
     matrix = gens.matrix()
-    kernel = nullspace_basis(matrix)
-    span_rank = gens.count - len(kernel)
+    span_rank, _, kernel = integer_kernel(_integer_rows(matrix), gens.count)
     witness, lin_dim = _relint_stage(matrix, kernel)
     dim_w = ambient_dim - lin_dim
 
     v_basis = None
-    if lin_dim == span_rank == _motion_dim(gens) and witness is not None:
+    # A witness makes the cone linear, of dimension span_rank, so the
+    # partial branch below sees r < dim_w < ambient_dim.
+    if span_rank == _motion_dim(gens) and witness is not None:
         classification = Classification.INFINITESIMALLY_RIGID
     elif gens.symmetric:
         # Without trivial deformations, any nonzero W element is a genuine
@@ -311,11 +303,11 @@ def _certify_generators(gens: DualConeGenerators, kruskal_budget: int) -> Rigidi
         classification = Classification.NOT_RIGID
     elif dim_w == ambient_dim:
         classification = Classification.INTERIOR_CERTIFIED
-    elif witness is not None and r < dim_w < ambient_dim:
-        candidate = _zero_diagonal_slice_basis(gens)
-        if _squares_to_zero(candidate):
+    elif witness is not None:
+        scale, vectors = _zero_diagonal_slice_basis(gens)
+        if _squares_to_zero(vectors, r):
             classification = Classification.PARTIALLY_INFINITESIMALLY_RIGID
-            v_basis = candidate
+            v_basis = tuple(RationalMatrix(r, r, tuple([Fraction(x, scale) for x in vec])) for vec in vectors)
         else:
             classification = Classification.UNDETERMINED
     else:
@@ -348,11 +340,11 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     scaled to integers by a positive factor (a row of A or a column of B
     cleared of denominators), which changes neither the cone nor the sign
     pattern of a kernel vector, and taken over the r^2-r off-diagonal
-    coordinates only, since all of them vanish on the diagonal.  One
-    forward elimination on these integers gives the span rank; a kernel of
-    dimension at most one is read off by integer back-substitution, and
-    only a kernel of dimension two or more pays for the feasibility LP.
-    The lineality and Kruskal stages are skipped.
+    coordinates only, since all of them vanish on the diagonal.
+    `integer_kernel` on these integers gives the span rank and kernel; a
+    kernel of dimension at most one decides by its signs, and only one of
+    dimension two or more pays for the feasibility LP.  The lineality and
+    Kruskal stages are skipped.
     """
     r = len(b_rows)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
@@ -360,18 +352,17 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     b_cols = [integer_multiple(col) for col in zip(*b_rows)]
     columns, _ = _generator_columns(a_rows, b_cols, r, coords)
     count = len(columns)
-    echelon, pivots, scale = _echelon([list(row) for row in zip(*columns)], count)
-    if len(pivots) != len(coords):
+    span_rank, _, kernel = integer_kernel([list(row) for row in zip(*columns)], count)
+    if span_rank != len(coords):
         return False
-    if count - len(pivots) >= 2:
+    if len(kernel) >= 2:
         return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
-    kernel = [kernel_vector(echelon, pivots, scale, j, count) for j in range(count) if j not in pivots]
     return _cone_from_kernel(kernel, count)[0] is not None
 
 
-def _relint_stage(matrix: RationalMatrix, kernel: list[Vector]) -> tuple[Vector | None, int]:
+def _relint_stage(matrix: RationalMatrix, kernel: list[list[int]]) -> tuple[Vector | None, int]:
     """Relative-interior witness of the generator cone and its lineality
-    dimension.
+    dimension, from an integer kernel basis of the generator matrix.
 
     A kernel of dimension at most one decides both.  Otherwise the witness
     is the feasibility LP's vertex; with one the cone is its span, and
@@ -385,9 +376,9 @@ def _relint_stage(matrix: RationalMatrix, kernel: list[Vector]) -> tuple[Vector 
     return witness, matrix.cols - len(kernel)
 
 
-def _cone_from_kernel(kernel: list[Vector], count: int) -> tuple[Vector | None, int]:
+def _cone_from_kernel(kernel: list[list[int]], count: int) -> tuple[Vector | None, int]:
     """Relative-interior witness and lineality dimension of the generator
-    cone, read off a kernel of dimension at most one.
+    cone, read off an integer kernel basis of dimension at most one.
 
     Zero is a positive combination of the generators exactly when some
     kernel vector is positive, and -g_i lies in the cone exactly when some
@@ -418,7 +409,7 @@ def _cone_from_kernel(kernel: list[Vector], count: int) -> tuple[Vector | None, 
 # ---------------------------------------------------------------------------
 
 def kruskal_rank_of_columns(
-    columns: tuple[Vector, ...], budget: int, *, kernel: list[Vector] | None = None
+    columns: tuple[Vector, ...], budget: int, *, kernel: list[list[int]] | None = None
 ) -> int | None:
     """Largest k such that every k columns are linearly independent.
 
@@ -429,8 +420,9 @@ def kruskal_rank_of_columns(
     level without one charges C(count, k) and answers k.  A search whose
     charge would pass the budget reports unknown (None) rather than an
     approximation.  No columns, or no passing level, give 0.  `kernel`, a
-    basis of the right kernel of the columns, saves recomputing it when the
-    caller holds one.
+    basis of the right kernel of the columns such as `integer_kernel`
+    hands back, saves recomputing it when the caller holds one; without
+    it, `nullspace_basis` is cleared of denominators.
 
     The kernel locates the dependent subsets: S is dependent exactly when
     some nonzero kernel vector is supported inside S.  For d <= 2 the first
@@ -444,8 +436,7 @@ def kruskal_rank_of_columns(
     if c == 0:
         return 0
     if kernel is None:
-        kernel = nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))
-    kernel = [integer_multiple(v) for v in kernel]
+        kernel = [integer_multiple(v) for v in nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))]
     d = len(kernel)
     if d <= 2:
         circuits = _small_kernel_circuits(kernel)

@@ -287,6 +287,21 @@ def test_realize_refuses_wpoint_failure(capsys, tmp_path):
     assert "pair conditions" in err
 
 
+def test_realize_refusal_reads_the_same_in_the_library_and_the_cli(capsys, tmp_path):
+    from nmfrigid.fixtures import twelve_zero_pattern_5x7
+    from nmfrigid.realize import RealizationSearchConfig, realize_pattern
+
+    pattern = twelve_zero_pattern_5x7()
+    path = tmp_path / "pattern.txt"
+    path.write_text(formats.dump_pattern(pattern))
+    code, out, err = run(capsys, "realize", "--pattern", str(path))
+    with pytest.raises(ValueError) as refusal:
+        realize_pattern(pattern, RealizationSearchConfig(seed=1))
+    assert (code, out) == (2, "")
+    assert err.removeprefix("error: ") == f"{refusal.value}\n"
+    assert err == "error: pattern fails the zero-count/pair conditions, no rigid realization exists\n"
+
+
 def test_rank_one_patterns_pass_the_wpoint_conditions(capsys, tmp_path):
     # No necessary condition applies at r = 1, where every pair is rigid.
     code, out, _ = run(

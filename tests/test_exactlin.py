@@ -8,6 +8,7 @@ from nmfrigid.exactlin import (
     RationalMatrix,
     _echelon,
     eliminate,
+    integer_kernel,
     integer_multiple,
     kernel_vector,
     matmul,
@@ -421,6 +422,42 @@ def test_kernel_vectors_are_integer_and_scaled_by_the_last_pivot():
             ints = kernel_vector(echelon, pivots, scale, j, m.cols)
             assert all(type(x) is int for x in ints)
             assert ints == [x * scale for x in vec]
+
+
+def integer_matrix(rows, cols):
+    return RationalMatrix(len(rows), cols, tuple(Fraction(x) for row in rows for x in row))
+
+
+def test_integer_kernel_on_seeded_integer_matrices():
+    # The free columns are found independently, as the columns that do not
+    # raise the rank of the columns before them.
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(600):
+        n_rows, cols = rng.randint(0, 7), rng.randint(0, 8)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(cols)] for _ in range(n_rows)]
+        for i in range(1, n_rows):
+            if rng.random() < 0.2:
+                rows[i] = [rng.randint(-3, 3) * x for x in rows[rng.randrange(i)]]
+        if cols and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in rows:
+                row[j] = 0
+        m = integer_matrix(rows, cols)
+        got_rank, scale, vectors = integer_kernel([list(row) for row in rows], cols)
+        assert got_rank == rank(m) and scale != 0
+        ranks = [rank(integer_matrix([row[:j] for row in rows], j)) for j in range(cols + 1)]
+        free = [j for j in range(cols) if ranks[j + 1] == ranks[j]]
+        assert len(vectors) == len(free)
+        for j, vec in zip(free, vectors):
+            assert all(type(x) is int for x in vec) and len(vec) == cols
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows)
+            assert [vec[k] for k in free] == [scale if k == j else 0 for k in free]
+        assert nullspace_basis(m) == [tuple(Fraction(x, scale) for x in vec) for vec in vectors]
+        seen.add("zero row" if any(not any(row) for row in rows) else None)
+        seen.add("zero column" if any(not any(row[j] for row in rows) for j in range(cols)) else None)
+        seen.add("no columns" if cols == 0 else "full column rank" if got_rank == cols else "deficient")
+    assert {"zero row", "zero column", "no columns", "full column rank", "deficient"} <= seen
 
 
 def test_shown_quotes_at_most_40_characters():

@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from nmfrigid.cpr import SymmetricFactor, build_skew_generators
-from nmfrigid.exactlin import RationalMatrix, integer_multiple, matmul, nullspace_basis, rank
+from nmfrigid.exactlin import RationalMatrix, _integer_rows, integer_kernel, integer_multiple, matmul, nullspace_basis, rank
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
 from nmfrigid.rigidity import (
     Classification,
@@ -230,7 +231,10 @@ def test_zero_diagonal_slice_basis_matches_the_stacked_picker_reference():
     pairs = [lift_demo_lifted_pair()] + [rand_pair(rng, max_r=4) for _ in range(80)]
     for pair in pairs:
         gens = build_dual_generators(pair)
-        assert _zero_diagonal_slice_basis(gens) == stacked_picker_slice_basis(gens)
+        scale, vectors = _zero_diagonal_slice_basis(gens)
+        assert all(type(x) is int for vec in vectors for x in vec)
+        basis = tuple(RationalMatrix(gens.r, gens.r, tuple(Fraction(x, scale) for x in vec)) for vec in vectors)
+        assert basis == stacked_picker_slice_basis(gens)
 
 
 def squares_to_zero_reference(basis):
@@ -241,6 +245,13 @@ def squares_to_zero_reference(basis):
         if any(p + q for p, q in zip(xy.data, yx.data)):
             return False
     return True
+
+
+def integer_form(basis, sign):
+    # The flattened elements of `basis` times one common integer of sign
+    # `sign`, as the V-slice hands its basis over.
+    den = lcm(*[x.denominator for m in basis for x in m.data])
+    return [[sign * x.numerator * (den // x.denominator) for x in m.data] for m in basis]
 
 
 def test_squares_to_zero_matches_the_fraction_product_reference():
@@ -272,12 +283,13 @@ def test_squares_to_zero_matches_the_fraction_product_reference():
             rows = cols = range(r)
         basis = tuple(element(r, rows, cols) for _ in range(rng.randint(1, 3)))
         expected = squares_to_zero_reference(basis)
-        assert _squares_to_zero(basis) is expected
+        assert _squares_to_zero(integer_form(basis, (-1) ** len(verdicts)), r) is expected
         verdicts.append(expected)
     e01 = RationalMatrix.from_rows([[0, "1/3"], [0, 0]])
     e10 = RationalMatrix.from_rows([[0, 0], [2**70, 0]])
-    assert _squares_to_zero((e01,)) and _squares_to_zero((e10,))
-    assert not _squares_to_zero((e01, e10)) and not squares_to_zero_reference((e01, e10))
+    assert _squares_to_zero(integer_form((e01,), 1), 2) and _squares_to_zero(integer_form((e10,), -1), 2)
+    assert not _squares_to_zero(integer_form((e01, e10), 1), 2)
+    assert not squares_to_zero_reference((e01, e10))
     assert 100 < sum(verdicts) < 250
 
 
@@ -669,13 +681,18 @@ def test_nonnegative_kernel_with_zero_entry_gives_support_lineality():
     assert cert.classification is Classification.UNDETERMINED
 
 
+def generator_kernel(gens):
+    # The integer kernel of the generator matrix, as certification takes it.
+    return integer_kernel(_integer_rows(gens.matrix()), gens.count)[2]
+
+
 def test_kernel_answers_do_not_depend_on_the_sign_of_the_basis_vector():
     from nmfrigid.rigidity import _cone_from_kernel
 
     for pair in (RIGID_5X5[0].pair(), opposite_pair()):
         gens = build_dual_generators(pair)
-        (v,) = nullspace_basis(gens.matrix())
-        negated = tuple(-x for x in v)
+        (v,) = generator_kernel(gens)
+        negated = [-x for x in v]
         assert _cone_from_kernel([negated], gens.count) == _cone_from_kernel([v], gens.count)
 
 
@@ -695,7 +712,8 @@ def test_kernel_with_zero_entry_is_handed_to_kruskal_rank_of_columns(monkeypatch
         assert certify(pair, kruskal_budget=budget).kruskal_rank == kruskal_rank_of_columns(
             gens.vectors, budget
         )
-    kernel = nullspace_basis(gens.matrix())
+    kernel = generator_kernel(gens)
+    assert all(type(x) is int for v in kernel for x in v)
     assert calls == [(budget, kernel) for budget in (0, 2, 3, 4)]
 
 
