@@ -3,13 +3,15 @@
 Subcommands: check, cp-check, enumerate, realize, verify-fixtures, lift.
 Exit codes are a stable contract: 0 success, 1 verification or search
 failure, 2 input error.  Output is deterministic byte for byte given the
-same inputs and seeds.
+same inputs and seeds.  The argument parser is built once per process, on
+the first `main` call, and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 from pathlib import Path
@@ -215,7 +217,17 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the process-wide `nmfr` parser, built on first use.
+
+    Every `main` call parses with this one parser, so callers must not
+    mutate it.  Parsing keeps no state on it: each parse makes a fresh
+    namespace, and usage, help and errors are formatted at call time.  The
+    `cmd_*` functions are bound by `set_defaults` when the parser is built,
+    so a test patches the names those commands call (`cli.certify`, say),
+    not `cmd_*`.
+    """
     parser = argparse.ArgumentParser(
         prog="nmfr",
         description="Exact rigidity certification for nonnegative matrix factorizations.",

@@ -685,3 +685,59 @@ def test_check_symmetric_is_cp_check(capsys, tmp_path, json_flag):
             cp = run(capsys, "cp-check", str(path), *json_flag)
             assert run(capsys, "check", "--symmetric", str(path), *json_flag) == cp
             assert cp[0] == 0 and cp[2] == ""
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch, fixture_file):
+    import argparse
+
+    from nmfrigid.cli import build_parser
+
+    run(capsys, "check", str(fixture_file), "--json")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.__wrapped__()
+    assert len(built) == 7  # the top-level parser and its six subcommands
+    built.clear()
+    code, out, err = run(capsys, "check", str(fixture_file), "--json")
+    assert (code, err, built) == (0, "", [])
+    assert json.loads(out)["certificate"]["classification"] == "infinitesimally-rigid"
+
+
+def test_refusals_leave_the_shared_parser_as_it_was(capsys, fixture_file):
+    before = run(capsys, "check", str(fixture_file), "--json")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(fixture_file), "--kruskal-budget", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "nmfr check: error: argument --kruskal-budget: invalid int value: 'x'"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"nmfr {nmfrigid.__version__}\n"
+    assert run(capsys, "check", str(fixture_file), "--json") == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["nmfr", "check"])
+def test_help_from_the_shared_parser_matches_a_fresh_one(capsys, monkeypatch, argv):
+    # Help is formatted when asked for, at the width COLUMNS gives then.
+    from nmfrigid.cli import build_parser
+
+    shared = []
+    for columns in ("60", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts = []
+        for parse in (main, build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        shared.append(texts[0])
+    assert shared[0] != shared[1]
