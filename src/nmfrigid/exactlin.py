@@ -11,10 +11,15 @@ own level, the pivot it was last rewritten at, and a pivot rewrites only
 the rows nonzero in its column, so the zeros of a sparse matrix (the
 generator matrix has one sparse column per zero) cost nothing; every row
 it writes is the row dense Bareiss (1968) elimination writes.  Elimination
-here is forward only: `rank` stops after it, and `integer_kernel`
-finishes by exact integer back-substitution.  The certification core of
-`rigidity`, its accept test and its zero-diagonal slice V keep that
-kernel in integers, and `nullspace_basis` is its Fraction view; the
+here is forward only: `rank` stops after it, and two routines finish it
+by exact integer back-substitution, one loop shared by both:
+`integer_kernel` into a kernel basis, which the certification core of
+`rigidity` and its zero-diagonal slice V keep in integers and
+`nullspace_basis` views as Fractions, and `one_signed_kernel` into the
+sign test of the realize accept test, which stops at the first kernel
+entry that fails it.  That test fills its generator matrix from a plan
+made once per zero pattern, so it needs draw entries nonzero exactly off
+the pattern's zeros, as a search with entry_low >= 1 draws them.  The
 simplex of `cone` shifts by its lower bounds on integers as well.
 Matrices are small (a few hundred entries at most), dense and immutable;
 elimination uses the first nonzero pivot in column order so kernels and
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -88,17 +93,6 @@ class RationalMatrix:
             raise ValueError("ragged rows")
         data = tuple(x for row in rows for x in row)
         return cls(n_rows, n_cols, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        data = [Fraction(0)] * (n * n)
-        for i in range(n):
-            data[i * n + i] = Fraction(1)
-        return cls(n, n, tuple(data))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: int) -> "RationalMatrix":
@@ -244,9 +238,18 @@ def kernel_vector(
     """
     vec = [0] * cols
     vec[free] = scale
-    for row, col in zip(reversed(echelon), reversed(pivots)):
-        vec[col] = -sum(x * y for x, y in zip(row, vec) if x) // row[col]
+    for _ in _substitute(echelon, pivots, vec):
+        pass
     return vec
+
+
+def _substitute(echelon: list[list[int]], pivots: list[int], vec: list[int]) -> Iterator[int]:
+    """Set the pivot entries of `vec`, whose free entries are already set,
+    by back-substitution from the last echelon row up, yielding each one as
+    it is set."""
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        entry = vec[col] = -sum(x * y for x, y in zip(row, vec) if x) // row[col]
+        yield entry
 
 
 def rank(m: RationalMatrix) -> int:
@@ -263,6 +266,25 @@ def integer_kernel(rows: list[list[int]], cols: int) -> tuple[int, int, list[lis
     pivot_set = set(pivots)
     vectors = [kernel_vector(echelon, pivots, scale, j, cols) for j in range(cols) if j not in pivot_set]
     return len(pivots), scale, vectors
+
+
+def one_signed_kernel(rows: list[list[int]], cols: int) -> tuple[int, bool]:
+    """(rank, one-signed) of the integer rows `rows`, which it consumes,
+    over `cols` columns: one-signed tells whether the kernel is a line
+    spanned by a vector whose entries are all nonzero and of one sign.
+
+    `_echelon`, then, for a kernel of dimension one only, the
+    back-substitution of `kernel_vector`, which stops at the first entry
+    that is zero or whose sign differs from the free entry's.
+    """
+    echelon, pivots, scale = _echelon(rows, cols)
+    if cols - len(pivots) != 1:
+        return len(pivots), False
+    free = next((j for j, col in enumerate(pivots) if j != col), len(pivots))
+    vec = [0] * cols
+    vec[free] = scale
+    positive = scale > 0
+    return len(pivots), all(x and (x > 0) is positive for x in _substitute(echelon, pivots, vec))
 
 
 def nullspace_basis(m: RationalMatrix) -> list[Vector]:

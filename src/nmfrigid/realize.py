@@ -3,9 +3,10 @@
 Realization search samples integer entries uniformly at the free positions
 of a zero pattern and keeps the first sample that is infinitesimally rigid
 with full-rank factors; everything is driven by a seeded generator, so a
-(pattern, config) pair always reproduces the same factorization.  Each
-sample is decided on plain ints, and only one that passes the accept test
-is turned into Fractions and rank-checked as a `FactorizationPair`.  The
+(pattern, config) pair always reproduces the same factorization.  The
+accept test is planned once per search from the pattern's zeros, each
+sample is decided on plain ints, and only one that passes it is turned
+into Fractions and rank-checked as a `FactorizationPair`.  The
 positive extension appends rows and columns that add no zeros and hence
 change nothing in the certificate.  The lift turns a rigid pair of inner
 size r into a partially rigid pair of inner size r+1 by adding a positive
@@ -27,6 +28,7 @@ from .patterns import ZeroPattern, check_wpoint
 from .rigidity import (
     Classification,
     FactorizationPair,
+    accept_test,
     build_dual_generators,
     certify,
     is_infinitesimally_rigid,
@@ -67,9 +69,12 @@ def realize_pattern(
     """First sampled realization of the pattern that certifies rigid.
 
     Entries are drawn row-major, A before B, one integer per free position,
-    from random.Random(seed).  Each sample is put to the integer accept test
-    `is_infinitesimally_rigid` first; only a sample that passes is built as
-    a `FactorizationPair`, which ranks both factors.  A rejected or rank
+    from random.Random(seed).  The accept test of `is_infinitesimally_rigid`
+    is planned once for the pattern by `accept_test`, whose precondition,
+    entries nonzero exactly off the pattern's zeros, entry_low >= 1
+    guarantees.  Each sample is put to the plan first; only a sample that
+    passes it is asserted to pass `is_infinitesimally_rigid` too and built
+    as a `FactorizationPair`, which ranks both factors.  A rejected or rank
     deficient sample counts against the budget and the search moves on.
     Returns None when max_samples is exhausted.
     """
@@ -78,13 +83,16 @@ def realize_pattern(
     if not check_wpoint(pattern):
         raise ValueError(WPOINT_REFUSAL)
 
+    accepts = accept_test(pattern.zeros_a, pattern.zeros_b)
     rng = random.Random(config.seed)
     low, high = config.entry_low, config.entry_high
     for _ in range(config.max_samples):
         a_rows = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_a]
         b_rows = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_b]
-        if not is_infinitesimally_rigid(a_rows, b_rows):
+        if not accepts(a_rows, b_rows):
             continue
+        # The public test plans from the draw's own zeros: no precondition.
+        assert is_infinitesimally_rigid(a_rows, b_rows)
         try:
             return FactorizationPair(RationalMatrix.from_rows(a_rows), RationalMatrix.from_rows(b_rows))
         except ValueError:  # A or B rank deficient

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from typing import Callable
 
 from . import patterns
 from .cone import lineality_dimension, zero_in_relative_interior
@@ -42,6 +43,7 @@ from .exactlin import (
     integer_multiple,
     matmul,
     nullspace_basis,
+    one_signed_kernel,
     rank,
     vec_neg,
 )
@@ -336,28 +338,112 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     checks neither signs nor the ranks of the factors, so a search loop
     decides a draw before it builds a `FactorizationPair`; on a full-rank
     nonnegative pair the answer is `certify`'s infinitesimally-rigid
-    verdict.  The generators are those of `build_dual_generators`, each
-    scaled to integers by a positive factor (a row of A or a column of B
-    cleared of denominators), which changes neither the cone nor the sign
-    pattern of a kernel vector, and taken over the r^2-r off-diagonal
-    coordinates only, since all of them vanish on the diagonal.
-    `integer_kernel` on these integers gives the span rank and kernel; a
-    kernel of dimension at most one decides by its signs, and only one of
-    dimension two or more pays for the feasibility LP.  The lineality and
-    Kruskal stages are skipped.
+    verdict.  Each row of A with a zero and each column of B is cleared of
+    denominators, a positive scaling of the generators it feeds, which
+    changes neither the cone nor the sign pattern of a kernel vector, and
+    put to `accept_test` planned from its own zeros: so it meets the
+    plan's precondition, entries nonzero exactly off the zeros, which a
+    search meets by drawing from entry_low >= 1.
     """
     r = len(b_rows)
-    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
     a_rows = [integer_multiple(row) if 0 in row else row for row in a_rows]
     b_cols = [integer_multiple(col) for col in zip(*b_rows)]
-    columns, _ = _generator_columns(a_rows, b_cols, r, coords)
-    count = len(columns)
-    span_rank, _, kernel = integer_kernel([list(row) for row in zip(*columns)], count)
-    if span_rank != len(coords):
-        return False
-    if len(kernel) >= 2:
-        return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
-    return _cone_from_kernel(kernel, count)[0] is not None
+    b_rows = [[col[i] for col in b_cols] for i in range(r)]
+    zeros_a, zeros_b = ([[x == 0 for x in row] for row in rows] for rows in (a_rows, b_rows))
+    return accept_test(zeros_a, zeros_b)(a_rows, b_rows)
+
+
+def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]], bool]:
+    """The accept test of `is_infinitesimally_rigid`, planned once for a
+    zero pattern and returned as a callable on int rows of A and B.
+
+    Precondition: the entries of a draw are nonzero exactly off the
+    pattern's zeros, as a search with entry_low >= 1 draws them.  The
+    generator matrix G of `build_dual_generators`, over the r^2-r
+    off-diagonal coordinates only (every generator vanishes on the
+    diagonal), then has its nonzeros at known slots: the plan records which
+    entry of A, or which negated entry of B, fills each, in the row and
+    column order of `_pivot_order`.  Neither the span rank nor the sign
+    pattern of a one-dimensional kernel depends on that order, and
+    `one_signed_kernel` gives both, stopping at the first kernel entry
+    that rules the draw out.  A kernel of dimension two or more pays for
+    the feasibility LP on the columns of `_generator_columns`; one of
+    dimension zero accepts only the empty generator list, as
+    `_cone_from_kernel` does.
+    """
+    r, m = len(zeros_b), len(zeros_a)
+    n = len(zeros_b[0]) if r else 0
+    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
+    # Each generator as {coordinate: index into a draw's values}, the values
+    # being A row-major, then -B row-major, then one 0.
+    generators = [
+        {(k, j): i * r + k for k in range(r) if k != j and not zeros[k]}
+        for i, zeros in enumerate(zeros_a)
+        for j in range(r)
+        if zeros[j]
+    ]
+    generators += [
+        {(i, l): m * r + l * n + j for l in range(r) if l != i and not zeros_b[l][j]}
+        for i in range(r)
+        for j in range(n)
+        if zeros_b[i][j]
+    ]
+    count, zero = len(generators), m * r + r * n
+    rows, cols = _pivot_order(coords, generators)
+    slots = [[generators[c].get(coord, zero) for c in cols] for coord in rows]
+
+    def accepts(a_rows: list[list[int]], b_rows: list[list[int]]) -> bool:
+        values = [x for row in a_rows for x in row]
+        values += [-x for row in b_rows for x in row]
+        values.append(0)
+        span_rank, one_signed = one_signed_kernel([[values[k] for k in row] for row in slots], count)
+        if span_rank != len(coords):
+            return False
+        if count - span_rank >= 2:
+            columns, _ = _generator_columns(a_rows, list(zip(*b_rows)), r, coords)
+            return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
+        return one_signed or count == 0
+
+    return accepts
+
+
+def _pivot_order(coords, generators) -> tuple[list, list[int]]:
+    """(rows, columns) of the generator matrix in the order of a greedy
+    symbolic elimination, so that `_echelon` pivots where it does.
+
+    Each step takes the column that the fewest rows still hold, lowest
+    index first, and pivots it at the first of those rows; every other
+    holder is rewritten to the union of the two row patterns less the
+    column, as `eliminate` rewrites it.  Rows and columns are listed in
+    pivot order, the rest after.  On a draw the pattern is exact unless a
+    sum cancels, and the order only moves work, never a verdict.
+    """
+    holders = [set(generator) for generator in generators]
+    support = {coord: set() for coord in coords}
+    for c, held in enumerate(holders):
+        for coord in held:
+            support[coord].add(c)
+    rows, cols = [], []
+    left = set(range(len(generators)))
+    while left:
+        held = [(len(holders[c]), c) for c in left if holders[c]]
+        if not held:
+            cols += sorted(left)
+            break
+        _, col = min(held)
+        left.remove(col)
+        cols.append(col)
+        pivot, *others = sorted(holders[col])
+        rows.append(pivot)
+        pivot_support = support.pop(pivot)
+        for c in pivot_support:
+            holders[c].discard(pivot)
+        for coord in others:
+            for c in pivot_support - support[coord]:
+                holders[c].add(coord)
+            support[coord] |= pivot_support
+            support[coord].discard(col)
+    return rows + sorted(support), cols
 
 
 def _relint_stage(matrix: RationalMatrix, kernel: list[list[int]]) -> tuple[Vector | None, int]:

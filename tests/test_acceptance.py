@@ -39,6 +39,7 @@ from nmfrigid.rigidity import (
     kruskal_rank_of_columns,
     necessary_conditions_report,
 )
+from test_exactlin import identity_matrix
 from test_rigidity import pair_from, rand_pair, strictly_positive
 
 
@@ -273,7 +274,7 @@ def test_criterion_8_property_suites():
 
     # Completely positive identity factors are rigid for r = 2..5.
     for r in range(2, 6):
-        cert = certify_cp(SymmetricFactor(RationalMatrix.identity(r)))
+        cert = certify_cp(SymmetricFactor(identity_matrix(r)))
         assert cert.classification is Classification.INFINITESIMALLY_RIGID
         assert cert.dim_w == 0
     report("criterion 8g PASS: identity factors rigid for r = 2..5")

@@ -11,8 +11,8 @@ import nmfrigid
 from nmfrigid import formats
 from nmfrigid.cli import main
 from nmfrigid.cpr import SymmetricFactor
-from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_pair
+from test_exactlin import identity_matrix
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ def test_check_rank_deficient_is_input_error(capsys, tmp_path):
 
 def test_cp_check(capsys, tmp_path):
     path = tmp_path / "ident.txt"
-    path.write_text(formats.dump_symmetric_factor(SymmetricFactor(RationalMatrix.identity(3))))
+    path.write_text(formats.dump_symmetric_factor(SymmetricFactor(identity_matrix(3))))
     code, out, _ = run(capsys, "cp-check", str(path))
     assert code == 0
     assert "infinitesimally-rigid" in out

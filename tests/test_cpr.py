@@ -15,6 +15,7 @@ from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import CIRCULANT_3X3_FACTOR
 from nmfrigid.patterns import canonical_symmetric_pattern, enumerate_symmetric_patterns
 from nmfrigid.rigidity import Classification, FactorizationPair, build_dual_generators
+from test_exactlin import identity_matrix
 from test_rigidity import strictly_positive
 
 
@@ -92,7 +93,7 @@ def test_skew_generators_fold_the_pair_generators_of_the_same_zeros():
     for _ in range(60):
         factor = rand_factor(rng, max_r=4)
         r = factor.r
-        pair_gens = build_dual_generators(FactorizationPair(factor.a, RationalMatrix.identity(r)))
+        pair_gens = build_dual_generators(FactorizationPair(factor.a, identity_matrix(r)))
         folded = [
             (source, tuple(g[k * r + l] - g[l * r + k] for k, l in skew_coordinate_pairs(r)))
             for g, source in zip(pair_gens.vectors, pair_gens.sources)
@@ -104,7 +105,7 @@ def test_skew_generators_fold_the_pair_generators_of_the_same_zeros():
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_identity_factor_is_rigid(r):
-    cert = certify_cp(SymmetricFactor(RationalMatrix.identity(r)))
+    cert = certify_cp(SymmetricFactor(identity_matrix(r)))
     assert cert.classification is Classification.INFINITESIMALLY_RIGID
     assert cert.ambient_dim == r * (r - 1) // 2
     assert cert.dim_w == 0
@@ -223,7 +224,7 @@ def test_rigid_verdicts_pass_conditions():
 
 def test_cp_kruskal_identity_r2():
     # Two generators in the one-dimensional skew space: the bound is 1.
-    cert = certify_cp(SymmetricFactor(RationalMatrix.identity(2)))
+    cert = certify_cp(SymmetricFactor(identity_matrix(2)))
     assert (cert.generator_count, cert.ambient_dim) == (2, 1)
     assert cert.kruskal_rank == 1
     assert cert.kruskal_criterion is True

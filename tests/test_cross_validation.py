@@ -18,7 +18,7 @@ from nmfrigid.exactlin import RationalMatrix, matmul
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
 from nmfrigid.patterns import ZeroPattern, canonical_form
 from nmfrigid.rigidity import Classification, build_dual_generators, certify
-from test_exactlin import matvec
+from test_exactlin import matvec, zero_matrix
 from test_rigidity import pair_from, rand_pair
 
 
@@ -129,7 +129,7 @@ def test_partially_rigid_basis_spans_square_zero_space():
     cert = certify(lift_demo_lifted_pair(), kruskal_budget=0)
     assert cert.classification is Classification.PARTIALLY_INFINITESIMALLY_RIGID
     size = cert.v_basis[0].rows
-    zero = RationalMatrix.zeros(size, size)
+    zero = zero_matrix(size, size)
     for _ in range(100):
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in cert.v_basis]
         data = [Fraction(0)] * (size * size)

@@ -8,6 +8,7 @@ from nmfrigid.cpr import SymmetricFactor, certify_cp
 from nmfrigid.exactlin import RationalMatrix
 from nmfrigid.fixtures import RIGID_5X5, lift_demo_pair, unique_7_zero_pattern_r3
 from nmfrigid.rigidity import Classification, certify
+from test_exactlin import identity_matrix
 
 
 def test_parse_rational_values():
@@ -83,7 +84,7 @@ def test_factorization_requires_two_blocks():
 
 
 def test_symmetric_round_trip():
-    factor = SymmetricFactor(RationalMatrix.identity(3))
+    factor = SymmetricFactor(identity_matrix(3))
     again = formats.load_symmetric_factor(formats.dump_symmetric_factor(factor))
     assert again.a == factor.a
 
@@ -134,7 +135,7 @@ def test_certificate_document_with_v_basis_round_trip():
 
 
 def test_certificate_verify_symmetric():
-    factor = SymmetricFactor(RationalMatrix.identity(4))
+    factor = SymmetricFactor(identity_matrix(4))
     cert = certify_cp(factor)
     doc = formats.certificate_to_document(cert, {"symmetric": True, "n": 4, "r": 4})
     assert formats.verify_certificate_document(doc, factor)
@@ -284,7 +285,7 @@ def _lifted_document():
 
 
 def _symmetric_document():
-    factor = SymmetricFactor(RationalMatrix.identity(4))
+    factor = SymmetricFactor(identity_matrix(4))
     doc = formats.certificate_to_document(
         certify_cp(factor), {"symmetric": True, "n": 4, "r": 4}, flags={"kruskal_budget": 10**6}
     )

@@ -58,13 +58,18 @@ def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
     from nmfrigid.patterns import enumerate_patterns, table1_filters
 
     counts = {"draws": 0, "accepted": 0, "pairs": 0, "nullspace": 0}
-    accept_test, pair_type = realize.is_infinitesimally_rigid, realize.FactorizationPair
+    accept_test, pair_type = realize.accept_test, realize.FactorizationPair
 
-    def counting_accept(a_rows, b_rows):
-        counts["draws"] += 1
-        accepted = accept_test(a_rows, b_rows)
-        counts["accepted"] += accepted
-        return accepted
+    def counting_plan(zeros_a, zeros_b):
+        accepts = accept_test(zeros_a, zeros_b)
+
+        def counting_accept(a_rows, b_rows):
+            counts["draws"] += 1
+            accepted = accepts(a_rows, b_rows)
+            counts["accepted"] += accepted
+            return accepted
+
+        return counting_accept
 
     def counting_pair(a, b):
         counts["pairs"] += 1
@@ -74,7 +79,7 @@ def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
         counts["nullspace"] += 1
         return exactlin.nullspace_basis(m)
 
-    monkeypatch.setattr(realize, "is_infinitesimally_rigid", counting_accept)
+    monkeypatch.setattr(realize, "accept_test", counting_plan)
     monkeypatch.setattr(realize, "FactorizationPair", counting_pair)
     monkeypatch.setattr(rigidity, "nullspace_basis", counting_nullspace)
     found = [
@@ -83,6 +88,30 @@ def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
     ]
     assert all(pair is not None for pair in found)
     assert counts == {"draws": 686, "accepted": 15, "pairs": 15, "nullspace": 0}
+
+
+def test_seed1_sweep_rewrites_pinned(monkeypatch):
+    # The elimination work of the seed-1 sweep over the 15 table-1
+    # representatives, as (eliminate calls, rows rewritten): the 686 planned
+    # accept tests, the public test of each accepted draw and the ranks of
+    # its factors.  In the order of the generator columns, as
+    # `build_dual_generators` lists them, the sweep rewrote 14,507 rows in
+    # 8,352 calls.
+    from nmfrigid import exactlin
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+
+    work = [0, 0]
+    eliminate = exactlin.eliminate
+
+    def counting(rows, levels, p, col, prev):
+        work[0] += 1
+        work[1] += sum(1 for i, row in enumerate(rows) if i != p and row[col])
+        return eliminate(rows, levels, p, col, prev)
+
+    monkeypatch.setattr(exactlin, "eliminate", counting)
+    for pattern in enumerate_patterns(5, 5, 4, 13, table1_filters(5, 5)):
+        assert realize_pattern(pattern, RealizationSearchConfig(seed=1)) is not None
+    assert work == [8532, 7452]
 
 
 def test_realize_fixture_pattern_matches_exactly():

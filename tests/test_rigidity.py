@@ -20,6 +20,7 @@ from nmfrigid.rigidity import (
     kruskal_rank_of_columns,
     necessary_conditions_report,
 )
+from test_exactlin import identity_matrix, zero_matrix
 
 
 def pair_from(a_rows, b_rows):
@@ -169,9 +170,9 @@ def test_certify_lifted_demo_is_partially_rigid():
     assert cert.classification is Classification.PARTIALLY_INFINITESIMALLY_RIGID
     assert cert.v_support() == ((0, 3), (1, 3), (2, 3))
     for mat in cert.v_basis:
-        zero = RationalMatrix.zeros(4, 4)
+        zero = zero_matrix(4, 4)
         assert matmul(mat, mat) == zero
-        ident = RationalMatrix.identity(4)
+        ident = identity_matrix(4)
         plus = RationalMatrix(4, 4, tuple(x + y for x, y in zip(ident.data, mat.data)))
         minus = RationalMatrix(4, 4, tuple(x - y for x, y in zip(ident.data, mat.data)))
         assert matmul(plus, minus) == ident
@@ -659,6 +660,181 @@ def test_integer_accept_test_matches_the_fraction_route_at_r5_and_on_rational_im
             verdict, kernel_dim, _ = accept_routes_agree(*draw(rng, zeros_a, zeros_b, 1, 1000))
             verdicts.add((5, verdict, kernel_dim))
     assert {(4, True, 1), (5, True, 1), (5, False, 1), (5, False, 2)} <= verdicts
+
+
+# ---------------------------------------------------------------------------
+# The per-pattern accept plan against the accept test it replaced
+# ---------------------------------------------------------------------------
+
+def unplanned_accept(a_rows, b_rows):
+    # `is_infinitesimally_rigid` as it stood before `accept_test`: the
+    # generator columns of the cleared input in their own order, turned into
+    # rows, `integer_kernel`, then the kernel or the LP.  Returns the verdict
+    # and the branch that gave it: "rank" (span rank below r^2 - r),
+    # "kernel" (kernel dimension at most one) or "lp".
+    from nmfrigid.cone import zero_in_relative_interior
+    from nmfrigid.rigidity import _cone_from_kernel, _generator_columns
+
+    r = len(b_rows)
+    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
+    a_rows = [integer_multiple(row) if 0 in row else row for row in a_rows]
+    b_cols = [integer_multiple(col) for col in zip(*b_rows)]
+    columns, _ = _generator_columns(a_rows, b_cols, r, coords)
+    count = len(columns)
+    span_rank, _, kernel = integer_kernel([list(row) for row in zip(*columns)], count)
+    if span_rank != len(coords):
+        return False, "rank"
+    if len(kernel) >= 2:
+        return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None, "lp"
+    return _cone_from_kernel(kernel, count)[0] is not None, "kernel"
+
+
+def count_relint_lps(monkeypatch):
+    # A one-element list counting the relint LPs that `rigidity` runs.
+    from nmfrigid import rigidity
+
+    lps = [0]
+    relint = rigidity.zero_in_relative_interior
+
+    def counting(matrix):
+        lps[0] += 1
+        return relint(matrix)
+
+    monkeypatch.setattr(rigidity, "zero_in_relative_interior", counting)
+    return lps
+
+
+def one_more_zero(zeros_a, rng):
+    # The zero mask of A with one more zero at a seeded free slot.
+    zeros_a = [list(row) for row in zeros_a]
+    i, j = rng.choice([(i, j) for i, row in enumerate(zeros_a) for j, zero in enumerate(row) if not zero])
+    zeros_a[i][j] = True
+    return zeros_a
+
+
+# (m, n, r, zeros) -> {(high, branch, verdict): draws} of the test below.
+PLAN_BRANCHES = {
+    (5, 5, 4, 13): {
+        (3, "kernel", False): 45, (3, "kernel", True): 2, (3, "lp", False): 45, (3, "lp", True): 3,
+        (3, "rank", False): 1, (1000, "kernel", False): 46, (1000, "kernel", True): 2,
+        (1000, "lp", False): 43, (1000, "lp", True): 5,
+    },
+    (6, 5, 4, 13): {
+        (3, "kernel", False): 47, (3, "lp", False): 42, (3, "rank", False): 7,
+        (1000, "kernel", False): 48, (1000, "lp", False): 42, (1000, "lp", True): 2, (1000, "rank", False): 4,
+    },
+    (6, 6, 4, 13): {
+        (3, "kernel", False): 43, (3, "lp", False): 45, (3, "lp", True): 2, (3, "rank", False): 6,
+        (1000, "kernel", False): 48, (1000, "lp", False): 48,
+    },
+    (7, 5, 4, 13): {
+        (3, "kernel", False): 46, (3, "lp", False): 47, (3, "lp", True): 1, (3, "rank", False): 2,
+        (1000, "kernel", False): 48, (1000, "lp", False): 48,
+    },
+    (7, 6, 4, 13): {
+        (3, "kernel", False): 37, (3, "lp", False): 44, (3, "rank", False): 7,
+        (1000, "kernel", False): 44, (1000, "lp", False): 44,
+    },
+    (8, 5, 4, 13): {
+        (3, "kernel", False): 38, (3, "lp", False): 38, (3, "lp", True): 1, (3, "rank", False): 3,
+        (1000, "kernel", False): 40, (1000, "lp", False): 39, (1000, "lp", True): 1,
+    },
+    (9, 5, 4, 13): {
+        (3, "kernel", False): 5, (3, "kernel", True): 1, (3, "lp", False): 8, (3, "rank", False): 2,
+        (1000, "kernel", False): 8, (1000, "lp", False): 8,
+    },
+    (5, 5, 5, 21): {
+        (3, "kernel", False): 20, (3, "lp", False): 12, (3, "rank", False): 8,
+        (1000, "kernel", False): 20, (1000, "lp", False): 11, (1000, "lp", True): 1, (1000, "rank", False): 8,
+    },
+    (6, 5, 5, 21): {
+        (3, "kernel", False): 20, (3, "lp", False): 20, (1000, "kernel", False): 20, (1000, "lp", False): 20,
+    },
+}
+
+
+@pytest.mark.parametrize("m, n, r, zeros", PLAN_BRANCHES)
+def test_accept_plan_matches_the_unplanned_accept_test(monkeypatch, m, n, r, zeros):
+    # Seeded representatives of each table-1 shape, each with its own zeros
+    # and with one zero more in A, whose full-rank draws have a kernel of
+    # dimension two and so reach the LP.  Entries 1..3 give rank deficient
+    # draws, 1..1000 the search's own.  The plan of each mask, and the
+    # public function, agree with the unplanned test on every draw, and run
+    # the LP on the same draws; the counts are (high, branch, verdict) ->
+    # draws.
+    from collections import Counter
+
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+    from nmfrigid.rigidity import accept_test
+
+    lps = count_relint_lps(monkeypatch)
+    rng = random.Random(100 * m + 10 * n + r)
+    reps = enumerate_patterns(m, n, r, zeros, table1_filters(m, n))
+    seen = Counter()
+    for pattern in rng.sample(reps, min(len(reps), 12 if r == 4 else 5)):
+        for zeros_a in (pattern.zeros_a, one_more_zero(pattern.zeros_a, rng)):
+            accepts = accept_test(zeros_a, pattern.zeros_b)
+            for high in (3, 1000):
+                for _ in range(4):
+                    a, b = draw(rng, zeros_a, pattern.zeros_b, 1, high)
+                    verdict, branch = unplanned_accept(a, b)
+                    assert accepts(a, b) is verdict, (a, b)
+                    assert is_infinitesimally_rigid(a, b) is verdict, (a, b)
+                    seen[high, branch, verdict] += 1
+    assert dict(seen) == PLAN_BRANCHES[m, n, r, zeros]
+    assert lps == [2 * sum(draws for (_, branch, _), draws in seen.items() if branch == "lp")]
+
+
+def test_accept_plan_matches_the_unplanned_test_on_the_seed1_search_stream(monkeypatch):
+    # The draws of `realize_pattern` at seed 1 on the 15 table-1
+    # representatives, up to the first accepted one of each: every
+    # rejection comes from the sign of a one-dimensional kernel.
+    from collections import Counter
+
+    from nmfrigid.rigidity import accept_test
+
+    lps = count_relint_lps(monkeypatch)
+    seen = Counter()
+    for pattern in table1_representatives():
+        accepts = accept_test(pattern.zeros_a, pattern.zeros_b)
+        rng = random.Random(1)
+        verdict = False
+        while not verdict:
+            a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, 1, 1000)
+            verdict, branch = unplanned_accept(a, b)
+            assert accepts(a, b) is verdict, (a, b)
+            seen[branch, verdict] += 1
+    assert dict(seen) == {("kernel", False): 671, ("kernel", True): 15}
+    assert lps == [0]
+
+
+@pytest.mark.parametrize(
+    "a_rows, b_rows, count, kernel_dim, rigid",
+    [
+        # r = 1 without zeros: no motions, no generators, the empty witness.
+        ([[1], [2]], [[3, 4]], 0, 0, True),
+        # r = 1 with a zero row of A: one generator with no entries.
+        ([[0], [2]], [[3, 4]], 1, 1, True),
+        # No zeros at r = 2: nothing spans the two motions.
+        ([[1, 2], [3, 4]], [[1, 1], [2, 1]], 0, 0, False),
+        # d = 0: two generators span the two motions, with no relation.
+        ([[0, 1], [1, 0]], [[1, 2], [2, 1]], 2, 0, False),
+        # Fractions, d = 2: the relint LP decides.
+        ([[0, Fraction(1, 2)], [Fraction(3, 4), 0]], [[Fraction(9, 5), 0], [0, 8]], 4, 2, True),
+        ([[0, Fraction(5, 3)], [7, 0]], [[4, Fraction(3, 2), 9], [0, 0, Fraction(4, 7)]], 4, 2, False),
+    ],
+)
+def test_accept_test_edge_cases(a_rows, b_rows, count, kernel_dim, rigid):
+    pair = unchecked_pair(a_rows, b_rows)
+    gens = build_dual_generators(pair)
+    assert gens.count == count
+    assert len(nullspace_basis(gens.matrix())) == kernel_dim
+    assert is_infinitesimally_rigid(a_rows, b_rows) is rigid
+    assert unplanned_accept(a_rows, b_rows)[0] is rigid
+    if rank(pair.a) == pair.r == rank(pair.b):
+        cert = certify(pair_from(a_rows, b_rows), kruskal_budget=0)
+        assert (cert.classification is Classification.INFINITESIMALLY_RIGID) is rigid
+        assert (cert.relint_witness == ()) is (count == 0)
 
 
 def opposite_pair():
