@@ -145,6 +145,8 @@ def integer_multiple(v: Sequence) -> list[int]:
     """`v` times the lcm of its denominators: a positive multiple of `v`
     with integer entries, zero exactly where `v` is zero."""
     den = lcm(*[x.denominator for x in v])
+    if den == 1:
+        return [x.numerator for x in v]
     return [x.numerator * (den // x.denominator) for x in v]
 
 

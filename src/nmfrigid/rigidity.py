@@ -11,8 +11,9 @@ exact arithmetic.  All three start from the kernel of the generator matrix:
 when it has dimension at most one (the tight zero count r^2-r+1 of every
 rigid pattern), it answers the relative-interior and lineality questions
 by itself, and no LP runs.  The same kernel locates the dependent column
-subsets of the Kruskal search; at dimension at most two they are read off
-its circuits and no subset is tested.
+subsets of the Kruskal search: they are read off its circuits, found from
+the hyperplanes its columns span, with no subset tested, unless finding
+them would take more than a capped number of candidate sets.
 
 The first-order deformation cone W is dual to the generator cone, so its
 dimension is r^2 minus the lineality dimension of the generators.  When W
@@ -29,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 from typing import Callable
 
 from . import patterns
@@ -511,12 +512,16 @@ def kruskal_rank_of_columns(
     it, `nullspace_basis` is cleared of denominators.
 
     The kernel locates the dependent subsets: S is dependent exactly when
-    some nonzero kernel vector is supported inside S.  For d <= 2 the first
-    dependent k-subset is the lex-first superset of a circuit read off the
-    kernel (`_small_kernel_circuits`), so no subset is tested.  For d >= 3
-    the subsets are tested in turn, at most as many as the budget has left:
-    S is independent iff the d x (count - |S|) kernel block outside S has
-    rank d, a small rank in place of a tall one.
+    some nonzero kernel vector is supported inside S.  When C(count, d - 1),
+    the sets `_kernel_circuits` tries, is at most `_CIRCUIT_CAP`, and always
+    for d <= 2, the first dependent k-subset is the lex-first superset of
+    one of the circuits it finds, so no subset is tested.
+    Past the cap the subsets are tested in turn, at most as many as the
+    budget has left, each by one `rank`: S is dependent iff the k columns
+    in S have rank below k, or equally iff the d x (count - k) kernel block
+    outside S has rank below d, and each level takes the test with fewer
+    cells.  Every route finds the same first dependent subset, so every
+    position, charge and answer, None included, is the same.
     """
     c = len(columns)
     if c == 0:
@@ -524,27 +529,35 @@ def kruskal_rank_of_columns(
     if kernel is None:
         kernel = [integer_multiple(v) for v in nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))]
     d = len(kernel)
-    if d <= 2:
-        circuits = _small_kernel_circuits(kernel)
+    if d <= 2 or comb(c, d - 1) <= _CIRCUIT_CAP:
+        circuits = _kernel_circuits(kernel, c)
 
         def first_dependent(k: int, _limit: int) -> int | None:
             firsts = [_first_superset(circuit, k, c) for circuit in circuits if len(circuit) <= k]
-            return min(_lex_index(first, c) for first in firsts) if firsts else None
+            return _lex_index(min(firsts), c) if firsts else None
 
     else:
+        height = len(columns[0])
+        ints = [integer_multiple(col) for col in columns]
 
         def first_dependent(k: int, limit: int) -> int | None:
             # Past `limit` tested subsets, the position reached stands in:
             # its charge is already over the budget.
+            column_side = k * height < d * (c - k)
             for position, subset in enumerate(combinations(range(c), k)):
                 if position == limit:
                     return position
-                outside = [j for j in range(c) if j not in subset]
                 # Lists, not generators, feed tuple() and lcm(*...) here and
                 # in rank: a tuple grown from a generator is resized on the
                 # way, and 30,000 of them fill the tuple free lists (~3 MB).
-                block = RationalMatrix(d, len(outside), tuple([row[j] for row in kernel for j in outside]))
-                if rank(block) != d:
+                if column_side:
+                    block = RationalMatrix(k, height, tuple([x for j in subset for x in ints[j]]))
+                    full = k
+                else:
+                    outside = [j for j in range(c) if j not in subset]
+                    block = RationalMatrix(d, len(outside), tuple([row[j] for row in kernel for j in outside]))
+                    full = d
+                if rank(block) != full:
                     return position
             return None
 
@@ -560,31 +573,65 @@ def kruskal_rank_of_columns(
     return 0
 
 
-def _small_kernel_circuits(kernel: list[list[int]]) -> list[list[int]]:
-    """Circuits of the columns, as sorted index lists, from an integer
-    kernel basis of dimension at most two: none for d = 0, the support of
-    the kernel vector for d = 1, and for d = 2 one circuit per parallel
-    class P of nonzero kernel columns, the nonzero kernel columns outside P."""
-    if len(kernel) < 2:
+# Most candidate sets `_kernel_circuits` may try before the Kruskal search
+# tests subsets instead: at 10**4 it takes up to a second when every set
+# spans a hyperplane of its own (Python 3.11, a shared 2-core x86 machine).
+_CIRCUIT_CAP = 10**4
+
+
+def _kernel_circuits(kernel: list[list[int]], c: int) -> list[list[int]]:
+    """Circuits of the columns, as sorted index lists, from a basis `kernel`
+    of their right kernel, of any dimension d.
+
+    The kernel columns represent the dual matroid, whose hyperplanes are
+    the complements of the circuits (Oxley, Matroid Theory, Prop. 2.1.6).
+    Each set of d - 1 independent nonzero kernel columns, in `combinations`
+    order and skipped when inside a hyperplane already found, spans a new
+    one: the kernel columns orthogonal to the normal of their span.  At
+    d = 1 the hyperplane is the zero columns; d = 0 has no circuit.
+    """
+    d = len(kernel)
+    if d < 2:
         return [[j for j, x in enumerate(v) if x] for v in kernel]
-    top, bottom = kernel
-    c = len(top)
-    classes: list[list[int]] = []  # parallel classes of nonzero kernel columns
-    for j in range(c):
-        x, y = top[j], bottom[j]
-        if not (x or y):
+    rows = [integer_multiple(v) for v in kernel]
+    points = list(zip(*rows))
+    nonzero = [j for j in range(c) if any(points[j])]
+    bits = [1 << j for j in range(c)]
+    # The hyperplanes found through each column, as bit masks of columns.
+    flats: list[list[int]] = [[] for _ in range(c)]
+    circuits: list[list[int]] = []
+    for basis in combinations(nonzero, d - 1):
+        mask = sum(map(bits.__getitem__, basis))
+        if any([flat & mask == mask for flat in flats[basis[0]]]):
             continue
-        for cls in classes:
-            i = cls[0]
-            if top[i] * y == bottom[i] * x:
-                cls.append(j)
-                break
-        else:
-            classes.append([j])
-    return [
-        [j for j in range(c) if (top[j] or bottom[j]) and j not in cls]
-        for cls in classes
-    ]
+        normal = _normal([points[j] for j in basis])
+        if normal is None:
+            continue
+        g = gcd(*normal)  # the normal divided by it keeps the products small
+        normal = [a // g for a in normal]
+        values = [0] * c  # normal . point for every column, a kernel row at a time
+        for a, row in zip(normal, rows):
+            values = [y + a * x for y, x in zip(values, row)]
+        flat = [j for j in nonzero if not values[j]]
+        mask = sum(map(bits.__getitem__, flat))
+        for j in flat:
+            flats[j].append(mask)
+        circuits.append([j for j in nonzero if values[j]])
+    return circuits
+
+
+def _normal(vectors: list[tuple[int, ...]]) -> list[int] | None:
+    # A nonzero vector orthogonal to the d - 1 integer d-vectors `vectors`,
+    # or None when they are dependent.
+    if len(vectors) == 1:
+        x, y = vectors[0]
+        return [-y, x]
+    if len(vectors) == 2:
+        (a, b, e), (x, y, z) = vectors
+        normal = [b * z - e * y, e * x - a * z, a * y - b * x]
+        return normal if any(normal) else None
+    span, _, normals = integer_kernel([list(v) for v in vectors], len(vectors) + 1)
+    return normals[0] if span == len(vectors) else None
 
 
 def _first_superset(circuit: list[int], k: int, c: int) -> list[int]:

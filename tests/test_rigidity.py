@@ -1040,16 +1040,21 @@ def test_lifted_fixture_kruskal_rank_and_charge_are_pinned(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Counted Kruskal search (kernel dimension <= 2) against the subset searches
+# Counted Kruskal search against the subset searches
 # ---------------------------------------------------------------------------
 
 def small_kernel_columns(rng):
-    # c <= 10 columns whose kernel has dimension d <= 2: independent random
-    # columns plus d extra ones, each a zero column, a scaled copy of another
-    # column or a combination of a random subset of the independent ones.
-    # Columns left out of every combination lie outside every dependency.
-    d = rng.randint(0, 2)
-    free = rng.randint(1, 10 - d)
+    # c <= 10 columns whose kernel has dimension d <= 2.
+    return kernel_columns(rng, rng.randint(0, 2), 10)
+
+
+def kernel_columns(rng, d, most):
+    # At most `most` columns whose kernel has dimension d (more when the
+    # random columns happen to be dependent): independent random columns
+    # plus d extra ones, each a zero column, a scaled copy of another column
+    # or a combination of a random subset of the independent ones.  Columns
+    # left out of every combination lie outside every dependency.
+    free = rng.randint(1, most - d)
     height = free + rng.randint(0, 2)
     cols = [
         tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(height))
@@ -1073,7 +1078,7 @@ def small_kernel_columns(rng):
 
 
 def test_kruskal_on_small_kernels_matches_primal_search():
-    from nmfrigid.rigidity import _small_kernel_circuits
+    from nmfrigid.rigidity import _kernel_circuits
 
     e1, e2, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0),) * 2
     for cols in ((zero,), (e1, zero, e2), (zero, e1, zero)):
@@ -1095,7 +1100,7 @@ def test_kruskal_on_small_kernels_matches_primal_search():
         kernel = [integer_multiple(v) for v in basis]
         if kernel and any(not any(row[j] for row in kernel) for j in range(len(cols))):
             seen["outside"] += 1
-        if len(basis) == 2 and len(_small_kernel_circuits(kernel)) >= 3:
+        if len(basis) == 2 and len(_kernel_circuits(kernel, len(cols))) >= 3:
             seen["three classes"] += 1
     assert checked >= 240
     assert min(seen.values()) >= 10, seen
@@ -1114,33 +1119,121 @@ def test_lifted_fixture_charge_thresholds_match_the_kernel_subset_loop():
         assert kruskal_rank_of_columns(gens.vectors, 10**6) == answer
 
 
-def test_kernel_of_dimension_three_still_runs_the_subset_loop(monkeypatch):
+def count_ranks(monkeypatch):
+    # The (rows, cols) of every matrix the Kruskal search ranks.
     from nmfrigid import rigidity
-    from nmfrigid.cpr import SymmetricFactor, build_skew_generators
 
+    shapes = []
+    monkeypatch.setattr(rigidity, "rank", lambda m: shapes.append((m.rows, m.cols)) or rank(m))
+    return shapes
+
+
+def three_dimensional_cp_kernels():
+    # The skew generators of the fixture CP factors whose kernel has
+    # dimension three.
     factors = [
         build_skew_generators(SymmetricFactor(factor)).vectors
         for fx in RIGID_5X5
         for factor in (fx.pair().a, fx.pair().b.transpose())
     ]
-    cols = next(
-        v for v in factors if len(nullspace_basis(RationalMatrix.from_columns(v, len(v[0])))) == 3
-    )
-    answer, threshold = kernel_subset_kruskal(cols, 10**6)
-    ranks = []
+    return [v for v in factors if len(nullspace_basis(RationalMatrix.from_columns(v, len(v[0])))) == 3]
 
-    def counting(m):
-        ranks.append(m.rows)
-        return rank(m)
 
-    monkeypatch.setattr(rigidity, "rank", counting)
-    for budget in sorted({0, 1, threshold - 1, threshold, 10**6}):
+def test_kernel_of_dimension_three_charges_the_loop_threshold_with_no_rank(monkeypatch):
+    factors = three_dimensional_cp_kernels()
+    assert len(factors) == 3
+    ranks = count_ranks(monkeypatch)
+    for cols in factors:
+        answer, threshold = kernel_subset_kruskal(cols, 10**6)
+        for budget in sorted({0, 1, threshold - 1, threshold, 10**6}):
+            assert kruskal_rank_of_columns(cols, budget) == kernel_subset_kruskal(cols, budget)[0]
+        assert answer is not None and threshold > 1
+    # The circuits give every charge: no subset is ranked.
+    assert ranks == []
+
+
+def test_circuit_cap_bounds_the_candidate_sets_inclusively(monkeypatch):
+    # The d = 3 CP factors have c = 9 columns of height 6, so C(9, 2) = 36
+    # candidate sets: a cap of 36 finds their circuits, a cap of 35 tests
+    # their subsets.  Their searches stop at levels k >= 3, where the
+    # 3 x (9 - k) kernel block has no more cells than the k x 6 block of
+    # the subset's columns (as many at k = 3), so each subset is one rank
+    # of the kernel block.
+    from nmfrigid import rigidity
+
+    ranks = count_ranks(monkeypatch)
+    shapes = set()
+    for cols in three_dimensional_cp_kernels():
+        assert (len(cols), len(cols[0])) == (9, 6)
+        answer, threshold = kernel_subset_kruskal(cols, 10**6)
+        monkeypatch.setattr(rigidity, "_CIRCUIT_CAP", 36)
         ranks.clear()
-        expected, used = kernel_subset_kruskal(cols, budget)
-        assert kruskal_rank_of_columns(cols, budget) == expected
-        # One rank of the 3-row kernel block per subset the loop tests.
-        assert ranks == [3] * used
-    assert answer is not None and threshold > 1
+        assert kruskal_rank_of_columns(cols, 10**6) == answer
+        assert ranks == []
+        monkeypatch.setattr(rigidity, "_CIRCUIT_CAP", 35)
+        assert kruskal_rank_of_columns(cols, 10**6) == answer
+        assert len(ranks) == threshold
+        shapes.update(ranks)
+    assert shapes == {(3, 3), (3, 4), (3, 5), (3, 6)}
+
+
+def test_kernel_circuits_match_both_subset_searches_for_every_small_dimension(monkeypatch):
+    # Kernel dimensions 0 to 8 with zero, parallel and combined columns, at
+    # budgets 0, 1, threshold - 1, threshold and 10**6, with the circuits
+    # and with the subset loop forced by a cap of 0.  At d <= 2 the circuits
+    # are always used.  The loop makes one rank per subset the kernel-side
+    # reference tests.
+    from nmfrigid import rigidity
+
+    ranks = count_ranks(monkeypatch)
+    rng = random.Random(407)
+    seen = {d: 0 for d in range(9)}
+    kinds = set()
+    for _ in range(150):
+        cols, made = kernel_columns(rng, rng.randint(0, 8), 12)
+        kinds.update(made)
+        d = len(nullspace_basis(RationalMatrix.from_columns(cols, len(cols[0]))))
+        seen[min(d, 8)] += 1
+        answer, threshold = primal_kruskal(cols, 10**6)
+        assert kernel_subset_kruskal(cols, 10**6) == (answer, threshold)
+        for budget in sorted({0, 1, max(threshold - 1, 0), threshold, 10**6}):
+            expected = answer if budget >= threshold else None
+            for cap in (rigidity._CIRCUIT_CAP, 0):
+                monkeypatch.setattr(rigidity, "_CIRCUIT_CAP", cap)
+                ranks.clear()
+                assert kruskal_rank_of_columns(cols, budget) == expected, (budget, cap)
+                looped = cap == 0 and d > 2
+                assert len(ranks) == (kernel_subset_kruskal(cols, budget)[1] if looped else 0)
+    assert kinds == {"zero", "copy", "combination"}
+    assert min(seen.values()) >= 10, seen
+
+
+def seeded_tall_pair(m, r):
+    """An m x r by r x m pair seeded by Random(10m + r): entries from 1 to 9,
+    each 0 with probability 0.3."""
+    rng = random.Random(10 * m + r)
+    while True:
+        a = [[0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(r)] for _ in range(m)]
+        b = [[0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(m)] for _ in range(r)]
+        try:
+            return pair_from(a, b)
+        except ValueError:
+            continue
+
+
+def test_tall_pair_tests_its_subsets_on_the_generator_columns(monkeypatch):
+    # 20 x 4 by 4 x 20: 46 generators of height 16 and a kernel of dimension
+    # 34, far past the circuit cap.  At every level k <= 12 the k x 16 block
+    # of generator columns has fewer cells than the 34 x (46 - k) kernel
+    # block, so each subset is one rank of its own columns, and the search
+    # makes as many ranks and gives the same rank as the kernel-side loop.
+    gens = build_dual_generators(seeded_tall_pair(20, 4))
+    assert gens.count == 46 and len(nullspace_basis(gens.matrix())) == 34
+    answer, used = kernel_subset_kruskal(gens.vectors, 10**6)
+    ranks = count_ranks(monkeypatch)
+    assert kruskal_rank_of_columns(gens.vectors, 10**6) == answer
+    assert len(ranks) == used and used > 1
+    assert all(cols == 16 and rows <= 12 for rows, cols in ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -1251,12 +1344,15 @@ def test_accept_test_builds_the_generator_matrix_once(monkeypatch, a_rows, b_row
 
 
 def test_kernel_search_ranks_no_more_subsets_than_the_budget(monkeypatch):
-    # With a kernel of dimension three or more each subset is one rank of a
-    # kernel block, and the search stops before the one that would pass the
-    # budget: at every budget it ranks at most that many blocks, and exactly
-    # the threshold's worth once it answers.
+    # In the subset loop each subset is one rank, of its own columns or of
+    # the kernel block outside it, and the search stops before the one that
+    # would pass the budget: at every budget it ranks at most that many
+    # blocks, and exactly the threshold's worth once it answers.
     from nmfrigid import rigidity
 
+    # Circuits would answer these small inputs with no rank: a cap of 0
+    # forces the subset loop.
+    monkeypatch.setattr(rigidity, "_CIRCUIT_CAP", 0)
     calls = 0
     real_rank = rigidity.rank
 
