@@ -1,7 +1,7 @@
 """Exact polyhedral-cone primitives.
 
 A cone is given by its generator matrix G, one column per generator, so a
-certification builds G once and hands the same matrix to the kernel, the
+certification builds G once and hands the same matrix to the
 relative-interior LP and the lineality LPs.  One exact phase-1 simplex
 decides whether an equality system with lower bounds has a feasible point,
 and two cone questions are put to it: is zero a strictly positive

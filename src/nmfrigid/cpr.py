@@ -19,10 +19,9 @@ from .patterns import NecessaryConditionsReport, ZeroSupport, condition_report
 from .rigidity import (
     DEFAULT_KRUSKAL_BUDGET,
     DualConeGenerators,
-    GeneratorSource,
     RigidityCertificate,
+    _build_generators,
     _certify_generators,
-    _generator_columns,
     _require_nonnegative,
 )
 
@@ -64,14 +63,7 @@ def build_skew_generators(factor: SymmetricFactor) -> DualConeGenerators:
     is zero dimensional and the list is empty.
     """
     r = factor.r
-    pairs = skew_coordinate_pairs(r)
-    # g at the pairs, then at the flipped pairs; no Fraction arithmetic for x - 0.
-    coords = [*pairs, *[(l, k) for k, l in pairs]]
-    columns, sources = _generator_columns(factor.a.row_list() if r >= 2 else (), (), r, coords)
-    h = len(pairs)
-    vectors = tuple(tuple([x - y if y else x for x, y in zip(g[:h], g[h:])]) for g in columns)
-    sources = tuple(GeneratorSource(*s) for s in sources)
-    return DualConeGenerators(r, len(pairs), vectors, sources, symmetric=True)
+    return _build_generators(r, skew_coordinate_pairs(r), factor.a.row_list() if r >= 2 else [], (), symmetric=True)
 
 
 def certify_cp(

@@ -7,20 +7,24 @@ the i-th coordinate column with column j of B.  The factorization is
 infinitesimally rigid exactly when that cone is the full (r^2-r)-dimensional
 space of zero-diagonal matrices, which reduces to a rank computation, a
 lineality computation and one relative-interior feasibility test, all in
-exact arithmetic.  All three start from the kernel of the generator matrix:
-when it has dimension at most one (the tight zero count r^2-r+1 of every
-rigid pattern), it answers the relative-interior and lineality questions
-by itself, and no LP runs.  The same kernel locates the dependent column
-subsets of the Kruskal search: they are read off its circuits, found from
-the hyperplanes its columns span, with no subset tested, unless finding
-them would take more than a capped number of candidate sets.
+exact arithmetic.  Each generator is built once, from the per-pattern plan
+the realize accept test fills too, as an integer column over the r^2-r
+off-diagonal coordinates, scaled by the lcm of the denominators of its row
+of A or column of B.  The kernel of those columns starts all three tests:
+at dimension at most one (the tight zero count r^2-r+1 of every rigid
+pattern) it decides relative interior and lineality by itself, and only
+the LPs of a larger kernel, and the verifier, read Fractions.  The same
+kernel locates the dependent column subsets of the Kruskal search: they
+are read off its circuits, found from the hyperplanes its columns span,
+with no subset tested, unless finding them would take more than a capped
+number of candidate sets.
 
 The first-order deformation cone W is dual to the generator cone, so its
 dimension is r^2 minus the lineality dimension of the generators.  When W
-is a linear space strictly between the diagonal and everything, the
-zero-diagonal slice V of W is extracted and tested for V^2 = 0; success
-certifies that the identity plus V stays inside the factorization fiber,
-the partially-rigid situation.
+is a linear space strictly between the diagonal and everything, its
+zero-diagonal slice V, the kernel of the columns taken as rows, is tested
+for V^2 = 0; success certifies that the identity plus V stays inside the
+factorization fiber, the partially-rigid situation.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Callable
 
 from . import patterns
@@ -38,7 +42,6 @@ from .cone import lineality_dimension, zero_in_relative_interior
 from .exactlin import (
     RationalMatrix,
     Vector,
-    _integer_rows,
     _shown,
     integer_kernel,
     integer_multiple,
@@ -61,10 +64,10 @@ class Classification(Enum):
 
 
 def _require_nonnegative(name: str, mat: RationalMatrix) -> None:
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if mat[i, j] < 0:
-                raise ValueError(f"{name}[{i},{j}] = {_shown(mat[i, j])} is negative")
+    for k, x in enumerate(mat.data):
+        if x < 0:
+            i, j = divmod(k, mat.cols)
+            raise ValueError(f"{name}[{i},{j}] = {_shown(x)} is negative")
 
 
 @dataclass(frozen=True)
@@ -123,21 +126,35 @@ class GeneratorSource:
 
 @dataclass(frozen=True)
 class DualConeGenerators:
-    """Vectorized generators, one per zero, with their origins.
+    """Generators, one per zero, with their origins, built once in integers.
 
-    The ambient dimension is r^2 for factorization pairs and r(r-1)/2 for
-    symmetric factors in skew coordinates; `symmetric` tells the two apart.
+    `columns[j]` is generator j over the motion coordinates times the scale
+    `scales[j]`, the lcm of the denominators of its row of A or column of B:
+    the r^2 - r off-diagonal (k, l), row-major, for pairs (no generator
+    touches the diagonal), the r(r-1)/2 skew pairs for symmetric factors.
+    `vectors` and `matrix()` are Fraction views, built on first use (for
+    the LPs and the verifier), over all r^2 entries for pairs.
     """
 
     r: int
     ambient_dim: int
-    vectors: tuple[Vector, ...]
+    columns: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
     sources: tuple[GeneratorSource, ...]
     symmetric: bool = False
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return len(self.columns)
+
+    @cached_property
+    def vectors(self) -> tuple[Vector, ...]:
+        zero = Fraction(0)  # most entries: one shared object, as in the input
+        views = [[Fraction(x, s) if x else zero for x in column] for column, s in zip(self.columns, self.scales)]
+        for view in [] if self.symmetric else views:
+            for d in range(self.r):
+                view.insert(d * (self.r + 1), zero)
+        return tuple(map(tuple, views))
 
     @cached_property
     def _matrix(self) -> RationalMatrix:
@@ -148,26 +165,60 @@ class DualConeGenerators:
         return self._matrix
 
 
-def _generator_columns(a_rows, b_cols, r: int, coords) -> tuple[list[list], list[tuple]]:
-    """The generator of each zero over the (k, l) motion coordinates
-    `coords`, with its source ("A" or "B", i, j): A-zeros row-major, then
-    B-zeros by row of B.  A zero at (i, j) of A has entry A[i, k] at (k, j),
-    one of B has -B[l, j] at (i, l); the other entries are the zero itself,
-    so the vectors hold the type of the input entries."""
-    columns, sources = [], []
-    for i, row in enumerate(a_rows):
+def _generator_plan(r: int, zeros_a, zeros_b, symmetric: bool = False) -> list[tuple[tuple, dict]]:
+    """Each generator as its source ("A" or "B", i, j) and {motion
+    coordinate: slot}, A-zeros row-major, then B-zeros by row of B.
+
+    A slot indexes a `_plan_values` list; other coordinates read its closing
+    0 at slot -1.  A zero at (i, j) of A puts A[i, k] at (k, j), one of B
+    puts -B[l, j] at (i, l), for each k or l whose entry is not a zero.  A
+    symmetric factor has no B and the values A, then -A: read on skew
+    matrices as g[k, l] - g[l, k] at pairs k < l, an entry at (k, j) with
+    k > j moves to (j, k) with its sign flipped.
+    """
+    m, n = len(zeros_a), len(zeros_b[0]) if zeros_b else 0
+    plan = []
+    for i, zeros in enumerate(zeros_a):
         for j in range(r):
-            if row[j] == 0:
-                zero = row[j]
-                columns.append([row[k] if l == j else zero for k, l in coords])
-                sources.append(("A", i, j))
+            if zeros[j]:
+                flip = [symmetric and k > j for k in range(r)]
+                entries = {(j, k) if flip[k] else (k, j): (m * flip[k] + i) * r + k for k in range(r) if k != j and not zeros[k]}
+                plan.append((("A", i, j), entries))
     for i in range(r):
-        for j, col in enumerate(b_cols):
-            if col[i] == 0:
-                zero = col[i]
-                columns.append([-col[l] if k == i else zero for k, l in coords])
-                sources.append(("B", i, j))
-    return columns, sources
+        for j in range(n):
+            if zeros_b[i][j]:
+                plan.append((("B", i, j), {(i, l): m * r + l * n + j for l in range(r) if l != i and not zeros_b[l][j]}))
+    return plan
+
+
+def _plan_values(a_rows, b_rows) -> list:
+    """What the slots of a `_generator_plan` index: the entries of A
+    row-major, then those of -B row-major, then one 0."""
+    values = [x for row in a_rows for x in row]
+    values += [-x for row in b_rows for x in row]
+    values.append(0)
+    return values
+
+
+def _cleared(r: int, a_rows, b_cols) -> tuple[list[list[int]], ...]:
+    """(rows of A, rows of B, their zero masks), each row of A and column of B
+    cleared of denominators: a positive scaling of the generators it feeds."""
+    a_rows = [integer_multiple(row) for row in a_rows]
+    b_cols = [integer_multiple(col) for col in b_cols]
+    b_rows = [[col[i] for col in b_cols] for i in range(r)]
+    return a_rows, b_rows, *([[x == 0 for x in row] for row in rows] for rows in (a_rows, b_rows))
+
+
+def _build_generators(r: int, coords, a_rows, b_cols, symmetric: bool = False) -> DualConeGenerators:
+    """The generators of A's zeros, by its rows, and B's, by its columns."""
+    lcms = [lcm(*[x.denominator for x in v]) for v in (*a_rows, *b_cols)]
+    a_ints, b_ints, zeros_a, zeros_b = _cleared(r, a_rows, b_cols)
+    plan = _generator_plan(r, zeros_a, zeros_b, symmetric)
+    values = _plan_values(a_ints, a_ints if symmetric else b_ints)
+    columns = tuple(tuple([values[g.get(coord, -1)] for coord in coords]) for _, g in plan)
+    scales = tuple(lcms[i] if factor == "A" else lcms[len(a_rows) + j] for (factor, i, j), _ in plan)
+    sources = tuple(GeneratorSource(*source) for source, _ in plan)
+    return DualConeGenerators(r, len(coords) if symmetric else r * r, columns, scales, sources, symmetric)
 
 
 def build_dual_generators(pair: FactorizationPair) -> DualConeGenerators:
@@ -177,10 +228,8 @@ def build_dual_generators(pair: FactorizationPair) -> DualConeGenerators:
     zero at (i, j) of A means exactly that row i of A has a zero in slot j.
     """
     r = pair.r
-    coords = [(k, l) for k in range(r) for l in range(r)]
-    columns, sources = _generator_columns(pair.a.row_list(), pair.b.transpose().row_list(), r, coords)
-    sources = tuple(GeneratorSource(*s) for s in sources)
-    return DualConeGenerators(r, r * r, tuple(map(tuple, columns)), sources)
+    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
+    return _build_generators(r, coords, pair.a.row_list(), pair.b.transpose().row_list())
 
 
 @dataclass(frozen=True)
@@ -236,14 +285,15 @@ def _motion_dim(subject: DualConeGenerators | RigidityCertificate) -> int:
 
 def _zero_diagonal_slice_basis(gens: DualConeGenerators) -> tuple[int, list[list[int]]]:
     # (scale, vectors): a basis of V = {D : <g, D> = 0 for all generators,
-    # diag D = 0}, each vector `scale` times the reduced-row-echelon kernel
-    # vector of the generator rows, which clearing each row of denominators
-    # keeps.  No generator touches the diagonal, so its columns are free and
-    # their kernel vectors are the diagonal units, which are not V; the
-    # vector of every other free column vanishes on the diagonal.
+    # diag D = 0}, flattened r x r: `scale` times the reduced-row-echelon
+    # kernel of the integer columns as rows, which their scales keep, with
+    # a zero diagonal put back.
     r = gens.r
-    _, scale, vectors = integer_kernel([integer_multiple(vec) for vec in gens.vectors], r * r)
-    return scale, [vec for vec in vectors if not any(vec[:: r + 1])]
+    _, scale, vectors = integer_kernel([list(column) for column in gens.columns], r * r - r)
+    for vec in vectors:
+        for d in range(r):
+            vec.insert(d * (r + 1), 0)
+    return scale, vectors
 
 
 def _squares_to_zero(vectors: list[list[int]], r: int) -> bool:
@@ -290,9 +340,15 @@ def certify(
 
 def _certify_generators(gens: DualConeGenerators, kruskal_budget: int) -> RigidityCertificate:
     r, ambient_dim = gens.r, gens.ambient_dim
-    matrix = gens.matrix()
-    span_rank, _, kernel = integer_kernel(_integer_rows(matrix), gens.count)
-    witness, lin_dim = _relint_stage(matrix, kernel)
+    span_rank, _, kernel = integer_kernel([list(row) for row in zip(*gens.columns)], gens.count)
+    if len(kernel) <= 1:
+        # mu in the columns' kernel is lambda_j = s_j mu_j in the generators'.
+        witness, lin_dim = _cone_from_kernel([[s * x for s, x in zip(gens.scales, v)] for v in kernel], gens.count)
+    else:
+        # The feasibility LP's vertex; with one the cone is its span, and
+        # without one the lineality LPs measure it.
+        witness = zero_in_relative_interior(gens.matrix())
+        lin_dim = gens.count - len(kernel) if witness is not None else lineality_dimension(gens.matrix())
     dim_w = ambient_dim - lin_dim
 
     v_basis = None
@@ -316,19 +372,11 @@ def _certify_generators(gens: DualConeGenerators, kruskal_budget: int) -> Rigidi
     else:
         classification = Classification.UNDETERMINED
 
-    kruskal = kruskal_rank_of_columns(gens.vectors, kruskal_budget, kernel=kernel)
+    kruskal = kruskal_rank_of_columns(gens.columns, kruskal_budget, kernel=kernel)
     return RigidityCertificate(
-        r=r,
-        ambient_dim=ambient_dim,
-        generator_count=gens.count,
-        span_rank=span_rank,
-        lineality_dim=lin_dim,
-        relint_witness=witness,
-        dim_w=dim_w,
-        classification=classification,
-        v_basis=v_basis,
-        kruskal_rank=kruskal,
-        symmetric=gens.symmetric,
+        r=r, ambient_dim=ambient_dim, generator_count=gens.count, span_rank=span_rank, lineality_dim=lin_dim,
+        relint_witness=witness, dim_w=dim_w, classification=classification, v_basis=v_basis,
+        kruskal_rank=kruskal, symmetric=gens.symmetric,
     )
 
 
@@ -339,18 +387,11 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     checks neither signs nor the ranks of the factors, so a search loop
     decides a draw before it builds a `FactorizationPair`; on a full-rank
     nonnegative pair the answer is `certify`'s infinitesimally-rigid
-    verdict.  Each row of A with a zero and each column of B is cleared of
-    denominators, a positive scaling of the generators it feeds, which
-    changes neither the cone nor the sign pattern of a kernel vector, and
-    put to `accept_test` planned from its own zeros: so it meets the
-    plan's precondition, entries nonzero exactly off the zeros, which a
-    search meets by drawing from entry_low >= 1.
+    verdict.  The factors, cleared as for `build_dual_generators`, go to
+    `accept_test` planned from their own zeros, so they meet its
+    precondition.
     """
-    r = len(b_rows)
-    a_rows = [integer_multiple(row) if 0 in row else row for row in a_rows]
-    b_cols = [integer_multiple(col) for col in zip(*b_rows)]
-    b_rows = [[col[i] for col in b_cols] for i in range(r)]
-    zeros_a, zeros_b = ([[x == 0 for x in row] for row in rows] for rows in (a_rows, b_rows))
+    a_rows, b_rows, zeros_a, zeros_b = _cleared(len(b_rows), a_rows, list(zip(*b_rows)))
     return accept_test(zeros_a, zeros_b)(a_rows, b_rows)
 
 
@@ -360,48 +401,29 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]]
 
     Precondition: the entries of a draw are nonzero exactly off the
     pattern's zeros, as a search with entry_low >= 1 draws them.  The
-    generator matrix G of `build_dual_generators`, over the r^2-r
-    off-diagonal coordinates only (every generator vanishes on the
-    diagonal), then has its nonzeros at known slots: the plan records which
-    entry of A, or which negated entry of B, fills each, in the row and
-    column order of `_pivot_order`.  Neither the span rank nor the sign
-    pattern of a one-dimensional kernel depends on that order, and
-    `one_signed_kernel` gives both, stopping at the first kernel entry
-    that rules the draw out.  A kernel of dimension two or more pays for
-    the feasibility LP on the columns of `_generator_columns`; one of
-    dimension zero accepts only the empty generator list, as
-    `_cone_from_kernel` does.
+    `_generator_plan` of `build_dual_generators` then knows which entry of
+    A, or negated entry of B, fills each nonzero of the generator matrix,
+    here in the row and column order of `_pivot_order`, which changes
+    neither the span rank nor the sign pattern of a one-dimensional kernel:
+    `one_signed_kernel` gives both, stopping at the first kernel entry that
+    rules the draw out.  A kernel of dimension two or more pays for the
+    feasibility LP; one of dimension zero accepts only the empty generator
+    list, as `_cone_from_kernel` does.
     """
-    r, m = len(zeros_b), len(zeros_a)
-    n = len(zeros_b[0]) if r else 0
+    r = len(zeros_b)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    # Each generator as {coordinate: index into a draw's values}, the values
-    # being A row-major, then -B row-major, then one 0.
-    generators = [
-        {(k, j): i * r + k for k in range(r) if k != j and not zeros[k]}
-        for i, zeros in enumerate(zeros_a)
-        for j in range(r)
-        if zeros[j]
-    ]
-    generators += [
-        {(i, l): m * r + l * n + j for l in range(r) if l != i and not zeros_b[l][j]}
-        for i in range(r)
-        for j in range(n)
-        if zeros_b[i][j]
-    ]
-    count, zero = len(generators), m * r + r * n
+    generators = [g for _, g in _generator_plan(r, zeros_a, zeros_b)]
+    count = len(generators)
     rows, cols = _pivot_order(coords, generators)
-    slots = [[generators[c].get(coord, zero) for c in cols] for coord in rows]
+    slots = [[generators[c].get(coord, -1) for c in cols] for coord in rows]
 
     def accepts(a_rows: list[list[int]], b_rows: list[list[int]]) -> bool:
-        values = [x for row in a_rows for x in row]
-        values += [-x for row in b_rows for x in row]
-        values.append(0)
+        values = _plan_values(a_rows, b_rows)
         span_rank, one_signed = one_signed_kernel([[values[k] for k in row] for row in slots], count)
         if span_rank != len(coords):
             return False
         if count - span_rank >= 2:
-            columns, _ = _generator_columns(a_rows, list(zip(*b_rows)), r, coords)
+            columns = [[values[g.get(coord, -1)] for coord in coords] for g in generators]
             return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
         return one_signed or count == 0
 
@@ -447,22 +469,6 @@ def _pivot_order(coords, generators) -> tuple[list, list[int]]:
     return rows + sorted(support), cols
 
 
-def _relint_stage(matrix: RationalMatrix, kernel: list[list[int]]) -> tuple[Vector | None, int]:
-    """Relative-interior witness of the generator cone and its lineality
-    dimension, from an integer kernel basis of the generator matrix.
-
-    A kernel of dimension at most one decides both.  Otherwise the witness
-    is the feasibility LP's vertex; with one the cone is its span, and
-    without one the lineality LPs measure it.
-    """
-    if len(kernel) <= 1:
-        return _cone_from_kernel(kernel, matrix.cols)
-    witness = zero_in_relative_interior(matrix)
-    if witness is None:
-        return None, lineality_dimension(matrix)
-    return witness, matrix.cols - len(kernel)
-
-
 def _cone_from_kernel(kernel: list[list[int]], count: int) -> tuple[Vector | None, int]:
     """Relative-interior witness and lineality dimension of the generator
     cone, read off an integer kernel basis of dimension at most one.
@@ -506,10 +512,11 @@ def kruskal_rank_of_columns(
     p + 1 units against `budget` and sends the search a level down, and a
     level without one charges C(count, k) and answers k.  A search whose
     charge would pass the budget reports unknown (None) rather than an
-    approximation.  No columns, or no passing level, give 0.  `kernel`, a
-    basis of the right kernel of the columns such as `integer_kernel`
-    hands back, saves recomputing it when the caller holds one; without
-    it, `nullspace_basis` is cleared of denominators.
+    approximation.  No columns, or no passing level, give 0.  The columns
+    hold ints or Fractions.  `kernel`, an integer basis of their right
+    kernel such as `integer_kernel` hands back, saves recomputing it when
+    the caller holds one; without it, `nullspace_basis` is cleared of
+    denominators.
 
     The kernel locates the dependent subsets: S is dependent exactly when
     some nonzero kernel vector is supported inside S.  When C(count, d - 1),
@@ -529,6 +536,8 @@ def kruskal_rank_of_columns(
     if kernel is None:
         kernel = [integer_multiple(v) for v in nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))]
     d = len(kernel)
+    if budget == 0 and c > d:  # the first level charges at least one subset
+        return None
     if d <= 2 or comb(c, d - 1) <= _CIRCUIT_CAP:
         circuits = _kernel_circuits(kernel, c)
 
@@ -538,7 +547,6 @@ def kruskal_rank_of_columns(
 
     else:
         height = len(columns[0])
-        ints = [integer_multiple(col) for col in columns]
 
         def first_dependent(k: int, limit: int) -> int | None:
             # Past `limit` tested subsets, the position reached stands in:
@@ -551,7 +559,7 @@ def kruskal_rank_of_columns(
                 # in rank: a tuple grown from a generator is resized on the
                 # way, and 30,000 of them fill the tuple free lists (~3 MB).
                 if column_side:
-                    block = RationalMatrix(k, height, tuple([x for j in subset for x in ints[j]]))
+                    block = RationalMatrix(k, height, tuple([x for j in subset for x in columns[j]]))
                     full = k
                 else:
                     outside = [j for j in range(c) if j not in subset]
@@ -580,8 +588,8 @@ _CIRCUIT_CAP = 10**4
 
 
 def _kernel_circuits(kernel: list[list[int]], c: int) -> list[list[int]]:
-    """Circuits of the columns, as sorted index lists, from a basis `kernel`
-    of their right kernel, of any dimension d.
+    """Circuits of the columns, as sorted index lists, from an integer basis
+    `kernel` of their right kernel, of any dimension d.
 
     The kernel columns represent the dual matroid, whose hyperplanes are
     the complements of the circuits (Oxley, Matroid Theory, Prop. 2.1.6).
@@ -593,8 +601,7 @@ def _kernel_circuits(kernel: list[list[int]], c: int) -> list[list[int]]:
     d = len(kernel)
     if d < 2:
         return [[j for j, x in enumerate(v) if x] for v in kernel]
-    rows = [integer_multiple(v) for v in kernel]
-    points = list(zip(*rows))
+    points = list(zip(*kernel))
     nonzero = [j for j in range(c) if any(points[j])]
     bits = [1 << j for j in range(c)]
     # The hyperplanes found through each column, as bit masks of columns.
@@ -610,7 +617,7 @@ def _kernel_circuits(kernel: list[list[int]], c: int) -> list[list[int]]:
         g = gcd(*normal)  # the normal divided by it keeps the products small
         normal = [a // g for a in normal]
         values = [0] * c  # normal . point for every column, a kernel row at a time
-        for a, row in zip(normal, rows):
+        for a, row in zip(normal, kernel):
             values = [y + a * x for y, x in zip(values, row)]
         flat = [j for j in nonzero if not values[j]]
         mask = sum(map(bits.__getitem__, flat))

@@ -84,6 +84,85 @@ def test_circulant_generators_match_known_vectors():
     ]
 
 
+def generator_columns(a_rows, b_cols, r, coords):
+    # Reference: the generator of each zero over the (k, l) motion
+    # coordinates `coords`, with its source ("A" or "B", i, j): A-zeros
+    # row-major, then B-zeros by row of B.  A zero at (i, j) of A has entry
+    # A[i, k] at (k, j), one of B has -B[l, j] at (i, l); the other entries
+    # are the zero itself, so the vectors hold the type of the input entries.
+    columns, sources = [], []
+    for i, row in enumerate(a_rows):
+        for j in range(r):
+            if row[j] == 0:
+                zero = row[j]
+                columns.append([row[k] if l == j else zero for k, l in coords])
+                sources.append(("A", i, j))
+    for i in range(r):
+        for j, col in enumerate(b_cols):
+            if col[i] == 0:
+                zero = col[i]
+                columns.append([-col[l] if k == i else zero for k, l in coords])
+                sources.append(("B", i, j))
+    return columns, sources
+
+
+def reference_generators(subject):
+    # (vectors, sources) of a pair over all r^2 coordinates, or of a
+    # symmetric factor over the skew pairs: the pair generator g of each
+    # zero of A read at each pair (k, l) as g[k, l] - g[l, k].
+    from nmfrigid.cpr import skew_coordinate_pairs
+
+    r = subject.r
+    if isinstance(subject, SymmetricFactor):
+        pairs = skew_coordinate_pairs(r)
+        coords = [*pairs, *[(l, k) for k, l in pairs]]
+        columns, sources = generator_columns(subject.a.row_list() if r >= 2 else (), (), r, coords)
+        h = len(pairs)
+        return [tuple(x - y for x, y in zip(g[:h], g[h:])) for g in columns], sources
+    coords = [(k, l) for k in range(r) for l in range(r)]
+    columns, sources = generator_columns(subject.a.row_list(), subject.b.transpose().row_list(), r, coords)
+    return [tuple(g) for g in columns], sources
+
+
+def assert_build_matches_reference(subject):
+    # The Fraction views equal the reference generators; each integer column
+    # is its view over the motion coordinates (no diagonal for a pair)
+    # times its scale, the lcm of the view's denominators, which are those
+    # of the zero's row of A or column of B.
+    symmetric = isinstance(subject, SymmetricFactor)
+    gens = (build_skew_generators if symmetric else build_dual_generators)(subject)
+    vectors, sources = reference_generators(subject)
+    assert gens.vectors == tuple(vectors)
+    assert [(s.factor, s.row, s.col) for s in gens.sources] == sources
+    assert len(gens.columns) == len(gens.scales) == gens.count
+    r = gens.r
+    for column, scale, vec in zip(gens.columns, gens.scales, vectors):
+        motion = vec if symmetric else [x for k, x in enumerate(vec) if k % (r + 1)]
+        assert scale == lcm(*[x.denominator for x in vec])
+        assert all(type(x) is int for x in column)
+        assert list(column) == [x * scale for x in motion]
+    return gens
+
+
+def test_integer_build_matches_the_reference_generators():
+    rng = random.Random(29)
+    pairs, factors = [], []
+    for fx in RIGID_5X5:
+        pair = fx.pair()
+        pairs += [pair, rationally_scaled_pair(pair, rng), *twelve_zero_variants(pair)]
+        for a in (pair.a, pair.b.transpose()):
+            factors += [SymmetricFactor(a), rationally_scaled_factor(a, rng)]
+    for pair in (lift_demo_lifted_pair(), pair_from([[0, 3], [4, 0]], [[9, 0], [0, 8]])):
+        pairs += [pair, rationally_scaled_pair(pair, rng)]
+    wide = random.Random(6)
+    pairs += [rationally_scaled_pair(seeded_wide_pair(wide, 6), rng) for _ in range(3)]
+    assert (len(pairs), len(factors)) == (15 * 15 + 4 + 3, 60)
+    scales = set()
+    for subject in pairs + factors:
+        scales.update(assert_build_matches_reference(subject).scales)
+    assert 1 in scales and len(scales) > 20
+
+
 def test_positive_pair_has_no_generators():
     pair = pair_from([[1, 2], [3, 4], [5, 6]], [[1, 1, 1], [2, 1, 3]])
     assert build_dual_generators(pair).count == 0
@@ -163,6 +242,60 @@ def test_certify_digest_on_seeded_r6_pairs():
     ]
     digest = hashlib.sha256("".join(map(repr, certs)).encode()).hexdigest()
     assert digest == "a7c8e8e1773c27d0e73047f11bdc552c5c4930cc19e85f2d5baac1030ddaed67"
+
+
+def seeded_rational(rng):
+    return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+
+def rationally_scaled_pair(pair, rng):
+    # R A D by D^-1 B C for seeded positive rational diagonals R (rows of A),
+    # D (inner) and C (columns of B): the same zeros, the product R M C.
+    rows, cols, inner = ([seeded_rational(rng) for _ in range(size)] for size in (pair.m, pair.n, pair.r))
+    a = [[rows[i] * pair.a[i, k] * inner[k] for k in range(pair.r)] for i in range(pair.m)]
+    b = [[pair.b[k, j] / inner[k] * cols[j] for j in range(pair.n)] for k in range(pair.r)]
+    return pair_from(a, b)
+
+
+def rationally_scaled_factor(a, rng):
+    # R A C for seeded positive rational diagonals R and C.
+    rows, cols = [seeded_rational(rng) for _ in range(a.rows)], [seeded_rational(rng) for _ in range(a.cols)]
+    return SymmetricFactor(RationalMatrix.from_rows([[rows[i] * a[i, k] * cols[k] for k in range(a.cols)] for i in range(a.rows)]))
+
+
+def rational_certificates():
+    # Every certificate field on rationally scaled inputs, where the
+    # generators have denominators to clear: the fixtures, the partially
+    # rigid lifted demo pair, the rigid pair with a kernel of dimension 2 and
+    # the fixtures' 30 CP factors at the default Kruskal budget, and the
+    # seeded r = 6 pairs (kernel dimension 7) at a budget of 10**3, whose
+    # subset loop would take minutes to reach its answer.
+    from nmfrigid.cpr import certify_cp
+
+    rng = random.Random(28)
+    pairs = [fx.pair() for fx in RIGID_5X5] + [lift_demo_lifted_pair(), pair_from([[0, 3], [4, 0]], [[9, 0], [0, 8]])]
+    certs = [certify(rationally_scaled_pair(pair, rng)) for pair in pairs]
+    wide = random.Random(6)
+    certs += [certify(rationally_scaled_pair(seeded_wide_pair(wide, 6), rng), kruskal_budget=10**3) for _ in range(3)]
+    factors = [a for fx in RIGID_5X5 for a in (fx.pair().a, fx.pair().b.transpose())]
+    certs += [certify_cp(rationally_scaled_factor(a, rng)) for a in factors]
+    return certs
+
+
+def test_certify_digest_on_rationally_scaled_inputs():
+    certs = rational_certificates()
+    assert len(certs) == 15 + 2 + 3 + 30
+    assert {c.classification for c in certs} == {
+        Classification.INFINITESIMALLY_RIGID,
+        Classification.PARTIALLY_INFINITESIMALLY_RIGID,
+        Classification.INTERIOR_CERTIFIED,
+        Classification.UNDETERMINED,
+        Classification.NOT_RIGID,
+    }
+    # The witnesses are not all integer: the scales reach them.
+    assert any(x.denominator != 1 for c in certs for x in c.relint_witness or ())
+    digest = hashlib.sha256("".join(map(repr, certs)).encode()).hexdigest()
+    assert digest == "6c0ec146c2925cb60ea19ac554c3bc4d6aa56fcd9be3c1da718dd0c1d6577726"
 
 
 def test_certify_lifted_demo_is_partially_rigid():
@@ -564,9 +697,11 @@ def unchecked_pair(a_rows, b_rows):
 
 def fraction_accept(a_rows, b_rows):
     # The accept test on Fractions: the r^2-row generator matrix, its
-    # rational kernel, the span rank and `_relint_stage`.  Returns the
-    # verdict, the kernel dimension and whether A, B and G have full rank.
-    from nmfrigid.rigidity import _relint_stage
+    # rational kernel, the span rank, then the kernel's cone or the relint
+    # LP.  Returns the verdict, the kernel dimension and whether A, B and G
+    # have full rank.
+    from nmfrigid.cone import zero_in_relative_interior
+    from nmfrigid.rigidity import _cone_from_kernel
 
     pair = unchecked_pair(a_rows, b_rows)
     r = pair.r
@@ -574,8 +709,13 @@ def fraction_accept(a_rows, b_rows):
     kernel = nullspace_basis(matrix)
     spans = matrix.cols - len(kernel) == r * r - r
     full_rank = spans and rank(pair.a) == r == rank(pair.b)
-    verdict = spans and _relint_stage(matrix, kernel)[0] is not None
-    return verdict, len(kernel), full_rank
+    if not spans:
+        return False, len(kernel), full_rank
+    if len(kernel) <= 1:
+        witness = _cone_from_kernel(kernel, matrix.cols)[0]
+    else:
+        witness = zero_in_relative_interior(matrix)
+    return witness is not None, len(kernel), full_rank
 
 
 def draw(rng, zeros_a, zeros_b, low, high):
@@ -673,13 +813,13 @@ def unplanned_accept(a_rows, b_rows):
     # and the branch that gave it: "rank" (span rank below r^2 - r),
     # "kernel" (kernel dimension at most one) or "lp".
     from nmfrigid.cone import zero_in_relative_interior
-    from nmfrigid.rigidity import _cone_from_kernel, _generator_columns
+    from nmfrigid.rigidity import _cone_from_kernel
 
     r = len(b_rows)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
     a_rows = [integer_multiple(row) if 0 in row else row for row in a_rows]
     b_cols = [integer_multiple(col) for col in zip(*b_rows)]
-    columns, _ = _generator_columns(a_rows, b_cols, r, coords)
+    columns, _ = generator_columns(a_rows, b_cols, r, coords)
     count = len(columns)
     span_rank, _, kernel = integer_kernel([list(row) for row in zip(*columns)], count)
     if span_rank != len(coords):
@@ -891,6 +1031,30 @@ def test_kernel_with_zero_entry_is_handed_to_kruskal_rank_of_columns(monkeypatch
     kernel = generator_kernel(gens)
     assert all(type(x) is int for v in kernel for x in v)
     assert calls == [(budget, kernel) for budget in (0, 2, 3, 4)]
+
+
+def test_zero_budget_finds_no_circuit(monkeypatch):
+    # Any search over more columns than the kernel dimension charges at
+    # least one subset, so budget 0 answers None before looking for
+    # circuits; generators that are all zero (a zero row of A, c = d)
+    # charge nothing and answer 0.
+    from nmfrigid import rigidity
+
+    calls = []
+    circuits = rigidity._kernel_circuits
+    monkeypatch.setattr(rigidity, "_kernel_circuits", lambda kernel, c: calls.append(c) or circuits(kernel, c))
+    pair = seeded_wide_pair(random.Random(402), 4)
+    assert certify(pair, kruskal_budget=0).kruskal_rank is None
+    assert calls == []
+    assert certify(pair, kruskal_budget=1).kruskal_rank is None
+    assert calls == [build_dual_generators(pair).count]
+    calls.clear()
+    zero_row = pair_from([[0, 0], [1, 2], [3, 1]], [[1, 1], [2, 1]])
+    gens = build_dual_generators(zero_row)
+    assert gens.count == 2 and not any(map(any, gens.columns))
+    assert certify(zero_row, kruskal_budget=0).kruskal_rank == 0
+    assert kruskal_rank_of_columns(gens.vectors, 0) == 0
+    assert calls == [2, 2]
 
 
 def test_kruskal_shortcut_matches_loop_around_the_count():
@@ -1323,6 +1487,28 @@ def test_certify_cp_builds_the_generator_matrix_once(monkeypatch, index, kernel_
     builds = count_matrix_builds(monkeypatch)
     assert certify_cp(factor).classification is classification
     assert builds == [gens.count]
+
+
+def test_certify_with_a_small_kernel_builds_no_fraction_matrix(monkeypatch):
+    # A kernel of dimension at most one decides the cone from the integer
+    # columns, and the V-slice and Kruskal stages read them too: rigid
+    # fixtures (d = 1), the partially rigid lifted demo (d = 1), twelve-zero
+    # variants (d = 0) and CP factors with d <= 1 build no Fraction matrix.
+    from nmfrigid.cpr import certify_cp
+
+    subjects = [fx.pair() for fx in RIGID_5X5] + [lift_demo_lifted_pair(), *twelve_zero_variants(RIGID_5X5[0].pair())]
+    factors = [SymmetricFactor(fx.pair().b.transpose()) for fx in RIGID_5X5]
+    factors += [SymmetricFactor(fx.pair().a) for fx in RIGID_5X5[11:]]
+    builds = count_matrix_builds(monkeypatch)
+    classes = {certify(pair).classification for pair in subjects}
+    classes |= {certify_cp(factor).classification for factor in factors}
+    assert classes == {
+        Classification.INFINITESIMALLY_RIGID,
+        Classification.PARTIALLY_INFINITESIMALLY_RIGID,
+        Classification.INTERIOR_CERTIFIED,
+        Classification.NOT_RIGID,
+    }
+    assert builds == []
 
 
 @pytest.mark.parametrize(
