@@ -13,16 +13,13 @@ anything else is definitively not rigid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactlin import RationalMatrix, matmul, rank
 from .patterns import NecessaryConditionsReport, ZeroSupport, condition_report
 from .rigidity import (
-    DEFAULT_KRUSKAL_BUDGET,
-    DualConeGenerators,
-    RigidityCertificate,
-    _build_generators,
-    _certify_generators,
-    _require_nonnegative,
+    DEFAULT_KRUSKAL_BUDGET, DualConeGenerators, RigidityCertificate,
+    _build_generators, _certify_generators, _cleared, _IntegerForm, _require_nonnegative,
 )
 
 
@@ -33,9 +30,13 @@ class SymmetricFactor:
     a: RationalMatrix
 
     def __post_init__(self):
-        _require_nonnegative("A", self.a)
+        _require_nonnegative("A", self.a, self._form.a_rows)
         if rank(self.a) != self.a.cols:
             raise ValueError(f"A has rank below {self.a.cols}")
+
+    @cached_property
+    def _form(self) -> _IntegerForm:  # cleared once, when the check above reads it
+        return _cleared(self.r, self.a.row_list(), ())
 
     @property
     def r(self) -> int:
@@ -63,7 +64,7 @@ def build_skew_generators(factor: SymmetricFactor) -> DualConeGenerators:
     is zero dimensional and the list is empty.
     """
     r = factor.r
-    return _build_generators(r, skew_coordinate_pairs(r), factor.a.row_list() if r >= 2 else [], (), symmetric=True)
+    return _build_generators(r, skew_coordinate_pairs(r), factor._form if r >= 2 else _cleared(r, [], ()), symmetric=True)
 
 
 def certify_cp(
@@ -107,5 +108,4 @@ def cp_necessary_conditions(factor: SymmetricFactor) -> NecessaryConditionsRepor
     The tight count is r(r-1)/2+1.  No condition applies at r = 1, where
     the tangent space is zero and every factor is rigid.
     """
-    zeros = [[x == 0 for x in row] for row in factor.a.row_list()]
-    return condition_report(ZeroSupport.of(factor.r, zeros), _CP_CONDITIONS)
+    return condition_report(ZeroSupport.of(factor.r, factor._form.zeros_a), _CP_CONDITIONS)

@@ -97,14 +97,6 @@ def _require_attainable_rank(m: int, n: int, r: int) -> None:
         )
 
 
-def pattern_of_factorization(a_rows: list, b_rows: list) -> ZeroPattern:
-    """Zero pattern of explicit factor matrices given as row lists."""
-    m, r, n = len(a_rows), len(b_rows), len(b_rows[0]) if b_rows else 0
-    zeros_a = tuple(tuple(x == 0 for x in row) for row in a_rows)
-    zeros_b = tuple(tuple(x == 0 for x in row) for row in b_rows)
-    return ZeroPattern(m, n, r, zeros_a, zeros_b)
-
-
 @dataclass(frozen=True)
 class PatternGroupElement:
     """One symmetry of the pattern group.

@@ -6,7 +6,7 @@ with full-rank factors; everything is driven by a seeded generator, so a
 (pattern, config) pair always reproduces the same factorization.  The
 accept test is planned once per search from the pattern's zeros, each
 sample is decided on plain ints, and only one that passes it is turned
-into Fractions and rank-checked as a `FactorizationPair`.  The
+into Fractions and built as a `FactorizationPair`, cleared once.  The
 positive extension appends rows and columns that add no zeros and hence
 change nothing in the certificate.  The lift turns a rigid pair of inner
 size r into a partially rigid pair of inner size r+1 by adding a positive
@@ -74,9 +74,9 @@ def realize_pattern(
     entries nonzero exactly off the pattern's zeros, entry_low >= 1
     guarantees.  Each sample is put to the plan first; only a sample that
     passes it is asserted to pass `is_infinitesimally_rigid` too and built
-    as a `FactorizationPair`, which ranks both factors.  A rejected or rank
-    deficient sample counts against the budget and the search moves on.
-    Returns None when max_samples is exhausted.
+    as a `FactorizationPair`, which clears, scans and ranks each factor
+    once.  A rejected or rank deficient sample counts against the budget
+    and the search moves on.  Returns None when max_samples is exhausted.
     """
     # This also refuses a pattern that forces a column of A or a row of B to
     # be zero: its zero mask contains every other one (r = 1 cannot hold it).

@@ -7,8 +7,9 @@ the i-th coordinate column with column j of B.  The factorization is
 infinitesimally rigid exactly when that cone is the full (r^2-r)-dimensional
 space of zero-diagonal matrices, which reduces to a rank computation, a
 lineality computation and one relative-interior feasibility test, all in
-exact arithmetic.  Each generator is built once, from the per-pattern plan
-the realize accept test fills too, as an integer column over the r^2-r
+exact arithmetic.  A pair is cleared and scanned for zeros once, when it
+is built; each generator is then built once, from the per-pattern plan the
+realize accept test fills too, as an integer column over the r^2-r
 off-diagonal coordinates, scaled by the lcm of the denominators of its row
 of A or column of B.  The kernel of those columns starts all three tests:
 at dimension at most one (the tight zero count r^2-r+1 of every rigid
@@ -29,27 +30,20 @@ factorization fiber, the partially-rigid situation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Callable
 
 from . import patterns
 from .cone import lineality_dimension, zero_in_relative_interior
 from .exactlin import (
-    RationalMatrix,
-    Vector,
-    _shown,
-    integer_kernel,
-    integer_multiple,
-    matmul,
-    nullspace_basis,
-    one_signed_kernel,
-    rank,
-    vec_neg,
+    RationalMatrix, Vector, _shown, integer_kernel, integer_multiple, matmul, nullspace_basis,
+    one_signed_kernel, rank, vec_neg,
 )
 
 DEFAULT_KRUSKAL_BUDGET = 10**6
@@ -63,11 +57,28 @@ class Classification(Enum):
     NOT_RIGID = "not-rigid"  # symmetric (completely positive) case only
 
 
-def _require_nonnegative(name: str, mat: RationalMatrix) -> None:
-    for k, x in enumerate(mat.data):
-        if x < 0:
-            i, j = divmod(k, mat.cols)
-            raise ValueError(f"{name}[{i},{j}] = {_shown(x)} is negative")
+_IntegerForm = namedtuple("_IntegerForm", "a_rows b_rows scales zeros_a zeros_b")
+
+
+def _cleared(r: int, a_rows, b_cols) -> _IntegerForm:
+    """The integer form: each row of A and column of B times its scale, the
+    lcm of its denominators, a positive scaling of the generators it feeds;
+    so the rows of A and of B, the scales (A's rows first), and zero masks."""
+    vectors = [*a_rows, *b_cols]
+    cleared = [integer_multiple(v) for v in vectors]
+    # The lcm a clearing took, read back off a nonzero entry: c = s * x.
+    scales = [next((c * x.denominator // x.numerator for c, x in zip(ints, v) if c), 1) for ints, v in zip(cleared, vectors)]
+    a_ints, b_cols = cleared[: len(a_rows)], cleared[len(a_rows) :]
+    b_rows = [[col[i] for col in b_cols] for i in range(r)]
+    zeros_a, zeros_b = (tuple([tuple([x == 0 for x in row]) for row in rows]) for rows in (a_ints, b_rows))
+    return _IntegerForm(a_ints, b_rows, scales, zeros_a, zeros_b)
+
+
+def _require_nonnegative(name: str, mat: RationalMatrix, rows: list[list[int]]) -> None:
+    for i, row in enumerate(rows):
+        if min(row, default=0) < 0:
+            j = next(j for j, x in enumerate(row) if x < 0)
+            raise ValueError(f"{name}[{i},{j}] = {_shown(mat[i, j])} is negative")
 
 
 @dataclass(frozen=True)
@@ -88,13 +99,17 @@ class FactorizationPair:
                 f"inner dimensions differ: A is {self.a.rows}x{self.a.cols}, "
                 f"B is {self.b.rows}x{self.b.cols}"
             )
-        _require_nonnegative("A", self.a)
-        _require_nonnegative("B", self.b)
+        _require_nonnegative("A", self.a, self._form.a_rows)
+        _require_nonnegative("B", self.b, self._form.b_rows)
         r = self.a.cols
         if rank(self.a) != r:
             raise ValueError(f"A has rank below {r}")
         if rank(self.b) != r:
             raise ValueError(f"B has rank below {r}")
+
+    @cached_property
+    def _form(self) -> _IntegerForm:  # cleared once, when the checks above read it
+        return _cleared(self.r, self.a.row_list(), self.b.transpose().row_list())
 
     @property
     def r(self) -> int:
@@ -112,7 +127,7 @@ class FactorizationPair:
         return matmul(self.a, self.b)
 
     def zero_pattern(self) -> patterns.ZeroPattern:
-        return patterns.pattern_of_factorization(self.a.row_list(), self.b.row_list())
+        return patterns.ZeroPattern(self.m, self.n, self.r, self._form.zeros_a, self._form.zeros_b)
 
 
 @dataclass(frozen=True)
@@ -200,25 +215,19 @@ def _plan_values(a_rows, b_rows) -> list:
     return values
 
 
-def _cleared(r: int, a_rows, b_cols) -> tuple[list[list[int]], ...]:
-    """(rows of A, rows of B, their zero masks), each row of A and column of B
-    cleared of denominators: a positive scaling of the generators it feeds."""
-    a_rows = [integer_multiple(row) for row in a_rows]
-    b_cols = [integer_multiple(col) for col in b_cols]
-    b_rows = [[col[i] for col in b_cols] for i in range(r)]
-    return a_rows, b_rows, *([[x == 0 for x in row] for row in rows] for rows in (a_rows, b_rows))
-
-
-def _build_generators(r: int, coords, a_rows, b_cols, symmetric: bool = False) -> DualConeGenerators:
-    """The generators of A's zeros, by its rows, and B's, by its columns."""
-    lcms = [lcm(*[x.denominator for x in v]) for v in (*a_rows, *b_cols)]
-    a_ints, b_ints, zeros_a, zeros_b = _cleared(r, a_rows, b_cols)
-    plan = _generator_plan(r, zeros_a, zeros_b, symmetric)
-    values = _plan_values(a_ints, a_ints if symmetric else b_ints)
-    columns = tuple(tuple([values[g.get(coord, -1)] for coord in coords]) for _, g in plan)
-    scales = tuple(lcms[i] if factor == "A" else lcms[len(a_rows) + j] for (factor, i, j), _ in plan)
+def _build_generators(r: int, coords, form: _IntegerForm, symmetric: bool = False) -> DualConeGenerators:
+    """The generators of A's zeros, by its rows, and B's, by its columns:
+    each column zero but for its plan entries, at most r - 1 of them."""
+    plan = _generator_plan(r, form.zeros_a, form.zeros_b, symmetric)
+    values = _plan_values(form.a_rows, form.a_rows if symmetric else form.b_rows)
+    position = {coord: t for t, coord in enumerate(coords)}
+    columns = [[0] * len(coords) for _ in plan]
+    for column, (_, g) in zip(columns, plan):
+        for coord, slot in g.items():
+            column[position[coord]] = values[slot]
+    scales = tuple(form.scales[i if factor == "A" else len(form.a_rows) + j] for (factor, i, j), _ in plan)
     sources = tuple(GeneratorSource(*source) for source, _ in plan)
-    return DualConeGenerators(r, len(coords) if symmetric else r * r, columns, scales, sources, symmetric)
+    return DualConeGenerators(r, len(coords) if symmetric else r * r, tuple(map(tuple, columns)), scales, sources, symmetric)
 
 
 def build_dual_generators(pair: FactorizationPair) -> DualConeGenerators:
@@ -229,7 +238,7 @@ def build_dual_generators(pair: FactorizationPair) -> DualConeGenerators:
     """
     r = pair.r
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    return _build_generators(r, coords, pair.a.row_list(), pair.b.transpose().row_list())
+    return _build_generators(r, coords, pair._form)
 
 
 @dataclass(frozen=True)
@@ -387,12 +396,12 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     checks neither signs nor the ranks of the factors, so a search loop
     decides a draw before it builds a `FactorizationPair`; on a full-rank
     nonnegative pair the answer is `certify`'s infinitesimally-rigid
-    verdict.  The factors, cleared as for `build_dual_generators`, go to
-    `accept_test` planned from their own zeros, so they meet its
+    verdict.  The factors, cleared as a `FactorizationPair` clears them, go
+    to `accept_test` planned from their own zeros, so they meet its
     precondition.
     """
-    a_rows, b_rows, zeros_a, zeros_b = _cleared(len(b_rows), a_rows, list(zip(*b_rows)))
-    return accept_test(zeros_a, zeros_b)(a_rows, b_rows)
+    form = _cleared(len(b_rows), a_rows, list(zip(*b_rows)))
+    return accept_test(form.zeros_a, form.zeros_b)(form.a_rows, form.b_rows)
 
 
 def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]], bool]:
@@ -698,6 +707,5 @@ def necessary_conditions_report(pair: FactorizationPair) -> patterns.NecessaryCo
     realizable pattern object represents) still get a report instead of an
     error.
     """
-    zeros_a, zeros_b = ([[x == 0 for x in row] for row in f.row_list()] for f in (pair.a, pair.b))
-    support = patterns.ZeroSupport.of(pair.r, zeros_a, zeros_b)
+    support = patterns.ZeroSupport.of(pair.r, pair._form.zeros_a, pair._form.zeros_b)
     return patterns.condition_report(support, _CONDITIONS)

@@ -43,12 +43,19 @@ def test_factor_checks_share_messages_and_order():
     identity = RationalMatrix.from_rows([[1, 0], [0, 1]])
     deficient = RationalMatrix.from_rows([[1, 1], [1, 1]])
     negative = RationalMatrix.from_rows([[1, -1], [1, -1]])  # also rank 1
+    # Negatives at (0, 1) and (1, 0): row-major order names (0, 1), where a
+    # scan of the cleared columns would reach (1, 0) first.  The message
+    # quotes the entry as given, not as cleared (-1/2 is -1 in its row).
+    crossed = RationalMatrix.from_rows([[0, -1], [-1, 0]])
+    crossed_half = RationalMatrix.from_rows([[0, Fraction(-1, 2)], [-1, 0]])
     cases = [
         (lambda: FactorizationPair(negative, negative), "A[0,1] = -1 is negative"),
         (lambda: FactorizationPair(deficient, negative), "B[0,1] = -1 is negative"),
+        (lambda: FactorizationPair(identity, crossed), "B[0,1] = -1 is negative"),
         (lambda: FactorizationPair(deficient, deficient), "A has rank below 2"),
         (lambda: FactorizationPair(identity, deficient), "B has rank below 2"),
         (lambda: SymmetricFactor(negative), "A[0,1] = -1 is negative"),
+        (lambda: SymmetricFactor(crossed_half), "A[0,1] = -1/2 is negative"),
         (lambda: SymmetricFactor(deficient), "A has rank below 2"),
     ]
     for build, message in cases:

@@ -163,6 +163,37 @@ def test_integer_build_matches_the_reference_generators():
     assert 1 in scales and len(scales) > 20
 
 
+def test_each_factor_is_cleared_once(monkeypatch):
+    # Building a pair clears each row of A and column of B once, a CP factor
+    # each row of A; certification, the generators (built twice), the
+    # condition reports and the zero pattern read that form and clear none.
+    from nmfrigid import rigidity
+    from nmfrigid.cpr import certify_cp, cp_necessary_conditions
+
+    rng = random.Random(29)
+    base = RIGID_5X5[0].pair()
+    clears = []
+    clear = rigidity.integer_multiple
+    monkeypatch.setattr(rigidity, "integer_multiple", lambda v: clears.append(v) or clear(v))
+    pair = rationally_scaled_pair(base, rng)
+    assert len(clears) == pair.m + pair.n
+    certify(pair)
+    gens = build_dual_generators(pair)
+    assert build_dual_generators(pair) == gens and set(gens.scales) != {1}
+    necessary_conditions_report(pair)
+    pair.zero_pattern()
+    assert len(clears) == pair.m + pair.n
+
+    del clears[:]
+    factor = rationally_scaled_factor(base.a, rng)
+    assert len(clears) == factor.n
+    certify_cp(factor)
+    gens = build_skew_generators(factor)
+    assert build_skew_generators(factor) == gens and set(gens.scales) != {1}
+    cp_necessary_conditions(factor)
+    assert len(clears) == factor.n
+
+
 def test_positive_pair_has_no_generators():
     pair = pair_from([[1, 2], [3, 4], [5, 6]], [[1, 1, 1], [2, 1, 3]])
     assert build_dual_generators(pair).count == 0
