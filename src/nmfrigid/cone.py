@@ -18,14 +18,13 @@ No facet or vertex description is ever computed; rank plus these LPs
 cover everything callers need, and the simplex with Bland's rule
 terminates in exact arithmetic without perturbation.  It shifts by the
 lower bounds and pivots on Python ints, with the fraction-free step of
-`exactlin`, and `verify_witness` sums on ints too, so, as there, Fraction
-appears only at the boundary.
+`exactlin`, and `verify_witness` sums on ints too, all cleared by its
+`integer_multiple`, so Fraction appears only at the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .exactlin import (
     RationalMatrix,
@@ -52,18 +51,19 @@ def lp_feasible(
     when the system is infeasible.  `rhs` and `lower_bounds` take what
     `RationalMatrix` entries take: ints, Fractions and strings, not floats.
 
-    The tableau is integer: the structural columns, each scaled by the lcm
-    of its denominators, and the right-hand side shifted by the lower
-    bounds, computed on those integer columns and scaled by
-    d = lcm(scales[j] * den lower_bounds[j], den rhs[i]) over the nonzero
-    bounds.  Positive scalings keep every reduced-cost sign and ratio order,
-    so the pivots are those of the rational simplex.  Each pivot is one
-    `eliminate` step, the cost row riding along as the last row; Fraction
-    appears only in the inputs and in the point handed back.  Row i is
-    levels[i] times its rational value, and every level is a past pivot, so
-    positive: a reduced-cost sign is the sign of its entry, a ratio is taken
-    within one row where the level cancels, and the point reads
-    table[i][-1] * scales[var] / (levels[i] * d).  Leaving out the
+    The tableau is integer: the structural columns, each cleared by
+    `integer_multiple` and so scaled by scales[j], the lcm of its
+    denominators, and the right-hand side shifted by the lower bounds,
+    computed on those integer columns and scaled by d, the lcm that one more
+    `integer_multiple` takes of the denominators of the lower_bounds[j] /
+    scales[j] and the rhs[i].  Positive scalings keep every reduced-cost
+    sign and ratio order, so the pivots are those of the rational simplex.
+    Each pivot is one `eliminate` step, the cost row riding along as the
+    last row; Fraction appears only in the inputs and in the point handed
+    back.  Row i is levels[i] times its rational value, and every level is
+    a past pivot, so positive: a reduced-cost sign is the sign of its entry,
+    a ratio is taken within one row where the level cancels, and the point
+    reads table[i][-1] * scales[var] / (levels[i] * d).  Leaving out the
     artificials' identity block is exact.  Bland's rule enters an
     artificial only when no structural column qualifies, and at a positive
     objective that basis proves the system infeasible.  At objective 0
@@ -81,17 +81,14 @@ def lp_feasible(
 
     # Shift to y = x - lower_bounds >= 0: row i's right-hand side times d
     # is rhs[i]*d - sum_j row[j] * lower_bounds[j] * d / scales[j].
-    scales = [lcm(*(x.denominator for x in equalities.column(j))) for j in range(n_cols)]
-    d = lcm(*(s * x.denominator for x, s in zip(lower_bounds, scales) if x), *(b.denominator for b in rhs))
-    weights = [
-        (j, x.numerator * (d // (s * x.denominator)))
-        for j, (x, s) in enumerate(zip(lower_bounds, scales))
-        if x
-    ]
+    cleared = [integer_multiple(equalities.column(j)) for j in range(n_cols)]
+    scales = [s for s, _ in cleared]
+    d, shifted = integer_multiple([x / s for x, s in zip(lower_bounds, scales)] + rhs)
+    weights = [(j, w) for j, w in enumerate(shifted[:n_cols]) if w]
     table: list[list[int]] = []
-    for i, b in enumerate(rhs):
-        row = [x.numerator * (s // x.denominator) for x, s in zip(equalities.row(i), scales)]
-        row.append(b.numerator * (d // b.denominator) - sum(row[j] * w for j, w in weights))
+    for i, b in enumerate(shifted[n_cols:]):
+        row = [column[i] for _, column in cleared]
+        row.append(b - sum(row[j] * w for j, w in weights))
         # Rows with negative right-hand side are negated so artificials start >= 0.
         table.append([-x for x in row] if row[-1] < 0 else row)
 
@@ -185,5 +182,5 @@ def verify_witness(generators: RationalMatrix, coefficients: Vector) -> bool:
     keep every sum's zero."""
     if len(coefficients) != generators.cols or any(c < 1 for c in coefficients):
         return False
-    weights = integer_multiple(coefficients)
+    _, weights = integer_multiple(coefficients)
     return all(sum(x * w for x, w in zip(row, weights) if x) == 0 for row in _integer_rows(generators))

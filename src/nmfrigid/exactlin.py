@@ -5,22 +5,23 @@ flip, so no float ever enters these routines.  Matrix entries are
 ``fractions.Fraction`` (plain ints are accepted too), but elimination clears
 each row of denominators and then runs fraction-free on Python ints, so
 Fraction appears only at the boundary: in the entries passed in and in the
-kernel vectors handed back.  Every pivot, here and in the simplex of
-`cone`, is one `eliminate` step.  That step is lazy: each row carries its
-own level, the pivot it was last rewritten at, and a pivot rewrites only
-the rows nonzero in its column, so the zeros of a sparse matrix (the
-generator matrix has one sparse column per zero) cost nothing; every row
-it writes is the row dense Bareiss (1968) elimination writes.  Elimination
-here is forward only: `rank` stops after it, and two routines finish it
-by exact integer back-substitution, one loop shared by both:
-`integer_kernel` into a kernel basis, which the certification core of
-`rigidity` and its zero-diagonal slice V keep in integers and
-`nullspace_basis` views as Fractions, and `one_signed_kernel` into the
-sign test of the realize accept test, which stops at the first kernel
-entry that fails it.  That test fills its generator matrix from a plan
-made once per zero pattern, so it needs draw entries nonzero exactly off
-the pattern's zeros, as a search with entry_low >= 1 draws them.  The
-simplex of `cone` shifts by its lower bounds on integers as well.
+kernel vectors handed back.  One routine clears, `integer_multiple`, which
+hands back the lcm it takes with the integers, here, in `rigidity` and in
+the simplex of `cone`, which shifts by its lower bounds on integers too.
+Every pivot, here and in the simplex of `cone`, is one `eliminate` step.
+That step is lazy: each row carries its own level, the pivot it was last
+rewritten at, and a pivot rewrites only the rows nonzero in its column, so
+the zeros of a sparse matrix (the generator matrix has one sparse column
+per zero) cost nothing; every row it writes is the row dense Bareiss
+(1968) elimination writes.  Elimination here is forward only: `rank` stops
+after it, and two routines finish it by exact integer back-substitution,
+one loop shared by both: `integer_kernel` into a kernel basis, which the
+certification core of `rigidity` and its zero-diagonal slice V keep in
+integers and `nullspace_basis` views as Fractions, and `one_signed_kernel`
+into the sign test of the realize accept test, which stops at the first
+kernel entry that fails it.  That test fills its generator matrix from a
+plan made once per zero pattern, so it needs draw entries nonzero exactly
+off the pattern's zeros, as a search with entry_low >= 1 draws them.
 Matrices are small (a few hundred entries at most), dense and immutable;
 elimination uses the first nonzero pivot in column order so kernels and
 ranks are bit-identical across runs.
@@ -141,13 +142,13 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(a.rows, b.cols, tuple(out))
 
 
-def integer_multiple(v: Sequence) -> list[int]:
-    """`v` times the lcm of its denominators: a positive multiple of `v`
-    with integer entries, zero exactly where `v` is zero."""
+def integer_multiple(v: Sequence) -> tuple[int, list[int]]:
+    """(s, s*v): s the lcm of the denominators of `v`, 1 if there are none,
+    and s*v a positive multiple of `v` in integers, zero where `v` is."""
     den = lcm(*[x.denominator for x in v])
     if den == 1:
-        return [x.numerator for x in v]
-    return [x.numerator * (den // x.denominator) for x in v]
+        return 1, [x.numerator for x in v]
+    return den, [x.numerator * (den // x.denominator) for x in v]
 
 
 def eliminate(rows: list[list[int]], levels: list[int], p: int, col: int, prev: int) -> int:
@@ -187,7 +188,7 @@ def eliminate(rows: list[list[int]], levels: list[int], p: int, col: int, prev: 
 def _integer_rows(m: RationalMatrix) -> list[list[int]]:
     """The rows of `m`, each cleared of denominators by `integer_multiple`."""
     cols = m.cols
-    return [integer_multiple(m.data[i * cols : (i + 1) * cols]) for i in range(m.rows)]
+    return [integer_multiple(m.data[i * cols : (i + 1) * cols])[1] for i in range(m.rows)]
 
 
 def _echelon(work: list[list[int]], cols: int) -> tuple[list[list[int]], list[int], int]:

@@ -63,13 +63,12 @@ _IntegerForm = namedtuple("_IntegerForm", "a_rows b_rows scales zeros_a zeros_b"
 def _cleared(r: int, a_rows, b_cols) -> _IntegerForm:
     """The integer form: each row of A and column of B times its scale, the
     lcm of its denominators, a positive scaling of the generators it feeds;
-    so the rows of A and of B, the scales (A's rows first), and zero masks."""
-    vectors = [*a_rows, *b_cols]
-    cleared = [integer_multiple(v) for v in vectors]
-    # The lcm a clearing took, read back off a nonzero entry: c = s * x.
-    scales = [next((c * x.denominator // x.numerator for c, x in zip(ints, v) if c), 1) for ints, v in zip(cleared, vectors)]
-    a_ints, b_cols = cleared[: len(a_rows)], cleared[len(a_rows) :]
-    b_rows = [[col[i] for col in b_cols] for i in range(r)]
+    so the rows of A and of B, the scales (A's rows first), and zero masks,
+    all as `integer_multiple` hands them back."""
+    cleared = [integer_multiple(v) for v in [*a_rows, *b_cols]]
+    scales = [s for s, _ in cleared]
+    a_ints = [ints for _, ints in cleared[: len(a_rows)]]
+    b_rows = [[col[i] for _, col in cleared[len(a_rows) :]] for i in range(r)]
     zeros_a, zeros_b = (tuple([tuple([x == 0 for x in row]) for row in rows]) for rows in (a_ints, b_rows))
     return _IntegerForm(a_ints, b_rows, scales, zeros_a, zeros_b)
 
@@ -543,7 +542,7 @@ def kruskal_rank_of_columns(
     if c == 0:
         return 0
     if kernel is None:
-        kernel = [integer_multiple(v) for v in nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))]
+        kernel = [integer_multiple(v)[1] for v in nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))]
     d = len(kernel)
     if budget == 0 and c > d:  # the first level charges at least one subset
         return None

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -255,10 +256,14 @@ def test_lp_with_lazy_pivots_matches_fraction_simplex_on_larger_systems(monkeypa
 
 
 def test_lp_shift_matches_fraction_simplex_past_64_bit_denominators():
-    # The shifted right-hand side is scaled by d = lcm(scales[j] * den l_j,
-    # den b_i).  Column entries have denominators 2**65 and 3**41, past
-    # 2**64; lower bounds, fractional and negative, have 13 and 17**16, and
-    # the right-hand sides 5, 7 and 11**19, coprime to every column scale.
+    # The shifted right-hand side is scaled by d, the lcm of the
+    # denominators of l_j / scales[j] and b_i.  Column entries have
+    # denominators 2**65 and 3**41, past 2**64; lower bounds, fractional and
+    # negative, have 13 and 17**16, and the right-hand sides 5, 7 and
+    # 11**19, coprime to every column scale.  d divides
+    # lcm(scales[j] * den l_j, den b_i), and is below it in the systems
+    # where a bound's numerator, even or a multiple of 3, cancels part of a
+    # column scale no other column needs in full.
     rng = random.Random(20191105)
 
     def draw(dens, low, high, zero=0.0):
@@ -266,7 +271,7 @@ def test_lp_shift_matches_fraction_simplex_past_64_bit_denominators():
             return Fraction(0)
         return Fraction(rng.randint(low, high), rng.choice(dens))
 
-    feasible = negative_bounds = 0
+    feasible = negative_bounds = cancelled = 0
     for _ in range(300):
         n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 6)
         system = RationalMatrix.from_rows(
@@ -278,7 +283,12 @@ def test_lp_shift_matches_fraction_simplex_past_64_bit_denominators():
         assert lp_feasible(system, rhs, bounds) == expected
         feasible += expected is not None
         negative_bounds += any(x < 0 and x.denominator > 1 for x in bounds)
-    assert 60 < feasible < 240 and negative_bounds > 100
+        scales = [lcm(*[x.denominator for x in system.column(j)]) for j in range(n_cols)]
+        d = lcm(*[(x / s).denominator for x, s in zip(bounds, scales)], *[b.denominator for b in rhs])
+        unreduced = lcm(*[s * x.denominator for x, s in zip(bounds, scales) if x], *[b.denominator for b in rhs])
+        assert unreduced % d == 0
+        cancelled += d < unreduced
+    assert 60 < feasible < 240 and negative_bounds > 100 and cancelled > 100
 
 
 def _cap_pivots(monkeypatch, cap):

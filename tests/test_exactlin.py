@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -49,6 +50,31 @@ def rand_matrix(rng, rows, cols, lo=-4, hi=4, denom=3):
             for _ in range(rows)
         ]
     )
+
+
+def test_integer_multiple_hands_back_the_lcm_and_the_cleared_integers():
+    # s is the lcm of the denominators, and the integers are s*v entry for
+    # entry, zero where v is; denominators reach past 2**64.
+    rng = random.Random(30)
+    scales = set()
+    for _ in range(300):
+        dens = rng.choice([(1, 2, 3, 4, 6, 9), (5, 7, 11, 13), (2**65, 3**41, 10)])
+        v = [Fraction(rng.randint(-50, 50) * (rng.random() > 0.2), rng.choice(dens)) for _ in range(rng.randint(1, 8))]
+        s, ints = integer_multiple(v)
+        assert s == lcm(*[x.denominator for x in v])
+        assert all(type(x) is int for x in ints) and ints == [s * x for x in v]
+        scales.add(s)
+    assert 1 in scales and max(scales) > 2**64 and len(scales) > 40
+
+
+def test_integer_multiple_of_integers_zeros_and_nothing_has_scale_one():
+    rng = random.Random(31)
+    for _ in range(100):
+        numerators = [rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 6))]
+        assert integer_multiple(numerators) == (1, numerators)
+        assert integer_multiple([Fraction(x) for x in numerators]) == (1, numerators)
+    assert integer_multiple((Fraction(0),) * 5) == (1, [0] * 5)
+    assert integer_multiple(()) == (1, [])
 
 
 def test_rank_identity():
@@ -283,7 +309,7 @@ def gauss_jordan_reference(m):
     # before its elimination became forward only.  Every pivot clears its
     # column from all other rows, so the rows end as the reduced row echelon
     # form times the last pivot; returns (rank, kernel basis).
-    work = [integer_multiple(m.row(i)) for i in range(m.rows)]
+    work = [integer_multiple(m.row(i))[1] for i in range(m.rows)]
     pivots = []
     prev = 1
     piv_row = 0
@@ -378,7 +404,7 @@ def test_lazy_echelon_equals_dense_bareiss():
         g = build_dual_generators(fx.pair()).matrix()
         matrices += [g, g.transpose()]
     for m in matrices:
-        rows = [integer_multiple(m.row(i)) for i in range(m.rows)]
+        rows = [integer_multiple(m.row(i))[1] for i in range(m.rows)]
         assert _echelon([list(row) for row in rows], m.cols) == dense_echelon(rows, m.cols)
 
 
@@ -391,7 +417,7 @@ def test_eliminate_leaves_rows_zero_in_the_pivot_column_alone():
     untouched = raised = 0
     for _ in range(400):
         m = sparse_rational_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        lazy = [integer_multiple(m.row(i)) for i in range(m.rows)]
+        lazy = [integer_multiple(m.row(i))[1] for i in range(m.rows)]
         dense = [list(row) for row in lazy]
         levels, prev, used = [1] * m.rows, 1, set()
         for col in range(m.cols):
@@ -420,7 +446,7 @@ def test_kernel_vectors_are_integer_and_scaled_by_the_last_pivot():
     rng = random.Random(402)
     for _ in range(500):
         m = sparse_rational_matrix(rng, rng.randint(0, 7), rng.randint(1, 8))
-        work = [integer_multiple(m.row(i)) for i in range(m.rows)]
+        work = [integer_multiple(m.row(i))[1] for i in range(m.rows)]
         echelon, pivots, scale = _echelon(work, m.cols)
         # The rows left over are the zero rows the pivots cleared.
         assert len(echelon) + len(work) == m.rows and not any(any(row) for row in work)

@@ -72,6 +72,11 @@ def test_matrix_header_errors():
         formats.load_matrix("2 2\n1 2 3\n4 5\n")
 
 
+def test_matrix_row_count_error_names_both_counts():
+    with pytest.raises(formats.ParseError, match=r"^expected 3 matrix rows, found 2$"):
+        formats.load_matrix("3 2\n1 2\n3 4\n")
+
+
 def test_factorization_round_trip():
     pair = RIGID_5X5[0].pair()
     again = formats.load_factorization(formats.dump_factorization(pair))
@@ -228,6 +233,13 @@ def test_verify_checks_kruskal_rank_under_the_recorded_or_default_budget():
         doc["flags"]["kruskal_budget"] = bad
         with pytest.raises(ValueError, match="kruskal_budget"):
             formats.verify_certificate_document(doc, pair)
+
+
+def test_verify_accepts_a_recorded_zero_budget():
+    # Budget 0 is a valid flag: the Kruskal rank was not computed.
+    pair, doc = _rigid_document(budget=0)
+    assert doc["flags"] == {"kruskal_budget": 0} and doc["certificate"]["kruskal_rank"] is None
+    assert formats.verify_certificate_document(doc, pair)
 
 
 def test_verify_refuses_an_unknown_certificate_key():

@@ -848,8 +848,8 @@ def unplanned_accept(a_rows, b_rows):
 
     r = len(b_rows)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    a_rows = [integer_multiple(row) if 0 in row else row for row in a_rows]
-    b_cols = [integer_multiple(col) for col in zip(*b_rows)]
+    a_rows = [integer_multiple(row)[1] if 0 in row else row for row in a_rows]
+    b_cols = [integer_multiple(col)[1] for col in zip(*b_rows)]
     columns, _ = generator_columns(a_rows, b_cols, r, coords)
     count = len(columns)
     span_rank, _, kernel = integer_kernel([list(row) for row in zip(*columns)], count)
@@ -1135,7 +1135,7 @@ def kernel_subset_kruskal(columns, budget):
     if c == 0:
         return 0, 0
     basis = nullspace_basis(RationalMatrix.from_columns(columns, len(columns[0])))
-    kernel = [integer_multiple(v) for v in basis]
+    kernel = [integer_multiple(v)[1] for v in basis]
     d = len(kernel)
     used = 0
     for k in range(c - d, 0, -1):
@@ -1292,7 +1292,7 @@ def test_kruskal_on_small_kernels_matches_primal_search():
         checked += 1
         for kind in kinds:
             seen[kind] += 1
-        kernel = [integer_multiple(v) for v in basis]
+        kernel = [integer_multiple(v)[1] for v in basis]
         if kernel and any(not any(row[j] for row in kernel) for j in range(len(cols))):
             seen["outside"] += 1
         if len(basis) == 2 and len(_kernel_circuits(kernel, len(cols))) >= 3:
