@@ -8,20 +8,25 @@ Fraction appears only at the boundary: in the entries passed in and in the
 kernel vectors handed back.  One routine clears, `integer_multiple`, which
 hands back the lcm it takes with the integers, here, in `rigidity` and in
 the simplex of `cone`, which shifts by its lower bounds on integers too.
-Every pivot, here and in the simplex of `cone`, is one `eliminate` step.
-That step is lazy: each row carries its own level, the pivot it was last
-rewritten at, and a pivot rewrites only the rows nonzero in its column, so
-the zeros of a sparse matrix (the generator matrix has one sparse column
-per zero) cost nothing; every row it writes is the row dense Bareiss
-(1968) elimination writes.  Elimination here is forward only: `rank` stops
-after it, and two routines finish it by exact integer back-substitution,
-one loop shared by both: `integer_kernel` into a kernel basis, which the
-certification core of `rigidity` and its zero-diagonal slice V keep in
-integers and `nullspace_basis` views as Fractions, and `one_signed_kernel`
-into the sign test of the realize accept test, which stops at the first
-kernel entry that fails it.  That test fills its generator matrix from a
-plan made once per zero pattern, so it needs draw entries nonzero exactly
-off the pattern's zeros, as a search with entry_low >= 1 draws them.
+Every pivot, here and in the simplex of `cone`, is one `eliminate` step,
+except on the planned route below.  That step is lazy: each row carries
+its own level, the pivot it was last rewritten at, and a pivot rewrites
+only the rows nonzero in its column, so the zeros of a sparse matrix (the
+generator matrix has one sparse column per zero) cost nothing; every row
+it writes is the row dense Bareiss (1968) elimination writes.  Elimination
+here is forward only: `rank` stops after it, and two routines finish it by
+exact integer back-substitution, one loop shared by both: `integer_kernel`
+into a kernel basis, which the certification core of `rigidity` and its
+zero-diagonal slice V keep in integers and `nullspace_basis` views as
+Fractions, and `one_signed_kernel` into the sign test of the realize
+accept test, which stops at the first kernel entry that fails it.  That
+test fills its generator matrix from a plan made once per zero pattern,
+so it needs draw entries nonzero exactly off the pattern's zeros, as a
+search with entry_low >= 1 draws them.  The plan also fixes the pivots and
+the cells each can make nonzero, and `planned_one_signed_kernel` runs the
+same Bareiss step on those cells only, in place; a draw that cancels a
+planned pivot, or leaves a row nonzero that the plan ends on as zero,
+falls back to `one_signed_kernel`.
 Matrices are small (a few hundred entries at most), dense and immutable;
 elimination uses the first nonzero pivot in column order so kernels and
 ranks are bit-identical across runs.
@@ -173,13 +178,15 @@ def eliminate(rows: list[list[int]], levels: list[int], p: int, col: int, prev: 
     division is exact by Sylvester's identity.
     """
     row_p = rows[p]
-    if levels[p] != prev:
-        row_p = rows[p] = [x * prev // levels[p] for x in row_p]
+    level = levels[p]
+    if level != prev:
+        row_p = rows[p] = [x * prev // level for x in row_p]
     piv = row_p[col]
     for i, row_i in enumerate(rows):
         f = row_i[col]
         if f and i != p:
-            rows[i] = [(piv * x - f * y) // levels[i] for x, y in zip(row_i, row_p)]
+            level = levels[i]
+            rows[i] = [(piv * x - f * y) // level for x, y in zip(row_i, row_p)]
             levels[i] = piv
     levels[p] = piv
     return piv
@@ -276,18 +283,70 @@ def one_signed_kernel(rows: list[list[int]], cols: int) -> tuple[int, bool]:
     over `cols` columns: one-signed tells whether the kernel is a line
     spanned by a vector whose entries are all nonzero and of one sign.
 
-    `_echelon`, then, for a kernel of dimension one only, the
-    back-substitution of `kernel_vector`, which stops at the first entry
-    that is zero or whose sign differs from the free entry's.
+    `_echelon`, then `_one_signed`.
     """
     echelon, pivots, scale = _echelon(rows, cols)
+    return len(pivots), _one_signed(echelon, pivots, scale, cols)
+
+
+def planned_one_signed_kernel(rows: list[list[int]], steps, cols: int) -> tuple[int, bool] | None:
+    """`one_signed_kernel` of the integer rows `rows`, which it rewrites in
+    place, along `steps`, a plan made from their zero pattern; None when
+    the plan does not hold for them: a planned pivot comes out zero, or a
+    row left after the last step does not.
+
+    Step t pivots row t in column t and is (up, cells, rewrites): `cells`
+    are the columns row t may be nonzero in, and `up` is the number of
+    steps run when the row was last rewritten, so its level is the pivot of
+    step up - 1, or 1 at up = 0, and up = t means it stands at the last
+    pivot.  Each rewrite is (i, cells, up) for a later row i, its cells the
+    columns other than t where either row may be nonzero.  This
+    is `eliminate`'s arithmetic, x*prev // level to bring row t up and
+    (piv*x - f*y) // level to rewrite row i, run on those cells only, since
+    every other cell is zero in both rows and stays zero; row i's entry in
+    column t becomes 0.  A planned row whose f is zero is rewritten too, to
+    piv*x // level, its value at level piv.  Each row is thus a dense
+    Bareiss row at its level, so each division is exact.  When the plan
+    holds, the pivot row of step t is the one `_echelon` pivots in column
+    t, rows and columns being in plan order, so the echelon, the rank and
+    the scale are `_echelon`'s.
+    """
+    levels = [1]
+    for t, (up, cells, rewrites) in enumerate(steps):
+        row_p = rows[t]
+        if up != t:
+            prev, level = levels[t], levels[up]
+            for c in cells:
+                row_p[c] = row_p[c] * prev // level
+        piv = row_p[t]
+        if not piv:
+            return None
+        for i, cells_i, up_i in rewrites:
+            row_i, level = rows[i], levels[up_i]
+            f = row_i[t]
+            for c in cells_i:
+                row_i[c] = (piv * row_i[c] - f * row_p[c]) // level
+            row_i[t] = 0
+        levels.append(piv)
+    done = len(steps)
+    if any(map(any, rows[done:])):
+        return None
+    return done, _one_signed(rows[:done], range(done), levels[-1], cols)
+
+
+def _one_signed(echelon, pivots, scale: int, cols: int) -> bool:
+    """Whether the kernel of an `_echelon` result over `cols` columns is a
+    line spanned by a vector with every entry nonzero and of one sign: for
+    a kernel of dimension one only, the back-substitution of
+    `kernel_vector`, which stops at the first entry that is zero or whose
+    sign differs from the free entry's."""
     if cols - len(pivots) != 1:
-        return len(pivots), False
+        return False
     free = next((j for j, col in enumerate(pivots) if j != col), len(pivots))
     vec = [0] * cols
     vec[free] = scale
     positive = scale > 0
-    return len(pivots), all(x and (x > 0) is positive for x in _substitute(echelon, pivots, vec))
+    return all(x and (x > 0) is positive for x in _substitute(echelon, pivots, vec))
 
 
 def nullspace_basis(m: RationalMatrix) -> list[Vector]:

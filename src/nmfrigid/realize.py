@@ -5,7 +5,8 @@ of a zero pattern and keeps the first sample that is infinitesimally rigid
 with full-rank factors; everything is driven by a seeded generator, so a
 (pattern, config) pair always reproduces the same factorization.  The
 accept test is planned once per search from the pattern's zeros, each
-sample is decided on plain ints, and only one that passes it is turned
+sample is decided on plain ints by elimination steps that write only the
+cells the pattern can make nonzero, and only one that passes it is turned
 into Fractions and built as a `FactorizationPair`, cleared once.  The
 positive extension appends rows and columns that add no zeros and hence
 change nothing in the certificate.  The lift turns a rigid pair of inner

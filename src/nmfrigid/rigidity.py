@@ -11,10 +11,12 @@ exact arithmetic.  A pair is cleared and scanned for zeros once, when it
 is built; each generator is then built once, from the per-pattern plan the
 realize accept test fills too, as an integer column over the r^2-r
 off-diagonal coordinates, scaled by the lcm of the denominators of its row
-of A or column of B.  The kernel of those columns starts all three tests:
-at dimension at most one (the tight zero count r^2-r+1 of every rigid
-pattern) it decides relative interior and lineality by itself, and only
-the LPs of a larger kernel, and the verifier, read Fractions.  The same
+of A or column of B.  From the same plan the accept test fixes the steps
+of its elimination and the cells each can make nonzero.  The kernel of
+those columns starts all three tests: at dimension at most one (the tight
+zero count r^2-r+1 of every rigid pattern) it decides relative interior
+and lineality by itself, and only the LPs of a larger kernel, and the
+verifier, read Fractions.  The same
 kernel locates the dependent column subsets of the Kruskal search: they
 are read off its circuits, found from the hyperplanes its columns span,
 with no subset tested, unless finding them would take more than a capped
@@ -30,6 +32,7 @@ factorization fiber, the partially-rigid situation.
 
 from __future__ import annotations
 
+import random
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +46,7 @@ from . import patterns
 from .cone import lineality_dimension, zero_in_relative_interior
 from .exactlin import (
     RationalMatrix, Vector, _shown, integer_kernel, integer_multiple, matmul, nullspace_basis,
-    one_signed_kernel, rank, vec_neg,
+    one_signed_kernel, planned_one_signed_kernel, rank, vec_neg,
 )
 
 DEFAULT_KRUSKAL_BUDGET = 10**6
@@ -412,22 +415,27 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]]
     `_generator_plan` of `build_dual_generators` then knows which entry of
     A, or negated entry of B, fills each nonzero of the generator matrix,
     here in the row and column order of `_pivot_order`, which changes
-    neither the span rank nor the sign pattern of a one-dimensional kernel:
-    `one_signed_kernel` gives both, stopping at the first kernel entry that
-    rules the draw out.  A kernel of dimension two or more pays for the
-    feasibility LP; one of dimension zero accepts only the empty generator
-    list, as `_cone_from_kernel` does.
+    neither the span rank nor the sign pattern of a one-dimensional kernel.
+    `planned_one_signed_kernel` gives both along the steps `_pivot_order`
+    plans, rewriting only the cells the pattern can make nonzero, and
+    stops at the first kernel entry that rules the draw out.  A draw the
+    plan does not hold for, one that cancels a planned pivot as entries
+    from a narrow range can, is filled afresh for `one_signed_kernel`.  A
+    kernel of dimension two or more pays for the feasibility LP; one of
+    dimension zero accepts only the empty generator list, as
+    `_cone_from_kernel` does.
     """
     r = len(zeros_b)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
     generators = [g for _, g in _generator_plan(r, zeros_a, zeros_b)]
     count = len(generators)
-    rows, cols = _pivot_order(coords, generators)
+    rows, cols, steps = _pivot_order(coords, generators)
     slots = [[generators[c].get(coord, -1) for c in cols] for coord in rows]
 
     def accepts(a_rows: list[list[int]], b_rows: list[list[int]]) -> bool:
         values = _plan_values(a_rows, b_rows)
-        span_rank, one_signed = one_signed_kernel([[values[k] for k in row] for row in slots], count)
+        planned = planned_one_signed_kernel([[values[k] for k in row] for row in slots], steps, count)
+        span_rank, one_signed = planned or one_signed_kernel([[values[k] for k in row] for row in slots], count)
         if span_rank != len(coords):
             return False
         if count - span_rank >= 2:
@@ -438,43 +446,75 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]]
     return accepts
 
 
-def _pivot_order(coords, generators) -> tuple[list, list[int]]:
-    """(rows, columns) of the generator matrix in the order of a greedy
-    symbolic elimination, so that `_echelon` pivots where it does.
+# The field of the probe draw that `_pivot_order` eliminates alongside.
+_PROBE_PRIME = 2**61 - 1
 
-    Each step takes the column that the fewest rows still hold, lowest
-    index first, and pivots it at the first of those rows; every other
-    holder is rewritten to the union of the two row patterns less the
-    column, as `eliminate` rewrites it.  Rows and columns are listed in
-    pivot order, the rest after.  On a draw the pattern is exact unless a
-    sum cancels, and the order only moves work, never a verdict.
+
+def _pivot_order(coords, generators) -> tuple[list, list[int], list]:
+    """(rows, columns, steps) of the generator matrix: rows and columns in
+    the order of a greedy elimination of its zero pattern, so that
+    `_echelon` pivots where it does, and the steps of that elimination as
+    `planned_one_signed_kernel` runs them.
+
+    The elimination follows the pattern and one probe draw, a seeded value
+    for each slot of the generators, worked modulo `_PROBE_PRIME`.  Each
+    step takes the column that the fewest rows still hold, lowest index
+    first, and pivots it at the first of those rows nonzero on the probe;
+    every other holder is rewritten on the union of the two row patterns
+    and keeps it less the column, as `eliminate` rewrites it.  Entries of A
+    and B recur across generators, so a pivot the pattern allows can cancel
+    on every draw; the probe finds such a pivot with high probability, and
+    a column whose holders are all zero on it stays zero, so it is passed
+    over.  The elimination stops when no column is left with a holder
+    nonzero on the probe.  Rows and columns are listed in pivot order, the
+    rest after.  A draw checks its own pivots and that the rows left over
+    are zero, so the plan moves work, never a verdict.
     """
+    draw, probe = random.Random(0), {}
+    support = {coord: {} for coord in coords}  # row: {column it may hold: probe value}
+    for c, generator in enumerate(generators):
+        for coord, slot in generator.items():
+            if slot not in probe:
+                probe[slot] = draw.getrandbits(60) + 1
+            support[coord][c] = probe[slot]
     holders = [set(generator) for generator in generators]
-    support = {coord: set() for coord in coords}
-    for c, held in enumerate(holders):
-        for coord in held:
-            support[coord].add(c)
-    rows, cols = [], []
+    level = dict.fromkeys(coords, 0)  # row: steps run when it was last rewritten
+    rows, cols, steps = [], [], []
     left = set(range(len(generators)))
-    while left:
-        held = [(len(holders[c]), c) for c in left if holders[c]]
-        if not held:
-            cols += sorted(left)
+    while True:
+        order = sorted((len(holders[c]), c) for c in left)
+        col, pivot = next(((c, coord) for _, c in order for coord in sorted(holders[c]) if support[coord][c]), (None, None))
+        if col is None:
             break
-        _, col = min(held)
         left.remove(col)
         cols.append(col)
-        pivot, *others = sorted(holders[col])
         rows.append(pivot)
-        pivot_support = support.pop(pivot)
-        for c in pivot_support:
+        row_p = support.pop(pivot)
+        for c in row_p:
             holders[c].discard(pivot)
-        for coord in others:
-            for c in pivot_support - support[coord]:
-                holders[c].add(coord)
-            support[coord] |= pivot_support
-            support[coord].discard(col)
-    return rows + sorted(support), cols
+        rewrites = []
+        for coord in sorted(holders[col]):
+            row_i = support[coord]
+            f = row_i.pop(col)
+            rewrites.append((coord, (row_i.keys() | row_p.keys()) - {col}, level[coord]))
+            level[coord] = len(cols)
+            for c in row_i:
+                row_i[c] = row_i[c] * row_p[col] % _PROBE_PRIME
+            for c, y in row_p.items():
+                if c != col:
+                    if c not in row_i:
+                        holders[c].add(coord)
+                    row_i[c] = (row_i.get(c, 0) - f * y) % _PROBE_PRIME
+        steps.append((level.pop(pivot), row_p, rewrites))
+    cols += sorted(left)
+    rows += sorted(support)
+    row_at = {coord: i for i, coord in enumerate(rows)}
+    col_at = {c: j for j, c in enumerate(cols)}
+    steps = [
+        (up, sorted(col_at[c] for c in cells), [(row_at[coord], sorted(col_at[c] for c in union), up_i) for coord, union, up_i in rewrites])
+        for up, cells, rewrites in steps
+    ]
+    return rows, cols, steps
 
 
 def _cone_from_kernel(kernel: list[list[int]], count: int) -> tuple[Vector | None, int]:

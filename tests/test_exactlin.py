@@ -14,6 +14,8 @@ from nmfrigid.exactlin import (
     kernel_vector,
     matmul,
     nullspace_basis,
+    one_signed_kernel,
+    planned_one_signed_kernel,
     rank,
 )
 from nmfrigid.fixtures import RIGID_5X5, circulant_pair
@@ -492,6 +494,90 @@ def test_integer_kernel_on_seeded_integer_matrices():
         seen.add("zero column" if any(not any(row[j] for row in rows) for j in range(cols)) else None)
         seen.add("no columns" if cols == 0 else "full column rank" if got_rank == cols else "deficient")
     assert {"zero row", "zero column", "no columns", "full column rank", "deficient"} <= seen
+
+
+def rows_with_kernel_vector(rng, v, n_rows):
+    # Random integer rows orthogonal to v, whose last entry is 1: each row's
+    # last entry is set to cancel the rest.
+    rows = []
+    for _ in range(n_rows):
+        row = [rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in v[:-1]]
+        rows.append(row + [-sum(x * y for x, y in zip(row, v))])
+    return rows
+
+
+def test_one_signed_kernel_matches_integer_kernel_on_seeded_integer_matrices():
+    # The rank, and one-signedness read off `integer_kernel`'s basis: a
+    # single vector with every entry nonzero and of one sign.  Rows
+    # orthogonal to a positive, mixed or zero-holding v give kernels of
+    # dimension 1 either way; fewer rows or a repeated row give dimension
+    # 2 and up, and random square rows give dimension 0.
+    rng = random.Random(3101)
+    seen = set()
+    for _ in range(800):
+        cols = rng.randint(1, 8)
+        kind = rng.choice(("positive", "negative", "mixed", "zero", "random"))
+        if kind == "random":
+            rows = [[rng.choice((0, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rng.randint(0, cols + 1))]
+        else:
+            sign = -1 if kind == "negative" else 1
+            v = [sign * rng.randint(1, 4) for _ in range(cols - 1)] + [sign]
+            if kind == "mixed" and cols > 1:
+                v[rng.randrange(cols - 1)] *= -1
+            if kind == "zero" and cols > 1:
+                v[rng.randrange(cols - 1)] = 0
+            rows = rows_with_kernel_vector(rng, v, rng.choice((cols - 1, cols - 1, cols - 2, cols)))
+            if rows and rng.random() < 0.2:
+                rows.append(list(rows[rng.randrange(len(rows))]))
+        got_rank, one_signed = one_signed_kernel([list(row) for row in rows], cols)
+        want_rank, _, vectors = integer_kernel([list(row) for row in rows], cols)
+        assert got_rank == want_rank == rank(integer_matrix(rows, cols))
+        expected = len(vectors) == 1 and (all(x > 0 for x in vectors[0]) or all(x < 0 for x in vectors[0]))
+        assert one_signed is expected, rows
+        seen.add((len(vectors) if len(vectors) < 2 else 2, one_signed, got_rank == len(rows)))
+    assert {(0, False, True), (1, True, True), (1, False, True), (1, True, False), (1, False, False)} <= seen
+    assert {(2, False, True), (2, False, False)} <= seen
+
+
+def test_planned_elimination_matches_one_signed_kernel_on_seeded_sparse_matrices():
+    # Plans from `rigidity._pivot_order` on seeded sparse patterns whose
+    # entries are slots: each nonzero its own, or three shared ones, which
+    # cancel as the generator matrix's recurring entries do; and rows
+    # orthogonal to a positive vector, for one-signed kernels.  Where the
+    # plan holds, it gives `one_signed_kernel`'s answer and `_echelon`'s
+    # rows; small entries make it fail now and then.
+    from collections import Counter
+
+    from nmfrigid.rigidity import _pivot_order
+
+    rng = random.Random(3103)
+    seen = Counter()
+    for _ in range(900):
+        n_rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+        kind = rng.choice(("own", "shared", "kernel"))
+        if kind == "kernel":
+            dense = rows_with_kernel_vector(rng, [rng.randint(1, 4) for _ in range(cols - 1)] + [1], n_rows)
+            values = [x for row in dense for x in row]
+            generators = [{i: i * cols + j for i in range(n_rows) if dense[i][j]} for j in range(cols)]
+        else:
+            shared = kind == "shared"
+            values = [rng.choice((1, -1, 2, -3, 5, 7, 1000)) for _ in range(3 if shared else n_rows * cols)]
+            generators = [
+                {i: rng.randrange(3) if shared else i * cols + j for i in range(n_rows) if rng.random() < 0.45}
+                for j in range(cols)
+            ]
+        order, columns, steps = _pivot_order(list(range(n_rows)), generators)
+        matrix = [[values[generators[j][i]] if i in generators[j] else 0 for j in columns] for i in order]
+        work = [list(row) for row in matrix]
+        planned = planned_one_signed_kernel(work, steps, cols)
+        if planned is not None:
+            # The rows of the steps are `_echelon`'s, dense Bareiss rows.
+            echelon, pivots, _ = _echelon([list(row) for row in matrix], cols)
+            assert pivots == list(range(planned[0])) and work[: planned[0]] == echelon, matrix
+            assert planned == one_signed_kernel([list(row) for row in matrix], cols), matrix
+        seen["failed" if planned is None else "one-signed" if planned[1] else "held"] += 1
+        seen["level-up"] += any(up != t for t, (up, _, _) in enumerate(steps))
+    assert seen["failed"] >= 50 and seen["one-signed"] >= 80 and seen["held"] >= 500 and seen["level-up"] >= 400
 
 
 def test_shown_quotes_at_most_40_characters():

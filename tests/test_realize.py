@@ -92,26 +92,43 @@ def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
 
 def test_seed1_sweep_rewrites_pinned(monkeypatch):
     # The elimination work of the seed-1 sweep over the 15 table-1
-    # representatives, as (eliminate calls, rows rewritten): the 686 planned
-    # accept tests, the public test of each accepted draw and the ranks of
-    # its factors.  In the order of the generator columns, as
-    # `build_dual_generators` lists them, the sweep rewrote 14,507 rows in
-    # 8,352 calls.
-    from nmfrigid import exactlin
+    # representatives.  The 686 draws of the search and the public test of
+    # each of the 15 accepted ones run the planned steps of their pattern,
+    # whose work the plan fixes: rows rewritten, rows brought up a level,
+    # and the cells both write; no plan fails and falls back to
+    # `one_signed_kernel`.  `eliminate` still runs the ranks of the accepted
+    # factors, pinned as (calls, rows rewritten).  Through
+    # `one_signed_kernel` in the same order, the draws took 8,412
+    # `eliminate` calls, which rewrote the same 7,261 rows and brought the
+    # same 4,722 up a level, 13 cells to a row: 155,779 cells in all.
+    from nmfrigid import exactlin, rigidity
     from nmfrigid.patterns import enumerate_patterns, table1_filters
 
+    planned = {"draws": 0, "rows": 0, "level-ups": 0, "cells": 0, "fallbacks": 0}
     work = [0, 0]
-    eliminate = exactlin.eliminate
+    run_steps, eliminate = rigidity.planned_one_signed_kernel, exactlin.eliminate
+
+    def counting_steps(rows, steps, cols):
+        planned["draws"] += 1
+        for t, (up, cells, rewrites) in enumerate(steps):
+            planned["level-ups"] += up != t
+            planned["rows"] += len(rewrites)
+            planned["cells"] += len(cells) * (up != t) + sum(len(cells_i) for _, cells_i, _ in rewrites)
+        result = run_steps(rows, steps, cols)
+        planned["fallbacks"] += result is None
+        return result
 
     def counting(rows, levels, p, col, prev):
         work[0] += 1
         work[1] += sum(1 for i, row in enumerate(rows) if i != p and row[col])
         return eliminate(rows, levels, p, col, prev)
 
+    monkeypatch.setattr(rigidity, "planned_one_signed_kernel", counting_steps)
     monkeypatch.setattr(exactlin, "eliminate", counting)
     for pattern in enumerate_patterns(5, 5, 4, 13, table1_filters(5, 5)):
         assert realize_pattern(pattern, RealizationSearchConfig(seed=1)) is not None
-    assert work == [8532, 7452]
+    assert planned == {"draws": 701, "rows": 7261, "level-ups": 4722, "cells": 38839, "fallbacks": 0}
+    assert work == [120, 191]
 
 
 def test_realize_fixture_pattern_matches_exactly():

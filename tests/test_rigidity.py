@@ -21,6 +21,7 @@ from nmfrigid.rigidity import (
     necessary_conditions_report,
 )
 from test_exactlin import identity_matrix, zero_matrix
+from test_patterns import TABLE1_SHAPES
 
 
 def pair_from(a_rows, b_rows):
@@ -977,6 +978,82 @@ def test_accept_plan_matches_the_unplanned_test_on_the_seed1_search_stream(monke
             seen[branch, verdict] += 1
     assert dict(seen) == {("kernel", False): 671, ("kernel", True): 15}
     assert lps == [0]
+
+
+# ---------------------------------------------------------------------------
+# The planned elimination steps against the generic elimination
+# ---------------------------------------------------------------------------
+
+def generic_accept(zeros_a, zeros_b, a_rows, b_rows):
+    # The accept test without the plan's steps or order: `one_signed_kernel`
+    # on the generator matrix in `build_dual_generators` order, then the
+    # relint LP at kernel dimension two or more.
+    from nmfrigid.cone import zero_in_relative_interior
+    from nmfrigid.exactlin import one_signed_kernel
+    from nmfrigid.rigidity import _generator_plan, _plan_values
+
+    r = len(b_rows)
+    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
+    values = _plan_values(a_rows, b_rows)
+    columns = [[values[g.get(coord, -1)] for coord in coords] for _, g in _generator_plan(r, zeros_a, zeros_b)]
+    count = len(columns)
+    span_rank, one_signed = one_signed_kernel([list(row) for row in zip(*columns)], count)
+    if span_rank != len(coords):
+        return False
+    if count - span_rank >= 2:
+        return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
+    return one_signed
+
+
+def test_planned_steps_match_the_generic_elimination(monkeypatch):
+    # Every table-1 representative at r = 4, and non-tight `wpoint`
+    # patterns at r = 3 and 4, whose full-rank draws reach the LP.  Entries
+    # 1..1 to 1..3 cancel planned pivots, which the plan hands to
+    # `one_signed_kernel`; the seed-1 search stream over the 5x5
+    # representatives cancels none.
+    from collections import Counter
+
+    from nmfrigid import rigidity
+    from nmfrigid.patterns import PatternFilter, enumerate_patterns, table1_filters
+
+    fallbacks = Counter()
+    generic = rigidity.one_signed_kernel
+
+    def counting(rows, cols):
+        fallbacks[high] += 1  # under the range being drawn
+        return generic(rows, cols)
+
+    monkeypatch.setattr(rigidity, "one_signed_kernel", counting)
+    wpoint = frozenset({PatternFilter.WPOINT})
+    rng = random.Random(3102)
+    tight = [p for m, n in TABLE1_SHAPES for p in enumerate_patterns(m, n, 4, 13, table1_filters(m, n))]
+    loose = enumerate_patterns(4, 4, 3, 8, wpoint) + enumerate_patterns(5, 4, 3, 8, wpoint)
+    loose += rng.sample(enumerate_patterns(5, 5, 4, 14, wpoint), 12)
+    seen = Counter()
+    for pattern, per_range in [(p, 10) for p in tight] + [(p, 5) for p in loose]:
+        accepts = rigidity.accept_test(pattern.zeros_a, pattern.zeros_b)
+        for high in (1, 2, 3, 1000):
+            for _ in range(per_range):
+                a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, 1, high)
+                verdict = generic_accept(pattern.zeros_a, pattern.zeros_b, a, b)
+                assert accepts(a, b) is verdict, (a, b)
+                seen[pattern.r, high, verdict] += 1
+    assert len(tight) == 102 and sum(seen.values()) == 4 * (10 * 102 + 5 * len(loose))
+    assert {(3, 1000, True), (4, 1000, True), (4, 1000, False), (4, 3, True)} <= set(seen)
+    # The probe steers each plan clear of pivots that cancel on every draw:
+    # 10 of the wide draws of the 14-zero patterns fell back without it.
+    assert all(fallbacks[high] for high in (1, 2, 3)) and fallbacks[1000] == 0
+    high = "seed 1"
+    for pattern in table1_representatives():
+        accepts = rigidity.accept_test(pattern.zeros_a, pattern.zeros_b)
+        rng = random.Random(1)
+        verdict = False
+        while not verdict:
+            a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, 1, 1000)
+            verdict = generic_accept(pattern.zeros_a, pattern.zeros_b, a, b)
+            assert accepts(a, b) is verdict, (a, b)
+            seen["seed 1"] += 1
+    assert seen["seed 1"] == 686 and fallbacks["seed 1"] == 0
 
 
 @pytest.mark.parametrize(
