@@ -289,60 +289,64 @@ def one_signed_kernel(rows: list[list[int]], cols: int) -> tuple[int, bool]:
     return len(pivots), _one_signed(echelon, pivots, scale, cols)
 
 
-def planned_one_signed_kernel(rows: list[list[int]], steps, cols: int) -> tuple[int, bool] | None:
+def planned_one_signed_kernel(rows: list[list[int]], plan, cols: int) -> tuple[int, bool] | None:
     """`one_signed_kernel` of the integer rows `rows`, which it rewrites in
-    place, along `steps`, a plan made from their zero pattern; None when
-    the plan does not hold for them: a planned pivot comes out zero, or a
-    row left after the last step does not.
+    place, along `plan`, made from their zero pattern; None when the plan
+    does not hold for them: a planned pivot comes out zero, or a row no
+    step pivots does not.
 
-    Step t pivots row t in column t and is (up, cells, rewrites): `cells`
-    are the columns row t may be nonzero in, and `up` is the number of
-    steps run when the row was last rewritten, so its level is the pivot of
-    step up - 1, or 1 at up = 0, and up = t means it stands at the last
-    pivot.  Each rewrite is (i, cells, up) for a later row i, its cells the
-    columns other than t where either row may be nonzero.  This
-    is `eliminate`'s arithmetic, x*prev // level to bring row t up and
-    (piv*x - f*y) // level to rewrite row i, run on those cells only, since
-    every other cell is zero in both rows and stays zero; row i's entry in
-    column t becomes 0.  A planned row whose f is zero is rewritten too, to
-    piv*x // level, its value at level piv.  Each row is thus a dense
-    Bareiss row at its level, so each division is exact.  When the plan
-    holds, the pivot row of step t is the one `_echelon` pivots in column
-    t, rows and columns being in plan order, so the echelon, the rank and
-    the scale are `_echelon`'s.
+    The plan is (steps, pivot rows, pivot columns, rest): the pivot row
+    and column of each step, in step order, and the rows no step pivots.
+    Step t is (p, col, up, cells, rewrites): it pivots row p in column
+    col, `cells` are the columns row p may be nonzero in, and `up` is the
+    number of steps run when the row was last rewritten, so its level is
+    the pivot of step up - 1, or 1 at up = 0, and up = t means it stands
+    at the last pivot.  Each rewrite is (i, cells, up) for a row i that no earlier
+    step pivots, its cells the columns other than col where either row may
+    be nonzero.  This is `eliminate`'s arithmetic, x*prev // level to
+    bring row p up and (piv*x - f*y) // level to rewrite row i, run on
+    those cells only, since every other cell is zero in both rows and stays
+    zero; row i's entry in column col becomes 0.  A planned row whose f is
+    zero is rewritten too, to piv*x // level, its value at level piv.  Each
+    row is thus a dense Bareiss row at its level, so each division is
+    exact.  When the plan holds, its pivot rows are the echelon `_echelon`
+    gives with the rows and columns permuted into step order, so the rank,
+    the scale and the kernel are `_echelon`'s.
     """
+    steps, pivot_rows, pivot_cols, rest = plan
     levels = [1]
-    for t, (up, cells, rewrites) in enumerate(steps):
-        row_p = rows[t]
+    for t, (p, col, up, cells, rewrites) in enumerate(steps):
+        row_p = rows[p]
         if up != t:
             prev, level = levels[t], levels[up]
             for c in cells:
                 row_p[c] = row_p[c] * prev // level
-        piv = row_p[t]
+        piv = row_p[col]
         if not piv:
             return None
         for i, cells_i, up_i in rewrites:
             row_i, level = rows[i], levels[up_i]
-            f = row_i[t]
+            f = row_i[col]
             for c in cells_i:
                 row_i[c] = (piv * row_i[c] - f * row_p[c]) // level
-            row_i[t] = 0
+            row_i[col] = 0
         levels.append(piv)
-    done = len(steps)
-    if any(map(any, rows[done:])):
+    if any(any(rows[i]) for i in rest):
         return None
-    return done, _one_signed(rows[:done], range(done), levels[-1], cols)
+    return len(steps), _one_signed([rows[p] for p in pivot_rows], pivot_cols, levels[-1], cols)
 
 
 def _one_signed(echelon, pivots, scale: int, cols: int) -> bool:
-    """Whether the kernel of an `_echelon` result over `cols` columns is a
-    line spanned by a vector with every entry nonzero and of one sign: for
-    a kernel of dimension one only, the back-substitution of
-    `kernel_vector`, which stops at the first entry that is zero or whose
-    sign differs from the free entry's."""
+    """Whether the kernel of an echelon over `cols` columns is a line
+    spanned by a vector with every entry nonzero and of one sign: for a
+    kernel of dimension one only, the back-substitution of `kernel_vector`,
+    which stops at the first entry that is zero or whose sign differs from
+    the free entry's.  Row k of the echelon is nonzero in pivot column k
+    and zero in the pivot columns of the rows before it, in whatever order
+    the pivots come."""
     if cols - len(pivots) != 1:
         return False
-    free = next((j for j, col in enumerate(pivots) if j != col), len(pivots))
+    free = cols * (cols - 1) // 2 - sum(pivots)  # the one column no pivot takes
     vec = [0] * cols
     vec[free] = scale
     positive = scale > 0

@@ -103,11 +103,12 @@ class FactorizationPair:
             )
         _require_nonnegative("A", self.a, self._form.a_rows)
         _require_nonnegative("B", self.b, self._form.b_rows)
+        # Ranks of the integer form: clearing scales the rows of A and the
+        # columns of B by positive numbers, which keeps both ranks.
         r = self.a.cols
-        if rank(self.a) != r:
-            raise ValueError(f"A has rank below {r}")
-        if rank(self.b) != r:
-            raise ValueError(f"B has rank below {r}")
+        for name, rows, cols in (("A", self._form.a_rows, r), ("B", self._form.b_rows, self.n)):
+            if integer_kernel([list(row) for row in rows], cols)[0] != r:
+                raise ValueError(f"{name} has rank below {r}")
 
     @cached_property
     def _form(self) -> _IntegerForm:  # cleared once, when the checks above read it
@@ -414,32 +415,35 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]]
     pattern's zeros, as a search with entry_low >= 1 draws them.  The
     `_generator_plan` of `build_dual_generators` then knows which entry of
     A, or negated entry of B, fills each nonzero of the generator matrix,
-    here in the row and column order of `_pivot_order`, which changes
-    neither the span rank nor the sign pattern of a one-dimensional kernel.
-    `planned_one_signed_kernel` gives both along the steps `_pivot_order`
-    plans, rewriting only the cells the pattern can make nonzero, and
-    stops at the first kernel entry that rules the draw out.  A draw the
-    plan does not hold for, one that cancels a planned pivot as entries
-    from a narrow range can, is filled afresh for `one_signed_kernel`.  A
-    kernel of dimension two or more pays for the feasibility LP; one of
-    dimension zero accepts only the empty generator list, as
-    `_cone_from_kernel` does.
+    so one slot matrix, laid out as the generators are built, serves every
+    draw.  `planned_one_signed_kernel` gives the span rank and the sign
+    pattern of a one-dimensional kernel from a fill of it, along the steps
+    `_pivot_order` plans, rewriting only the cells the pattern can make
+    nonzero, and stops at the first kernel entry that rules the draw out.
+    A draw the plan does not hold for, one that cancels a planned pivot as
+    entries from a narrow range can, is filled afresh for
+    `one_signed_kernel`.  A kernel of dimension two or more pays for the
+    feasibility LP on one more fill; one of dimension zero accepts only
+    the empty generator list, as `_cone_from_kernel` does.
     """
     r = len(zeros_b)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
     generators = [g for _, g in _generator_plan(r, zeros_a, zeros_b)]
     count = len(generators)
-    rows, cols, steps = _pivot_order(coords, generators)
-    slots = [[generators[c].get(coord, -1) for c in cols] for coord in rows]
+    plan = _pivot_order(coords, generators)
+    slots = [[g.get(coord, -1) for g in generators] for coord in coords]
+
+    def filled(values: list[int]) -> list[list[int]]:
+        return [[values[k] for k in row] for row in slots]
 
     def accepts(a_rows: list[list[int]], b_rows: list[list[int]]) -> bool:
         values = _plan_values(a_rows, b_rows)
-        planned = planned_one_signed_kernel([[values[k] for k in row] for row in slots], steps, count)
-        span_rank, one_signed = planned or one_signed_kernel([[values[k] for k in row] for row in slots], count)
+        planned = planned_one_signed_kernel(filled(values), plan, count)
+        span_rank, one_signed = planned or one_signed_kernel(filled(values), count)
         if span_rank != len(coords):
             return False
         if count - span_rank >= 2:
-            columns = [[values[g.get(coord, -1)] for coord in coords] for g in generators]
+            columns = list(zip(*filled(values)))
             return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
         return one_signed or count == 0
 
@@ -450,11 +454,11 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]]
 _PROBE_PRIME = 2**61 - 1
 
 
-def _pivot_order(coords, generators) -> tuple[list, list[int], list]:
-    """(rows, columns, steps) of the generator matrix: rows and columns in
-    the order of a greedy elimination of its zero pattern, so that
-    `_echelon` pivots where it does, and the steps of that elimination as
-    `planned_one_signed_kernel` runs them.
+def _pivot_order(coords, generators) -> tuple[list, list[int], list[int], list[int]]:
+    """(steps, pivot rows, pivot columns, rest) of a greedy elimination of
+    the generator matrix's zero pattern, rows indexing `coords` and columns
+    `generators`, as `planned_one_signed_kernel` runs them: the pivot row
+    and column of each step in step order, and the rows no step pivots.
 
     The elimination follows the pattern and one probe draw, a seeded value
     for each slot of the generators, worked modulo `_PROBE_PRIME`.  Each
@@ -466,55 +470,46 @@ def _pivot_order(coords, generators) -> tuple[list, list[int], list]:
     on every draw; the probe finds such a pivot with high probability, and
     a column whose holders are all zero on it stays zero, so it is passed
     over.  The elimination stops when no column is left with a holder
-    nonzero on the probe.  Rows and columns are listed in pivot order, the
-    rest after.  A draw checks its own pivots and that the rows left over
-    are zero, so the plan moves work, never a verdict.
+    nonzero on the probe.  A draw checks its own pivots and that the rows
+    left over are zero, so the plan moves work, never a verdict.
     """
     draw, probe = random.Random(0), {}
-    support = {coord: {} for coord in coords}  # row: {column it may hold: probe value}
+    row_of = {coord: i for i, coord in enumerate(coords)}
+    support = [{} for _ in coords]  # row: {column it may hold: probe value}
     for c, generator in enumerate(generators):
         for coord, slot in generator.items():
             if slot not in probe:
                 probe[slot] = draw.getrandbits(60) + 1
-            support[coord][c] = probe[slot]
-    holders = [set(generator) for generator in generators]
-    level = dict.fromkeys(coords, 0)  # row: steps run when it was last rewritten
-    rows, cols, steps = [], [], []
+            support[row_of[coord]][c] = probe[slot]
+    holders = [{row_of[coord] for coord in generator} for generator in generators]
+    level = [0] * len(coords)  # row: steps run when it was last rewritten
+    steps, rest = [], set(range(len(coords)))
     left = set(range(len(generators)))
     while True:
         order = sorted((len(holders[c]), c) for c in left)
-        col, pivot = next(((c, coord) for _, c in order for coord in sorted(holders[c]) if support[coord][c]), (None, None))
+        col, pivot = next(((c, i) for _, c in order for i in sorted(holders[c]) if support[i][c]), (None, None))
         if col is None:
             break
         left.remove(col)
-        cols.append(col)
-        rows.append(pivot)
-        row_p = support.pop(pivot)
+        rest.remove(pivot)
+        row_p = support[pivot]
         for c in row_p:
             holders[c].discard(pivot)
         rewrites = []
-        for coord in sorted(holders[col]):
-            row_i = support[coord]
+        for i in sorted(holders[col]):
+            row_i = support[i]
             f = row_i.pop(col)
-            rewrites.append((coord, (row_i.keys() | row_p.keys()) - {col}, level[coord]))
-            level[coord] = len(cols)
+            rewrites.append((i, sorted((row_i.keys() | row_p.keys()) - {col}), level[i]))
+            level[i] = len(steps) + 1
             for c in row_i:
                 row_i[c] = row_i[c] * row_p[col] % _PROBE_PRIME
             for c, y in row_p.items():
                 if c != col:
                     if c not in row_i:
-                        holders[c].add(coord)
+                        holders[c].add(i)
                     row_i[c] = (row_i.get(c, 0) - f * y) % _PROBE_PRIME
-        steps.append((level.pop(pivot), row_p, rewrites))
-    cols += sorted(left)
-    rows += sorted(support)
-    row_at = {coord: i for i, coord in enumerate(rows)}
-    col_at = {c: j for j, c in enumerate(cols)}
-    steps = [
-        (up, sorted(col_at[c] for c in cells), [(row_at[coord], sorted(col_at[c] for c in union), up_i) for coord, union, up_i in rewrites])
-        for up, cells, rewrites in steps
-    ]
-    return rows, cols, steps
+        steps.append((pivot, col, level[pivot], sorted(row_p), rewrites))
+    return steps, [step[0] for step in steps], [step[1] for step in steps], sorted(rest)
 
 
 def _cone_from_kernel(kernel: list[list[int]], count: int) -> tuple[Vector | None, int]:

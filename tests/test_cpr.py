@@ -48,12 +48,17 @@ def test_factor_checks_share_messages_and_order():
     # quotes the entry as given, not as cleared (-1/2 is -1 in its row).
     crossed = RationalMatrix.from_rows([[0, -1], [-1, 0]])
     crossed_half = RationalMatrix.from_rows([[0, Fraction(-1, 2)], [-1, 0]])
+    # Rectangular and rank 1 once cleared: A by its rows, B by its columns.
+    tall = RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, 2], [0, 0]])
+    wide = RationalMatrix.from_rows([[1, Fraction(1, 3), 2], [3, 1, 6]])
     cases = [
         (lambda: FactorizationPair(negative, negative), "A[0,1] = -1 is negative"),
         (lambda: FactorizationPair(deficient, negative), "B[0,1] = -1 is negative"),
         (lambda: FactorizationPair(identity, crossed), "B[0,1] = -1 is negative"),
         (lambda: FactorizationPair(deficient, deficient), "A has rank below 2"),
         (lambda: FactorizationPair(identity, deficient), "B has rank below 2"),
+        (lambda: FactorizationPair(tall, wide), "A has rank below 2"),
+        (lambda: FactorizationPair(identity, wide), "B has rank below 2"),
         (lambda: SymmetricFactor(negative), "A[0,1] = -1 is negative"),
         (lambda: SymmetricFactor(crossed_half), "A[0,1] = -1/2 is negative"),
         (lambda: SymmetricFactor(deficient), "A has rank below 2"),

@@ -543,9 +543,12 @@ def test_planned_elimination_matches_one_signed_kernel_on_seeded_sparse_matrices
     # Plans from `rigidity._pivot_order` on seeded sparse patterns whose
     # entries are slots: each nonzero its own, or three shared ones, which
     # cancel as the generator matrix's recurring entries do; and rows
-    # orthogonal to a positive vector, for one-signed kernels.  Where the
-    # plan holds, it gives `one_signed_kernel`'s answer and `_echelon`'s
-    # rows; small entries make it fail now and then.
+    # orthogonal to a positive vector, for one-signed kernels.  The plan
+    # runs on the matrix as built, its pivot rows and columns in any
+    # order.  Where it holds, it gives `one_signed_kernel`'s answer, and
+    # its pivot rows, read in step order, are `_echelon`'s rows of the
+    # matrix permuted into step order; small entries make it fail now and
+    # then.
     from collections import Counter
 
     from nmfrigid.rigidity import _pivot_order
@@ -566,18 +569,25 @@ def test_planned_elimination_matches_one_signed_kernel_on_seeded_sparse_matrices
                 {i: rng.randrange(3) if shared else i * cols + j for i in range(n_rows) if rng.random() < 0.45}
                 for j in range(cols)
             ]
-        order, columns, steps = _pivot_order(list(range(n_rows)), generators)
-        matrix = [[values[generators[j][i]] if i in generators[j] else 0 for j in columns] for i in order]
+        steps, pivot_rows, pivot_cols, rest = plan = _pivot_order(list(range(n_rows)), generators)
+        matrix = [[values[g[i]] if i in g else 0 for g in generators] for i in range(n_rows)]
         work = [list(row) for row in matrix]
-        planned = planned_one_signed_kernel(work, steps, cols)
+        planned = planned_one_signed_kernel(work, plan, cols)
         if planned is not None:
-            # The rows of the steps are `_echelon`'s, dense Bareiss rows.
-            echelon, pivots, _ = _echelon([list(row) for row in matrix], cols)
-            assert pivots == list(range(planned[0])) and work[: planned[0]] == echelon, matrix
             assert planned == one_signed_kernel([list(row) for row in matrix], cols), matrix
+            # The rows of the steps are `_echelon`'s, dense Bareiss rows.
+            order = pivot_cols + [j for j in range(cols) if j not in pivot_cols]
+            permuted = [[matrix[i][j] for j in order] for i in pivot_rows + rest]
+            echelon, pivots, _ = _echelon(permuted, cols)
+            assert pivots == list(range(planned[0])), matrix
+            assert [[work[p][j] for j in order] for p in pivot_rows] == echelon, matrix
+            seen["unsorted"] += planned[0] == cols - 1 and pivot_cols != sorted(pivot_cols)
         seen["failed" if planned is None else "one-signed" if planned[1] else "held"] += 1
-        seen["level-up"] += any(up != t for t, (up, _, _) in enumerate(steps))
+        seen["level-up"] += any(up != t for t, (_, _, up, _, _) in enumerate(steps))
     assert seen["failed"] >= 50 and seen["one-signed"] >= 80 and seen["held"] >= 500 and seen["level-up"] >= 400
+    # Kernels of dimension one whose pivot columns the plan takes out of
+    # order, so that `_one_signed` finds the free column among them.
+    assert seen["unsorted"] >= 50
 
 
 def test_shown_quotes_at_most_40_characters():

@@ -108,13 +108,13 @@ def test_seed1_sweep_rewrites_pinned(monkeypatch):
     work = [0, 0]
     run_steps, eliminate = rigidity.planned_one_signed_kernel, exactlin.eliminate
 
-    def counting_steps(rows, steps, cols):
+    def counting_steps(rows, plan, cols):
         planned["draws"] += 1
-        for t, (up, cells, rewrites) in enumerate(steps):
+        for t, (_, _, up, cells, rewrites) in enumerate(plan[0]):
             planned["level-ups"] += up != t
             planned["rows"] += len(rewrites)
             planned["cells"] += len(cells) * (up != t) + sum(len(cells_i) for _, cells_i, _ in rewrites)
-        result = run_steps(rows, steps, cols)
+        result = run_steps(rows, plan, cols)
         planned["fallbacks"] += result is None
         return result
 

@@ -985,8 +985,8 @@ def test_accept_plan_matches_the_unplanned_test_on_the_seed1_search_stream(monke
 # ---------------------------------------------------------------------------
 
 def generic_accept(zeros_a, zeros_b, a_rows, b_rows):
-    # The accept test without the plan's steps or order: `one_signed_kernel`
-    # on the generator matrix in `build_dual_generators` order, then the
+    # The accept test without the plan's steps: `one_signed_kernel` on
+    # the generator matrix in `build_dual_generators` order, then the
     # relint LP at kernel dimension two or more.
     from nmfrigid.cone import zero_in_relative_interior
     from nmfrigid.exactlin import one_signed_kernel
