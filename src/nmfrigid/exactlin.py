@@ -14,7 +14,8 @@ its own level, the pivot it was last rewritten at, and a pivot rewrites
 only the rows nonzero in its column, so the zeros of a sparse matrix (the
 generator matrix has one sparse column per zero) cost nothing; every row
 it writes is the row dense Bareiss (1968) elimination writes.  Elimination
-here is forward only: `rank` stops after it, and two routines finish it by
+here is forward only: `integer_rank` stops after it, on integer rows (`rank`
+clears rational ones for it), and two routines finish it by
 exact integer back-substitution, one loop shared by both: `integer_kernel`
 into a kernel basis, which the certification core of `rigidity` and its
 zero-diagonal slice V keep in integers and `nullspace_basis` views as
@@ -263,8 +264,14 @@ def _substitute(echelon: list[list[int]], pivots: list[int], vec: list[int]) -> 
 
 
 def rank(m: RationalMatrix) -> int:
-    """Exact rank over the rationals: the pivots of the forward pass."""
-    return len(_echelon(_integer_rows(m), m.cols)[1])
+    """Exact rank over the rationals: `integer_rank` of the cleared rows."""
+    return integer_rank(_integer_rows(m), m.cols)
+
+
+def integer_rank(rows: list[list[int]], cols: int) -> int:
+    """Rank of the integer rows `rows`, which it consumes, over `cols`
+    columns: the pivots of the forward pass, with no kernel built."""
+    return len(_echelon(rows, cols)[1])
 
 
 def integer_kernel(rows: list[list[int]], cols: int) -> tuple[int, int, list[list[int]]]:

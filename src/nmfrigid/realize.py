@@ -3,11 +3,14 @@
 Realization search samples integer entries uniformly at the free positions
 of a zero pattern and keeps the first sample that is infinitesimally rigid
 with full-rank factors; everything is driven by a seeded generator, so a
-(pattern, config) pair always reproduces the same factorization.  The
-accept test is planned once per search from the pattern's zeros, each
-sample is decided on plain ints by elimination steps that write only the
-cells the pattern can make nonzero, and only one that passes it is turned
-into Fractions and built as a `FactorizationPair`, cleared once.  The
+(pattern, config) pair always reproduces the same factorization.  Each
+sample is drawn straight into the flat value list the accept test reads,
+on the stream `random.Random(seed).randint` gives, by the rejection loop
+it runs without its call chain.  The accept test is planned once per zero
+pattern from its zeros, each sample is decided on plain ints by
+elimination steps that write only the cells the pattern can make nonzero,
+and only one that passes it is turned into rows, then Fractions, and
+built as a `FactorizationPair`, cleared once.  The
 positive extension appends rows and columns that add no zeros and hence
 change nothing in the certificate.  The lift turns a rigid pair of inner
 size r into a partially rigid pair of inner size r+1 by adding a positive
@@ -22,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .cone import lp_feasible
 from .exactlin import RationalMatrix, _shown, rank
@@ -70,35 +74,67 @@ def realize_pattern(
     """First sampled realization of the pattern that certifies rigid.
 
     Entries are drawn row-major, A before B, one integer per free position,
-    from random.Random(seed).  The accept test of `is_infinitesimally_rigid`
-    is planned once for the pattern by `accept_test`, whose precondition,
-    entries nonzero exactly off the pattern's zeros, entry_low >= 1
-    guarantees.  Each sample is put to the plan first; only a sample that
-    passes it is asserted to pass `is_infinitesimally_rigid` too and built
-    as a `FactorizationPair`, which clears, scans and ranks each factor
-    once.  A rejected or rank deficient sample counts against the budget
-    and the search moves on.  Returns None when max_samples is exhausted.
+    as random.Random(seed).randint(entry_low, entry_high) draws them, into
+    the value list of `accept_test` (A, then -B, then a closing 0).  The
+    accept test of `is_infinitesimally_rigid` is planned for the pattern by
+    `accept_test`, whose precondition, entries nonzero exactly off the
+    pattern's zeros, entry_low >= 1 guarantees.  Each sample is put to the
+    plan first; only a sample that passes it is read out as rows, asserted
+    to pass `is_infinitesimally_rigid` too and built as a
+    `FactorizationPair`, which clears, scans and ranks each factor once.  A
+    rejected or rank deficient sample counts against the budget and the
+    search moves on.  Returns None when max_samples is exhausted.
     """
     # This also refuses a pattern that forces a column of A or a row of B to
     # be zero: its zero mask contains every other one (r = 1 cannot hold it).
     if not check_wpoint(pattern):
         raise ValueError(WPOINT_REFUSAL)
 
+    m, r, n = pattern.m, pattern.r, pattern.n
     accepts = accept_test(pattern.zeros_a, pattern.zeros_b)
-    rng = random.Random(config.seed)
-    low, high = config.entry_low, config.entry_high
+    # The value slots of the free entries, A's then B's, each with its sign.
+    free = [(k, 1) for k, zero in enumerate(chain(*pattern.zeros_a)) if not zero]
+    free += [(m * r + k, -1) for k, zero in enumerate(chain(*pattern.zeros_b)) if not zero]
+    fill = _sampler(config)
     for _ in range(config.max_samples):
-        a_rows = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_a]
-        b_rows = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_b]
-        if not accepts(a_rows, b_rows):
+        values = fill([0] * (m * r + r * n + 1), free)
+        if not accepts(values):
             continue
-        # The public test plans from the draw's own zeros: no precondition.
+        a_rows = [values[i * r : (i + 1) * r] for i in range(m)]
+        b_rows = [[-x for x in values[m * r + i * n : m * r + (i + 1) * n]] for i in range(r)]
+        # The public test plans from the draw's own zeros, the pattern's, so
+        # it reads the memoised plan of this search: no precondition.
         assert is_infinitesimally_rigid(a_rows, b_rows)
         try:
             return FactorizationPair(RationalMatrix.from_rows(a_rows), RationalMatrix.from_rows(b_rows))
         except ValueError:  # A or B rank deficient
             continue
     return None
+
+
+def _sampler(config: RealizationSearchConfig):
+    """fill(values, free): each slot k of `free`, a list of (k, sign), in
+    order, gets sign times the next entry of the config's stream, and
+    `values` comes back.
+
+    The stream is random.Random(seed).randint(entry_low, entry_high), drawn
+    as `randint` draws it: getrandbits of the span's bit length until the
+    result is below the span, then entry_low plus it.
+    """
+    getrandbits = random.Random(config.seed).getrandbits
+    low = config.entry_low
+    span = config.entry_high - low + 1
+    bits = span.bit_length()
+
+    def fill(values: list[int], free: list[tuple[int, int]]) -> list[int]:
+        for k, sign in free:
+            x = getrandbits(bits)
+            while x >= span:
+                x = getrandbits(bits)
+            values[k] = sign * (low + x)
+        return values
+
+    return fill
 
 
 def extend_positive(pair: FactorizationPair, delta: Fraction) -> FactorizationPair:

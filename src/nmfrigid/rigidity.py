@@ -12,7 +12,9 @@ is built; each generator is then built once, from the per-pattern plan the
 realize accept test fills too, as an integer column over the r^2-r
 off-diagonal coordinates, scaled by the lcm of the denominators of its row
 of A or column of B.  From the same plan the accept test fixes the steps
-of its elimination and the cells each can make nonzero.  The kernel of
+of its elimination and the cells each can make nonzero, once per zero
+pattern: the plans are memoised, so a realization search and the public
+test of its accepted draw share one.  The kernel of
 those columns starts all three tests: at dimension at most one (the tight
 zero count r^2-r+1 of every rigid pattern) it decides relative interior
 and lineality by itself, and only the LPs of a larger kernel, and the
@@ -37,7 +39,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 from typing import Callable
@@ -45,8 +47,8 @@ from typing import Callable
 from . import patterns
 from .cone import lineality_dimension, zero_in_relative_interior
 from .exactlin import (
-    RationalMatrix, Vector, _shown, integer_kernel, integer_multiple, matmul, nullspace_basis,
-    one_signed_kernel, planned_one_signed_kernel, rank, vec_neg,
+    RationalMatrix, Vector, _shown, integer_kernel, integer_multiple, integer_rank, matmul,
+    nullspace_basis, one_signed_kernel, planned_one_signed_kernel, rank, vec_neg,
 )
 
 DEFAULT_KRUSKAL_BUDGET = 10**6
@@ -107,7 +109,7 @@ class FactorizationPair:
         # columns of B by positive numbers, which keeps both ranks.
         r = self.a.cols
         for name, rows, cols in (("A", self._form.a_rows, r), ("B", self._form.b_rows, self.n)):
-            if integer_kernel([list(row) for row in rows], cols)[0] != r:
+            if integer_rank([list(row) for row in rows], cols) != r:
                 raise ValueError(f"{name} has rank below {r}")
 
     @cached_property
@@ -400,23 +402,26 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
     decides a draw before it builds a `FactorizationPair`; on a full-rank
     nonnegative pair the answer is `certify`'s infinitesimally-rigid
     verdict.  The factors, cleared as a `FactorizationPair` clears them, go
-    to `accept_test` planned from their own zeros, so they meet its
-    precondition.
+    to `accept_test` of their own zeros, so they meet its precondition; a
+    search that has just planned those zeros finds the plan in the memo of
+    `_accept_plan`.
     """
     form = _cleared(len(b_rows), a_rows, list(zip(*b_rows)))
-    return accept_test(form.zeros_a, form.zeros_b)(form.a_rows, form.b_rows)
+    return accept_test(form.zeros_a, form.zeros_b)(_plan_values(form.a_rows, form.b_rows))
 
 
-def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]], bool]:
-    """The accept test of `is_infinitesimally_rigid`, planned once for a
-    zero pattern and returned as a callable on int rows of A and B.
+def accept_test(zeros_a, zeros_b) -> Callable[[list[int]], bool]:
+    """The accept test of `is_infinitesimally_rigid` for a zero pattern, as
+    a callable on the `_plan_values` of a draw: the int entries of A
+    row-major, then those of -B row-major, then one 0.
 
     Precondition: the entries of a draw are nonzero exactly off the
     pattern's zeros, as a search with entry_low >= 1 draws them.  The
     `_generator_plan` of `build_dual_generators` then knows which entry of
     A, or negated entry of B, fills each nonzero of the generator matrix,
     so one slot matrix, laid out as the generators are built, serves every
-    draw.  `planned_one_signed_kernel` gives the span rank and the sign
+    draw; `_accept_plan` makes it, with the steps below, once per pattern.
+    `planned_one_signed_kernel` gives the span rank and the sign
     pattern of a one-dimensional kernel from a fill of it, along the steps
     `_pivot_order` plans, rewriting only the cells the pattern can make
     nonzero, and stops at the first kernel entry that rules the draw out.
@@ -426,18 +431,14 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]]
     feasibility LP on one more fill; one of dimension zero accepts only
     the empty generator list, as `_cone_from_kernel` does.
     """
-    r = len(zeros_b)
-    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    generators = [g for _, g in _generator_plan(r, zeros_a, zeros_b)]
-    count = len(generators)
-    plan = _pivot_order(coords, generators)
-    slots = [[g.get(coord, -1) for g in generators] for coord in coords]
+    zeros_a, zeros_b = tuple(map(tuple, zeros_a)), tuple(map(tuple, zeros_b))
+    coords, plan, slots = _accept_plan(zeros_a, zeros_b)
+    count = sum(map(sum, zeros_a + zeros_b))  # one generator per zero
 
     def filled(values: list[int]) -> list[list[int]]:
         return [[values[k] for k in row] for row in slots]
 
-    def accepts(a_rows: list[list[int]], b_rows: list[list[int]]) -> bool:
-        values = _plan_values(a_rows, b_rows)
+    def accepts(values: list[int]) -> bool:
         planned = planned_one_signed_kernel(filled(values), plan, count)
         span_rank, one_signed = planned or one_signed_kernel(filled(values), count)
         if span_rank != len(coords):
@@ -448,6 +449,25 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[list[int]], list[list[int]]]
         return one_signed or count == 0
 
     return accepts
+
+
+@lru_cache(maxsize=64)
+def _accept_plan(zeros_a: tuple, zeros_b: tuple) -> tuple[list, tuple, list[list[int]]]:
+    """(coords, plan, slots) of `accept_test` for zero masks given as
+    tuples of tuples: the off-diagonal coordinates, row-major; the
+    `_pivot_order` plan; and slots[t][g], the `_plan_values` slot that
+    generator g, in `_generator_plan` order, reads at coords[t], or -1 (the
+    closing 0) where it has no entry.
+
+    Memoised for the 64 patterns used last, so a search and the public
+    test of its accepted draw plan the pattern once.  Every caller gets the
+    same lists and must only read them.
+    """
+    r = len(zeros_b)
+    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
+    generators = [g for _, g in _generator_plan(r, zeros_a, zeros_b)]
+    slots = [[g.get(coord, -1) for g in generators] for coord in coords]
+    return coords, _pivot_order(coords, generators), slots
 
 
 # The field of the probe draw that `_pivot_order` eliminates alongside.

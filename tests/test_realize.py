@@ -21,7 +21,13 @@ from nmfrigid.realize import (
     lift_partially_rigid,
     realize_pattern,
 )
-from nmfrigid.rigidity import Classification, FactorizationPair, build_dual_generators, certify
+from nmfrigid.rigidity import (
+    Classification,
+    FactorizationPair,
+    build_dual_generators,
+    certify,
+    is_infinitesimally_rigid,
+)
 
 
 def test_config_validation():
@@ -50,6 +56,27 @@ def test_config_refuses_non_int_bounds_and_budget(field, value):
         RealizationSearchConfig(**{field: value})
 
 
+def count_draws(monkeypatch, counts):
+    # Counts the draws that searches put to their accept test, and the
+    # accepted ones, in counts["draws"] and counts["accepted"].
+    from nmfrigid import realize
+
+    accept_test = realize.accept_test
+
+    def counting_plan(zeros_a, zeros_b):
+        accepts = accept_test(zeros_a, zeros_b)
+
+        def counting_accept(values):
+            counts["draws"] += 1
+            accepted = accepts(values)
+            counts["accepted"] += accepted
+            return accepted
+
+        return counting_accept
+
+    monkeypatch.setattr(realize, "accept_test", counting_plan)
+
+
 def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
     # Seed 1 on the 15 table-1 representatives: 686 draws, 15 accepted.
     # Each draw is decided on ints; a FactorizationPair is built for the
@@ -58,18 +85,7 @@ def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
     from nmfrigid.patterns import enumerate_patterns, table1_filters
 
     counts = {"draws": 0, "accepted": 0, "pairs": 0, "nullspace": 0}
-    accept_test, pair_type = realize.accept_test, realize.FactorizationPair
-
-    def counting_plan(zeros_a, zeros_b):
-        accepts = accept_test(zeros_a, zeros_b)
-
-        def counting_accept(a_rows, b_rows):
-            counts["draws"] += 1
-            accepted = accepts(a_rows, b_rows)
-            counts["accepted"] += accepted
-            return accepted
-
-        return counting_accept
+    pair_type = realize.FactorizationPair
 
     def counting_pair(a, b):
         counts["pairs"] += 1
@@ -79,7 +95,7 @@ def test_search_builds_a_pair_only_for_accepted_draws(monkeypatch):
         counts["nullspace"] += 1
         return exactlin.nullspace_basis(m)
 
-    monkeypatch.setattr(realize, "accept_test", counting_plan)
+    count_draws(monkeypatch, counts)
     monkeypatch.setattr(realize, "FactorizationPair", counting_pair)
     monkeypatch.setattr(rigidity, "nullspace_basis", counting_nullspace)
     found = [
@@ -129,6 +145,95 @@ def test_seed1_sweep_rewrites_pinned(monkeypatch):
         assert realize_pattern(pattern, RealizationSearchConfig(seed=1)) is not None
     assert planned == {"draws": 701, "rows": 7261, "level-ups": 4722, "cells": 38839, "fallbacks": 0}
     assert work == [120, 191]
+
+
+def test_seed1_sweep_plans_each_pattern_once(monkeypatch):
+    # With the plan memo empty, the seed-1 sweep over the 15 table-1
+    # representatives plans each pattern once: the search and the public
+    # test of its accepted draw share the plan, and all 701 accept tests
+    # (686 draws, 15 re-tests) still run the planned steps.
+    from nmfrigid import rigidity
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+
+    counts = {"plans": 0, "planned": 0}
+    pivot_order, run_steps = rigidity._pivot_order, rigidity.planned_one_signed_kernel
+
+    def counting_order(coords, generators):
+        counts["plans"] += 1
+        return pivot_order(coords, generators)
+
+    def counting_steps(rows, plan, cols):
+        counts["planned"] += 1
+        return run_steps(rows, plan, cols)
+
+    monkeypatch.setattr(rigidity, "_pivot_order", counting_order)
+    monkeypatch.setattr(rigidity, "planned_one_signed_kernel", counting_steps)
+    rigidity._accept_plan.cache_clear()
+    for pattern in enumerate_patterns(5, 5, 4, 13, table1_filters(5, 5)):
+        assert realize_pattern(pattern, RealizationSearchConfig(seed=1)) is not None
+    assert counts == {"plans": 15, "planned": 701}
+
+
+# Entry ranges of the sampler test: one value, one bit, spans just below,
+# at and just above a power of two, and a span wider than 32 bits.
+STREAM_RANGES = [(1, 1), (1, 2), (1, 1000), (1, 1024), (1, 1025), (3, 2**40 + 7)]
+
+
+@pytest.mark.parametrize("low, high", STREAM_RANGES)
+def test_sampler_draws_the_randint_stream(low, high):
+    # Scattered slots, some negated as B's are, filled over five draws per
+    # seed: each entry is sign times the next random.Random(seed).randint.
+    from nmfrigid.realize import _sampler
+
+    free = [(k, -1 if k % 3 == 0 else 1) for k in range(1, 60, 2)]
+    for seed in range(20):
+        fill = _sampler(RealizationSearchConfig(entry_low=low, entry_high=high, seed=seed))
+        rng = random.Random(seed)
+        for _ in range(5):
+            expected = [0] * 61
+            for k, sign in free:
+                expected[k] = sign * rng.randint(low, high)
+            assert fill([0] * 61, free) == expected
+
+
+def reference_search(pattern, config):
+    # The search as a plain loop: rows drawn by randint, A then B row-major,
+    # accepted by the public test, rank deficient pairs passed over.
+    # Returns the pair, or None, and the number of draws taken.
+    rng = random.Random(config.seed)
+    low, high = config.entry_low, config.entry_high
+    for k in range(1, config.max_samples + 1):
+        a = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_a]
+        b = [[0 if zero else rng.randint(low, high) for zero in row] for row in pattern.zeros_b]
+        if is_infinitesimally_rigid(a, b):
+            try:
+                return FactorizationPair(RationalMatrix.from_rows(a), RationalMatrix.from_rows(b)), k
+            except ValueError:
+                continue
+    return None, config.max_samples
+
+
+@pytest.mark.parametrize("low, high", [(1, 1), (1, 2), (1, 1000)])
+def test_search_matches_the_randint_reference_loop(monkeypatch, low, high):
+    # The first eight table-1 representatives: the search returns the
+    # reference loop's pair after as many draws.  Entries 1..1 never
+    # realize one; within the budget, 1..2 realizes six and 1..1000 all.
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+
+    counts = {"draws": 0, "accepted": 0}
+    count_draws(monkeypatch, counts)
+    found = 0
+    for index, pattern in enumerate(enumerate_patterns(5, 5, 4, 13, table1_filters(5, 5))[:8]):
+        config = RealizationSearchConfig(entry_low=low, entry_high=high, max_samples=400, seed=1 + index)
+        counts["draws"] = 0
+        pair = realize_pattern(pattern, config)
+        reference, taken = reference_search(pattern, config)
+        assert counts["draws"] == taken
+        assert (pair is None) is (reference is None)
+        if pair is not None:
+            assert (pair.a, pair.b) == (reference.a, reference.b)
+            found += 1
+    assert found == {1: 0, 2: 6, 1000: 8}[high]
 
 
 def test_realize_fixture_pattern_matches_exactly():
@@ -194,6 +299,17 @@ def test_extend_positive_keeps_certificate():
     for i in range(pair.m):
         for j in range(pair.n):
             assert prod[i, j] == orig[i, j]
+
+
+def test_extend_positive_appends_the_unit_blocks_plus_delta():
+    # Row i appended to A is e_i with delta elsewhere; column j appended to
+    # B is e_j plus delta everywhere.
+    pair, delta = RIGID_5X5[0].pair(), Fraction(1, 10)
+    extended = extend_positive(pair, delta)
+    r = pair.r
+    for i in range(r):
+        assert extended.a.row(pair.m + i) == tuple(Fraction(1) if j == i else delta for j in range(r))
+        assert extended.b.row(i)[pair.n :] == tuple(1 + delta if j == i else delta for j in range(r))
 
 
 def test_extend_positive_keeps_interior_class():

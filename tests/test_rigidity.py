@@ -937,7 +937,7 @@ def test_accept_plan_matches_the_unplanned_accept_test(monkeypatch, m, n, r, zer
     from collections import Counter
 
     from nmfrigid.patterns import enumerate_patterns, table1_filters
-    from nmfrigid.rigidity import accept_test
+    from nmfrigid.rigidity import _plan_values, accept_test
 
     lps = count_relint_lps(monkeypatch)
     rng = random.Random(100 * m + 10 * n + r)
@@ -950,7 +950,7 @@ def test_accept_plan_matches_the_unplanned_accept_test(monkeypatch, m, n, r, zer
                 for _ in range(4):
                     a, b = draw(rng, zeros_a, pattern.zeros_b, 1, high)
                     verdict, branch = unplanned_accept(a, b)
-                    assert accepts(a, b) is verdict, (a, b)
+                    assert accepts(_plan_values(a, b)) is verdict, (a, b)
                     assert is_infinitesimally_rigid(a, b) is verdict, (a, b)
                     seen[high, branch, verdict] += 1
     assert dict(seen) == PLAN_BRANCHES[m, n, r, zeros]
@@ -963,7 +963,7 @@ def test_accept_plan_matches_the_unplanned_test_on_the_seed1_search_stream(monke
     # rejection comes from the sign of a one-dimensional kernel.
     from collections import Counter
 
-    from nmfrigid.rigidity import accept_test
+    from nmfrigid.rigidity import _plan_values, accept_test
 
     lps = count_relint_lps(monkeypatch)
     seen = Counter()
@@ -974,10 +974,40 @@ def test_accept_plan_matches_the_unplanned_test_on_the_seed1_search_stream(monke
         while not verdict:
             a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, 1, 1000)
             verdict, branch = unplanned_accept(a, b)
-            assert accepts(a, b) is verdict, (a, b)
+            assert accepts(_plan_values(a, b)) is verdict, (a, b)
             seen[branch, verdict] += 1
     assert dict(seen) == {("kernel", False): 671, ("kernel", True): 15}
     assert lps == [0]
+
+
+def test_accept_plans_are_memoised_by_mask_value():
+    # List and tuple masks of one pattern share one plan; verdicts read from
+    # remembered plans are those of fresh ones; the memo stays within its
+    # size when more patterns than that are planned.
+    from nmfrigid.patterns import enumerate_patterns, table1_filters
+    from nmfrigid.rigidity import _accept_plan, _plan_values, accept_test
+
+    reps = table1_representatives()
+    _accept_plan.cache_clear()
+    lists = [[list(row) for row in mask] for mask in (reps[0].zeros_a, reps[0].zeros_b)]
+    accept_test(*lists)
+    accept_test(reps[0].zeros_a, reps[0].zeros_b)
+    info = _accept_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    rng = random.Random(34)
+    draws = [(p, *draw(rng, p.zeros_a, p.zeros_b, 1, high)) for p in reps[:10] for high in (2, 1000) for _ in range(6)]
+
+    def verdicts():
+        return [accept_test(p.zeros_a, p.zeros_b)(_plan_values(a, b)) for p, a, b in draws]
+
+    remembered = verdicts()
+    _accept_plan.cache_clear()
+    assert verdicts() == remembered and set(remembered) == {False, True}
+    shapes = [p for m, n in TABLE1_SHAPES for p in enumerate_patterns(m, n, 4, 13, table1_filters(m, n))]
+    for pattern in shapes:
+        accept_test(pattern.zeros_a, pattern.zeros_b)
+    info = _accept_plan.cache_info()
+    assert len(shapes) > info.maxsize == info.currsize == 64
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1066,7 @@ def test_planned_steps_match_the_generic_elimination(monkeypatch):
             for _ in range(per_range):
                 a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, 1, high)
                 verdict = generic_accept(pattern.zeros_a, pattern.zeros_b, a, b)
-                assert accepts(a, b) is verdict, (a, b)
+                assert accepts(rigidity._plan_values(a, b)) is verdict, (a, b)
                 seen[pattern.r, high, verdict] += 1
     assert len(tight) == 102 and sum(seen.values()) == 4 * (10 * 102 + 5 * len(loose))
     assert {(3, 1000, True), (4, 1000, True), (4, 1000, False), (4, 3, True)} <= set(seen)
@@ -1051,7 +1081,7 @@ def test_planned_steps_match_the_generic_elimination(monkeypatch):
         while not verdict:
             a, b = draw(rng, pattern.zeros_a, pattern.zeros_b, 1, 1000)
             verdict = generic_accept(pattern.zeros_a, pattern.zeros_b, a, b)
-            assert accepts(a, b) is verdict, (a, b)
+            assert accepts(rigidity._plan_values(a, b)) is verdict, (a, b)
             seen["seed 1"] += 1
     assert seen["seed 1"] == 686 and fallbacks["seed 1"] == 0
 
