@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .cone import lp_feasible
 from .exactlin import RationalMatrix, _shown, rank
@@ -33,6 +32,8 @@ from .patterns import ZeroPattern, check_wpoint
 from .rigidity import (
     Classification,
     FactorizationPair,
+    _value_rows,
+    _value_slots,
     accept_test,
     build_dual_generators,
     certify,
@@ -90,18 +91,14 @@ def realize_pattern(
     if not check_wpoint(pattern):
         raise ValueError(WPOINT_REFUSAL)
 
-    m, r, n = pattern.m, pattern.r, pattern.n
     accepts = accept_test(pattern.zeros_a, pattern.zeros_b)
-    # The value slots of the free entries, A's then B's, each with its sign.
-    free = [(k, 1) for k, zero in enumerate(chain(*pattern.zeros_a)) if not zero]
-    free += [(m * r + k, -1) for k, zero in enumerate(chain(*pattern.zeros_b)) if not zero]
+    free, size = _value_slots(pattern.zeros_a, pattern.zeros_b)
     fill = _sampler(config)
     for _ in range(config.max_samples):
-        values = fill([0] * (m * r + r * n + 1), free)
+        values = fill([0] * size, free)
         if not accepts(values):
             continue
-        a_rows = [values[i * r : (i + 1) * r] for i in range(m)]
-        b_rows = [[-x for x in values[m * r + i * n : m * r + (i + 1) * n]] for i in range(r)]
+        a_rows, b_rows = _value_rows(values, pattern.m, pattern.r, pattern.n)
         # The public test plans from the draw's own zeros, the pattern's, so
         # it reads the memoised plan of this search: no precondition.
         assert is_infinitesimally_rigid(a_rows, b_rows)

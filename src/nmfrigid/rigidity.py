@@ -13,8 +13,8 @@ realize accept test fills too, as an integer column over the r^2-r
 off-diagonal coordinates, scaled by the lcm of the denominators of its row
 of A or column of B.  From the same plan the accept test fixes the steps
 of its elimination and the cells each can make nonzero, once per zero
-pattern: the plans are memoised, so a realization search and the public
-test of its accepted draw share one.  The kernel of
+pattern: the plan of the last pattern is memoised, so a realization
+search and the public test of its accepted draw share one.  The kernel of
 those columns starts all three tests: at dimension at most one (the tight
 zero count r^2-r+1 of every rigid pattern) it decides relative interior
 and lineality by itself, and only the LPs of a larger kernel, and the
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb, gcd
 from typing import Callable
 
@@ -218,6 +218,23 @@ def _plan_values(a_rows, b_rows) -> list:
     values += [-x for row in b_rows for x in row]
     values.append(0)
     return values
+
+
+def _value_slots(zeros_a, zeros_b) -> tuple[list[tuple[int, int]], int]:
+    """The `_plan_values` layout for factors with these zero masks: the
+    (slot, sign) of each entry off the zeros, A's row-major then B's, and
+    the length of the list."""
+    m, r = len(zeros_a), len(zeros_b)
+    free = [(k, 1) for k, zero in enumerate(chain(*zeros_a)) if not zero]
+    free += [(m * r + k, -1) for k, zero in enumerate(chain(*zeros_b)) if not zero]
+    return free, m * r + sum(map(len, zeros_b)) + 1
+
+
+def _value_rows(values: list, m: int, r: int, n: int) -> tuple[list[list], list[list]]:
+    """The rows of A (m x r) and of B (r x n) that `_plan_values` gave."""
+    a_rows = [values[i * r : (i + 1) * r] for i in range(m)]
+    b_rows = [[-x for x in values[m * r + i * n : m * r + (i + 1) * n]] for i in range(r)]
+    return a_rows, b_rows
 
 
 def _build_generators(r: int, coords, form: _IntegerForm, symmetric: bool = False) -> DualConeGenerators:
@@ -432,8 +449,7 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[int]], bool]:
     the empty generator list, as `_cone_from_kernel` does.
     """
     zeros_a, zeros_b = tuple(map(tuple, zeros_a)), tuple(map(tuple, zeros_b))
-    coords, plan, slots = _accept_plan(zeros_a, zeros_b)
-    count = sum(map(sum, zeros_a + zeros_b))  # one generator per zero
+    coords, plan, slots, count = _accept_plan(zeros_a, zeros_b)
 
     def filled(values: list[int]) -> list[list[int]]:
         return [[values[k] for k in row] for row in slots]
@@ -451,23 +467,23 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[int]], bool]:
     return accepts
 
 
-@lru_cache(maxsize=64)
-def _accept_plan(zeros_a: tuple, zeros_b: tuple) -> tuple[list, tuple, list[list[int]]]:
-    """(coords, plan, slots) of `accept_test` for zero masks given as
-    tuples of tuples: the off-diagonal coordinates, row-major; the
-    `_pivot_order` plan; and slots[t][g], the `_plan_values` slot that
+@lru_cache(maxsize=1)
+def _accept_plan(zeros_a: tuple, zeros_b: tuple) -> tuple[list, tuple, list[list[int]], int]:
+    """(coords, plan, slots, count) of `accept_test` for zero masks given
+    as tuples of tuples: the off-diagonal coordinates, row-major; the
+    `_pivot_order` plan; slots[t][g], the `_plan_values` slot that
     generator g, in `_generator_plan` order, reads at coords[t], or -1 (the
-    closing 0) where it has no entry.
+    closing 0) where it has no entry; and the number of generators.
 
-    Memoised for the 64 patterns used last, so a search and the public
-    test of its accepted draw plan the pattern once.  Every caller gets the
-    same lists and must only read them.
+    Memoised for the pattern used last, so a search and the public test of
+    its accepted draw plan the pattern once.  Every caller gets the same
+    lists and must only read them.
     """
     r = len(zeros_b)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
     generators = [g for _, g in _generator_plan(r, zeros_a, zeros_b)]
     slots = [[g.get(coord, -1) for g in generators] for coord in coords]
-    return coords, _pivot_order(coords, generators), slots
+    return coords, _pivot_order(coords, generators), slots, len(generators)
 
 
 # The field of the probe draw that `_pivot_order` eliminates alongside.

@@ -982,9 +982,8 @@ def test_accept_plan_matches_the_unplanned_test_on_the_seed1_search_stream(monke
 
 def test_accept_plans_are_memoised_by_mask_value():
     # List and tuple masks of one pattern share one plan; verdicts read from
-    # remembered plans are those of fresh ones; the memo stays within its
-    # size when more patterns than that are planned.
-    from nmfrigid.patterns import enumerate_patterns, table1_filters
+    # remembered plans are those of fresh ones; the memo keeps only the
+    # pattern planned last.
     from nmfrigid.rigidity import _accept_plan, _plan_values, accept_test
 
     reps = table1_representatives()
@@ -1003,11 +1002,11 @@ def test_accept_plans_are_memoised_by_mask_value():
     remembered = verdicts()
     _accept_plan.cache_clear()
     assert verdicts() == remembered and set(remembered) == {False, True}
-    shapes = [p for m, n in TABLE1_SHAPES for p in enumerate_patterns(m, n, 4, 13, table1_filters(m, n))]
-    for pattern in shapes:
+    _accept_plan.cache_clear()
+    for pattern in (reps[0], reps[0], reps[1], reps[0]):
         accept_test(pattern.zeros_a, pattern.zeros_b)
     info = _accept_plan.cache_info()
-    assert len(shapes) > info.maxsize == info.currsize == 64
+    assert (info.misses, info.hits, info.maxsize, info.currsize) == (3, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
