@@ -21,6 +21,7 @@ the same masks; booleans appear only at the public boundary.
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -84,8 +85,10 @@ class ZeroPattern:
 
 def _decode_rows(rows: tuple[int, ...], width: int) -> BoolMatrix:
     # Inverse of the key encodings: each int is one row, column 0 as the
-    # most significant of `width` bits.
-    return tuple(tuple(bool((v >> (width - 1 - j)) & 1) for j in range(width)) for v in rows)
+    # most significant of `width` bits.  A leading 1 above the row keeps its
+    # leading zeros in the binary digits, which are read after "0b1".
+    top = 1 << width
+    return tuple(tuple(map("1".__eq__, bin(v | top)[3:])) for v in rows)
 
 
 def _require_attainable_rank(m: int, n: int, r: int) -> None:
@@ -245,10 +248,15 @@ _PREDICATES: dict[str, Callable[[ZeroSupport], bool]] = {
     "row-bound": lambda s: all(x.bit_count() <= s.r - 2 for x in s.rows_a + s.cols_b),
     "column-bound": lambda s: all(x.bit_count() <= s.r - 1 for x in s.cols_a + s.rows_b),
     "no-rectangle": lambda s: s.rectangle is None,
-    "positive": lambda s: (
-        (1 << s.r) - 1 not in {a | b for a in s.rows_a for b in s.cols_b or s.rows_a}
-    ),
+    "positive": lambda s: _positive(s.rows_a, s.cols_b or s.rows_a, s.r),
 }
+
+
+def _positive(rows_a, cols_b, r: int) -> bool:
+    # No entry of the product vanishes: no zero mask of a row of A and of a
+    # column of B together cover all r inner indices.  Any bit order serves
+    # as long as both sides share it.
+    return (1 << r) - 1 not in {a | b for a in rows_a for b in cols_b}
 
 
 @dataclass(frozen=True)
@@ -343,15 +351,23 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _spread(masks: tuple[int, ...], width: int) -> list[int]:
-    # Each mask with its bit i moved to bit i * width, so that `width` spread
-    # masks shifted by distinct amounts below `width` never share a bit.
+def _field_bytes(r: int) -> int:
+    # Bytes per row code in a spread word: 1 up to r = 8, then 2, 4 or 8,
+    # the native unsigned types B, H, I and Q that `memoryview.cast` reads.
+    return 1 << max(0, (r - 1).bit_length() - 3)
+
+
+def _spread(masks: tuple[int, ...], r: int) -> list[int]:
+    # Each mask with its bit i moved to the low bit of byte-aligned field i
+    # (`_field_bytes(r)` bytes wide), so that r spread masks shifted by
+    # distinct amounts below r never share a bit or leave their field.
+    stride = 8 * _field_bytes(r)
     out = []
     for mask in masks:
         spread = 0
         while mask:
             low = mask & -mask
-            spread |= 1 << (low.bit_length() - 1) * width
+            spread |= 1 << (low.bit_length() - 1) * stride
             mask ^= low
         out.append(spread)
     return out
@@ -361,40 +377,45 @@ def _enc_a(spreads: list[int], perm: tuple[int, ...], ground: int, r: int) -> li
     # Rows of the A-pattern after applying `perm` to the inner index, each
     # an r-bit code with inner slot 0 as the most significant bit, sorted
     # ascending (= the optimal row permutation).  `spreads` holds the side's
-    # slot masks spread to width r: r shift-ors then lay every row code out
-    # in its own r-bit field.
+    # slot masks from `_spread`: r shift-ors lay every row code out in its
+    # own byte-aligned field, and the fields are split and sorted in C.
     word = 0
     for j in perm:
         word = (word << 1) | spreads[j]
-    field = (1 << r) - 1
-    return sorted((word >> shift) & field for shift in range(0, ground * r, r))
+    if r <= 8:
+        return sorted(word.to_bytes(ground, sys.byteorder))
+    size = _field_bytes(r)
+    codes = memoryview(word.to_bytes(ground * size, sys.byteorder))
+    return sorted(codes.cast("BHIQ"[size.bit_length() - 1]))
 
 
-def _enc_b(spreads: list[int], order: tuple[int, ...], n: int, r: int) -> tuple[int, ...]:
-    # The columns of the permuted B-pattern (read top to bottom) are the
-    # rows `_enc_a` builds from the spread rows of B, sorted; their
-    # row-major reading is the transpose.  Sorting columns minimizes that
-    # reading over all column permutations.
-    cols = _enc_a(spreads, order, n, r)
+def _transpose(codes: list[int], width: int) -> tuple[int, ...]:
+    # The columns of the bit matrix whose rows are `codes` (`width` bits,
+    # column 0 most significant), each read top to bottom.
     out = []
-    for shift in range(r - 1, -1, -1):
+    for shift in range(width - 1, -1, -1):
         w = 0
-        for cv in cols:
-            w = (w << 1) | ((cv >> shift) & 1)
+        for code in codes:
+            w = (w << 1) | ((code >> shift) & 1)
         out.append(w)
     return tuple(out)
 
 
 class _Readings(dict):
-    # A side's reading table: its `_enc_b` reading under each inner
+    # A side's reading table: its reading as a B side under each inner
     # permutation, keyed by the permutation's position in `_perms(r)`,
-    # encoded on the first lookup and kept for every later pair.
+    # encoded on the first lookup and kept for every later pair.  The
+    # columns of the permuted B-pattern (read top to bottom) are the rows
+    # `_enc_a` builds from the spread rows of B, sorted; their row-major
+    # reading is the transpose.  Sorting columns minimizes that reading
+    # over all column permutations.
 
     def __init__(self, masks: tuple[int, ...], ground: int, r: int):
         self.spreads, self.ground, self.r = _spread(masks, r), ground, r
 
     def __missing__(self, perm: int) -> tuple[int, ...]:
-        self[perm] = reading = _enc_b(self.spreads, _perms(self.r)[perm], self.ground, self.r)
+        cols = _enc_a(self.spreads, _perms(self.r)[perm], self.ground, self.r)
+        self[perm] = reading = _transpose(cols, self.r)
         return reading
 
 
@@ -585,11 +606,14 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
     alignment, and the pair key there is a lookup of the one side's columns
     in the other's reading table: nothing is composed or encoded per pair.
     The keys are deduplicated and decoded in sorted order, exactly as
-    `canonical_form` decodes its one.
-    The cheap POSITIVE_PRODUCT test and the expensive zero rectangle filter
-    run last, on representatives only (both are invariant under the full
-    group); the rectangle bound holds only at r*r - r + 1 zeros, so any
-    other count with that filter raises ValueError before any work.
+    `canonical_form` decodes its one.  Row codes are split out of
+    byte-aligned fields by `int.to_bytes` and sorted in C (see `_enc_a`).
+    The filters below are invariant under the full group, so they run last,
+    on representatives only: POSITIVE_PRODUCT on the sorted keys, A's row
+    codes against B's column codes, before any pattern is built, and the
+    expensive zero rectangle filter on the decoded patterns.  The rectangle
+    bound holds only at r*r - r + 1 zeros, so any other count with that
+    filter raises ValueError before any work.
 
     Coverage filters are literal: ROW_COVERAGE_A means every row of A
     contains a zero, COLUMN_COVERAGE_B means every column of B contains a
@@ -640,9 +664,10 @@ def enumerate_patterns(m: int, n: int, r: int, zeros: int, filters) -> list[Zero
             for side_b in b_read_sides:
                 for pi, pi_inv in alignments:
                     found.setdefault(_pair_key(m, n, side_a, side_b, pi, pi_inv))
-    reps = [_pattern_from_key(m, n, r, key) for key in sorted(found)]
+    keys = sorted(found)
     if PatternFilter.POSITIVE_PRODUCT in fset:
-        reps = [p for p in reps if not forces_product_zero(p)]
+        keys = [key for key in keys if _positive(key[0], _transpose(key[1], n), r)]
+    reps = [_pattern_from_key(m, n, r, key) for key in keys]
     if PatternFilter.ZERO_RECTANGLES in fset:
         reps = [p for p in reps if check_zero_rectangles(p) is None]
     return reps

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -16,7 +17,7 @@ from nmfrigid.patterns import (
     PatternFilter,
     PatternGroupElement,
     ZeroPattern,
-    _enc_b,
+    _enc_a,
     _pattern_from_key,
     _side_classes,
     _side_key,
@@ -146,6 +147,22 @@ def test_column_bound_check_agrees_with_the_filter_off_the_tight_count():
         everything = enumerate_patterns(5, 4, 3, zeros, set())
         assert [p for p in everything if check_column_bound(p)] == bounded
         assert len(everything) > len(bounded)
+
+
+def test_positive_product_filter_agrees_with_forces_product_zero():
+    # The filter reads the sorted keys before any pattern is built; it keeps
+    # exactly the representatives that `forces_product_zero` clears, on
+    # square and non-square shapes in both orientations.
+    for m, n, r, zeros, base in (
+        (3, 3, 2, 3, set()),
+        (5, 4, 3, 6, set()),
+        (4, 6, 3, 8, set()),
+        (5, 5, 4, 13, {PatternFilter.WPOINT}),
+    ):
+        everything = enumerate_patterns(m, n, r, zeros, base)
+        kept = enumerate_patterns(m, n, r, zeros, base | {PatternFilter.POSITIVE_PRODUCT})
+        assert kept == [p for p in everything if not forces_product_zero(p)]
+        assert 0 < len(kept) < len(everything)
 
 
 def test_zero_rectangles_finds_published_violation():
@@ -332,17 +349,23 @@ def test_fixture_patterns_are_exactly_the_5x5_representatives():
 TABLE1_SHAPES = ((5, 5), (6, 5), (6, 6), (7, 5), (7, 6), (8, 5), (9, 5))
 
 
+def reference_rows(masks, perm, ground, r):
+    # The side's sorted row codes under one inner permutation, packed bit
+    # by bit, inner slot 0 the most significant.
+    rows = []
+    for i in range(ground):
+        v = 0
+        for j in range(r):
+            v = (v << 1) | ((masks[perm[j]] >> i) & 1)
+        rows.append(v)
+    return sorted(rows)
+
+
 def reference_side_key(masks, ground, r):
     # The side key packed bit by bit under every inner permutation.
     best, argmins = None, []
     for perm in itertools.permutations(range(r)):
-        rows = []
-        for i in range(ground):
-            v = 0
-            for j in range(r):
-                v = (v << 1) | ((masks[perm[j]] >> i) & 1)
-            rows.append(v)
-        enc = tuple(sorted(rows))
+        enc = tuple(reference_rows(masks, perm, ground, r))
         if best is None or enc < best:
             best, argmins = enc, [perm]
         elif enc == best:
@@ -398,6 +421,17 @@ def test_side_key_matches_bitwise_packing():
         assert _side_key(masks, ground, r) == reference_side_key(masks, ground, r), (
             masks, ground, r
         )
+
+
+@pytest.mark.parametrize("r", [8, 9, 16, 17, 33])
+def test_row_codes_match_bitwise_packing_in_every_field_width(r):
+    # No sweep reaches r > 5: these sizes take the one-byte fields to their
+    # last slot and the two-, four- and eight-byte fields to their first.
+    rng = random.Random(r)
+    for ground in (1, 7):
+        masks = tuple(rng.randrange(1 << ground) for _ in range(r))
+        perm = tuple(rng.sample(range(r), r))
+        assert _enc_a(_spread(masks, r), perm, ground, r) == reference_rows(masks, perm, ground, r)
 
 
 @pytest.mark.parametrize("ground", range(1, 7))
@@ -458,8 +492,10 @@ def test_table1_sweep_side_key_count(monkeypatch):
     [
         (5, 5, 112, "ce0eb1b23e16726a9bffa1ad5b9f07c14ee01c971a0ea95f2903c4f2d2c21828"),
         (6, 5, 2433, "5423579a992cf2ec7795d978cdde5d8c2a0b9838430aa28c41af52f54c75a80f"),
+        (6, 6, 8613, "016041ff1a6e9819b5dd8a16d8a6b4d4d4b7efb3aa2b60c86d91bbe15285c83b"),
+        (7, 5, 7891, "f14c0b1f8f240b8e0429c0d9075f115dfd9bf2ca98e5e1d3880b7423d9557e11"),
     ],
-    ids=["5x5", "6x5"],
+    ids=["5x5", "6x5", "6x6", "7x5"],
 )
 def test_rank_five_representatives(m, n, count, digest):
     reps = enumerate_patterns(m, n, 5, 21, table1_filters(m, n))
@@ -479,12 +515,25 @@ def test_rank_five_representatives(m, n, count, digest):
 # Pairing by reading tables against the per-pair encodings it replaced
 # ---------------------------------------------------------------------------
 
-def reference_pair_key(m, n, r, a_spreads, a_key, a_mins, b_spreads, b_key, b_mins):
-    # One `_enc_b` of the other side per argmin: B under each A argmin and,
+@functools.lru_cache(maxsize=None)
+def reference_reading(masks, order, ground, r):
+    # The B side under `order`, read bit by bit: its column codes (slot
+    # order[0] the most significant) sorted, then the rows of that matrix,
+    # column 0 the most significant.  Memoised: the pairing references
+    # read each aligned side once per pair.
+    cols = reference_rows(masks, order, ground, r)
+    return tuple(
+        sum(((cols[p] >> (r - 1 - t)) & 1) << (ground - 1 - p) for p in range(ground))
+        for t in range(r)
+    )
+
+
+def reference_pair_key(m, n, r, a_masks, a_key, a_mins, b_masks, b_key, b_mins):
+    # One reading of the other side per argmin: B under each A argmin and,
     # for m = n, A under each B argmin.
-    key = (a_key, min(_enc_b(b_spreads, perm, n, r) for perm in a_mins))
+    key = (a_key, min(reference_reading(b_masks, perm, n, r) for perm in a_mins))
     if m == n:
-        key = min(key, (b_key, min(_enc_b(a_spreads, perm, m, r) for perm in b_mins)))
+        key = min(key, (b_key, min(reference_reading(a_masks, perm, m, r) for perm in b_mins)))
     return key
 
 
@@ -495,13 +544,12 @@ def reference_enumeration(m, n, r, zeros, a_sides, b_sides):
     keys = set()
     for z_a, a_list in a_sides.items():
         for b_masks, b_key, b_mins in b_sides.get(zeros - z_a, ()):
-            b_spreads = _spread(b_masks, r)
             for pi in itertools.permutations(range(r)):
-                aligned = [b_spreads[j] for j in pi]
+                aligned = tuple(b_masks[j] for j in pi)
                 moved = [tuple(pi.index(x) for x in rho) for rho in b_mins]
                 for a_masks, a_key, a_mins in a_list:
                     keys.add(reference_pair_key(
-                        m, n, r, _spread(a_masks, r), a_key, a_mins, aligned, b_key, moved
+                        m, n, r, a_masks, a_key, a_mins, aligned, b_key, moved
                     ))
     return [_pattern_from_key(m, n, r, key) for key in sorted(keys)]
 
@@ -546,23 +594,21 @@ def test_canonical_form_matches_per_pair_encodings():
         pattern = rand_pattern(rng, m, n, r, zero_prob=0.1 + 0.4 * rng.random())
         cols_a, rows_b = pattern.support.cols_a, pattern.support.rows_b
         key = reference_pair_key(
-            m, n, r,
-            _spread(cols_a, r), *_side_key(cols_a, m, r),
-            _spread(rows_b, r), *_side_key(rows_b, n, r),
+            m, n, r, cols_a, *_side_key(cols_a, m, r), rows_b, *_side_key(rows_b, n, r)
         )
         assert canonical_form(pattern) == _pattern_from_key(m, n, r, key), pattern
 
 
 def test_pairing_encodes_each_side_at_most_once_per_inner_order(monkeypatch):
-    # The table-1 sweep paired 11,952 `_enc_b` calls, one per pair and
-    # argmin; reading tables make it at most r! per side.
+    # The table-1 sweep paired 11,952 readings, one per pair and argmin;
+    # reading tables encode at most r! per side.
     calls = sides = 0
-    enc_b, side_classes = patterns._enc_b, patterns._side_classes
+    encode, side_classes = patterns._Readings.__missing__, patterns._side_classes
 
-    def counting_enc_b(*args):
+    def counting_encode(self, perm):
         nonlocal calls
         calls += 1
-        return enc_b(*args)
+        return encode(self, perm)
 
     def counting_sides(*args):
         nonlocal sides
@@ -570,7 +616,7 @@ def test_pairing_encodes_each_side_at_most_once_per_inner_order(monkeypatch):
         sides += sum(len(bucket) for bucket in out.values())
         return out
 
-    monkeypatch.setattr(patterns, "_enc_b", counting_enc_b)
+    monkeypatch.setattr(patterns._Readings, "__missing__", counting_encode)
     monkeypatch.setattr(patterns, "_side_classes", counting_sides)
     for m, n in TABLE1_SHAPES:
         enumerate_patterns(m, n, 4, 13, table1_filters(m, n))
