@@ -76,7 +76,7 @@ def realize_pattern(
 
     Entries are drawn row-major, A before B, one integer per free position,
     as random.Random(seed).randint(entry_low, entry_high) draws them, into
-    the value list of `accept_test` (A, then -B, then a closing 0).  The
+    the value list of `accept_test` (A, then -B).  The
     accept test of `is_infinitesimally_rigid` is planned for the pattern by
     `accept_test`, whose precondition, entries nonzero exactly off the
     pattern's zeros, entry_low >= 1 guarantees.  Each sample is put to the

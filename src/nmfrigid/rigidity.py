@@ -8,12 +8,13 @@ infinitesimally rigid exactly when that cone is the full (r^2-r)-dimensional
 space of zero-diagonal matrices, which reduces to a rank computation, a
 lineality computation and one relative-interior feasibility test, all in
 exact arithmetic.  A pair is cleared and scanned for zeros once, when it
-is built; each generator is then built once, from the per-pattern plan the
-realize accept test fills too, as an integer column over the r^2-r
+is built.  The nonzero cells of the generator matrix, each with the entry
+of A or of -B that fills it, are listed once per zero pattern; each
+generator is built from them as an integer column over the r^2-r
 off-diagonal coordinates, scaled by the lcm of the denominators of its row
-of A or column of B.  From the same plan the accept test fixes the steps
-of its elimination and the cells each can make nonzero, once per zero
-pattern: the plan of the last pattern is memoised, so a realization
+of A or column of B.  The realize accept test fills the same cells, and
+plans from them the steps of its elimination and the cells each can make
+nonzero: the plan of the last pattern is memoised, so a realization
 search and the public test of its accepted draw share one.  The kernel of
 those columns starts all three tests: at dimension at most one (the tight
 zero count r^2-r+1 of every rigid pattern) it decides relative interior
@@ -185,39 +186,39 @@ class DualConeGenerators:
         return self._matrix
 
 
-def _generator_plan(r: int, zeros_a, zeros_b, symmetric: bool = False) -> list[tuple[tuple, dict]]:
-    """Each generator as its source ("A" or "B", i, j) and {motion
-    coordinate: slot}, A-zeros row-major, then B-zeros by row of B.
+def _generator_plan(r: int, coords, zeros_a, zeros_b, symmetric: bool = False) -> tuple[list[tuple], list[tuple]]:
+    """(sources, cells): the source ("A" or "B", i, j) of each generator,
+    A-zeros row-major, then B-zeros by row of B; each nonzero cell of the
+    generator matrix as (t, generator, slot), the row t for coords[t] and
+    the slot into `_plan_values`, generator by generator, rows ascending.
 
-    A slot indexes a `_plan_values` list; other coordinates read its closing
-    0 at slot -1.  A zero at (i, j) of A puts A[i, k] at (k, j), one of B
-    puts -B[l, j] at (i, l), for each k or l whose entry is not a zero.  A
-    symmetric factor has no B and the values A, then -A: read on skew
-    matrices as g[k, l] - g[l, k] at pairs k < l, an entry at (k, j) with
-    k > j moves to (j, k) with its sign flipped.
+    A zero at (i, j) of A puts A[i, k] at (k, j), one of B puts -B[l, j] at
+    (i, l), for each k or l whose entry is not a zero.  A symmetric factor
+    has no B and the values A, then -A: read on skew matrices as
+    g[k, l] - g[l, k] at pairs k < l, an entry at (k, j) with k > j moves
+    to (j, k) with its sign flipped.
     """
     m, n = len(zeros_a), len(zeros_b[0]) if zeros_b else 0
-    plan = []
+    row = {coord: t for t, coord in enumerate(coords)}
+    sources, cells = [], []
     for i, zeros in enumerate(zeros_a):
         for j in range(r):
             if zeros[j]:
                 flip = [symmetric and k > j for k in range(r)]
-                entries = {(j, k) if flip[k] else (k, j): (m * flip[k] + i) * r + k for k in range(r) if k != j and not zeros[k]}
-                plan.append((("A", i, j), entries))
+                cells += [(row[(j, k) if flip[k] else (k, j)], len(sources), (m * flip[k] + i) * r + k) for k in range(r) if k != j and not zeros[k]]
+                sources.append(("A", i, j))
     for i in range(r):
         for j in range(n):
             if zeros_b[i][j]:
-                plan.append((("B", i, j), {(i, l): m * r + l * n + j for l in range(r) if l != i and not zeros_b[l][j]}))
-    return plan
+                cells += [(row[i, l], len(sources), m * r + l * n + j) for l in range(r) if l != i and not zeros_b[l][j]]
+                sources.append(("B", i, j))
+    return sources, cells
 
 
 def _plan_values(a_rows, b_rows) -> list:
     """What the slots of a `_generator_plan` index: the entries of A
-    row-major, then those of -B row-major, then one 0."""
-    values = [x for row in a_rows for x in row]
-    values += [-x for row in b_rows for x in row]
-    values.append(0)
-    return values
+    row-major, then those of -B row-major."""
+    return [x for row in a_rows for x in row] + [-x for row in b_rows for x in row]
 
 
 def _value_slots(zeros_a, zeros_b) -> tuple[list[tuple[int, int]], int]:
@@ -227,7 +228,7 @@ def _value_slots(zeros_a, zeros_b) -> tuple[list[tuple[int, int]], int]:
     m, r = len(zeros_a), len(zeros_b)
     free = [(k, 1) for k, zero in enumerate(chain(*zeros_a)) if not zero]
     free += [(m * r + k, -1) for k, zero in enumerate(chain(*zeros_b)) if not zero]
-    return free, m * r + sum(map(len, zeros_b)) + 1
+    return free, m * r + sum(map(len, zeros_b))
 
 
 def _value_rows(values: list, m: int, r: int, n: int) -> tuple[list[list], list[list]]:
@@ -237,18 +238,21 @@ def _value_rows(values: list, m: int, r: int, n: int) -> tuple[list[list], list[
     return a_rows, b_rows
 
 
+def _off_diagonal(r: int) -> list[tuple[int, int]]:
+    """The r^2 - r off-diagonal motion coordinates (k, l) of a pair, row-major."""
+    return [(k, l) for k in range(r) for l in range(r) if k != l]
+
+
 def _build_generators(r: int, coords, form: _IntegerForm, symmetric: bool = False) -> DualConeGenerators:
     """The generators of A's zeros, by its rows, and B's, by its columns:
-    each column zero but for its plan entries, at most r - 1 of them."""
-    plan = _generator_plan(r, form.zeros_a, form.zeros_b, symmetric)
+    each column zero but for its cells, at most r - 1 of them."""
+    sources, cells = _generator_plan(r, coords, form.zeros_a, form.zeros_b, symmetric)
     values = _plan_values(form.a_rows, form.a_rows if symmetric else form.b_rows)
-    position = {coord: t for t, coord in enumerate(coords)}
-    columns = [[0] * len(coords) for _ in plan]
-    for column, (_, g) in zip(columns, plan):
-        for coord, slot in g.items():
-            column[position[coord]] = values[slot]
-    scales = tuple(form.scales[i if factor == "A" else len(form.a_rows) + j] for (factor, i, j), _ in plan)
-    sources = tuple(GeneratorSource(*source) for source, _ in plan)
+    columns = [[0] * len(coords) for _ in sources]
+    for t, g, slot in cells:
+        columns[g][t] = values[slot]
+    scales = tuple(form.scales[i if factor == "A" else len(form.a_rows) + j] for factor, i, j in sources)
+    sources = tuple(GeneratorSource(*source) for source in sources)
     return DualConeGenerators(r, len(coords) if symmetric else r * r, tuple(map(tuple, columns)), scales, sources, symmetric)
 
 
@@ -258,9 +262,7 @@ def build_dual_generators(pair: FactorizationPair) -> DualConeGenerators:
     All generators vanish on the diagonal of their r x r matrix, because the
     zero at (i, j) of A means exactly that row i of A has a zero in slot j.
     """
-    r = pair.r
-    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    return _build_generators(r, coords, pair._form)
+    return _build_generators(pair.r, _off_diagonal(pair.r), pair._form)
 
 
 @dataclass(frozen=True)
@@ -430,14 +432,14 @@ def is_infinitesimally_rigid(a_rows, b_rows) -> bool:
 def accept_test(zeros_a, zeros_b) -> Callable[[list[int]], bool]:
     """The accept test of `is_infinitesimally_rigid` for a zero pattern, as
     a callable on the `_plan_values` of a draw: the int entries of A
-    row-major, then those of -B row-major, then one 0.
+    row-major, then those of -B row-major.
 
     Precondition: the entries of a draw are nonzero exactly off the
     pattern's zeros, as a search with entry_low >= 1 draws them.  The
-    `_generator_plan` of `build_dual_generators` then knows which entry of
-    A, or negated entry of B, fills each nonzero of the generator matrix,
-    so one slot matrix, laid out as the generators are built, serves every
-    draw; `_accept_plan` makes it, with the steps below, once per pattern.
+    `_generator_plan` cells of `build_dual_generators` then name the entry
+    of A, or negated entry of B, in each nonzero of the generator matrix,
+    so they serve every draw: a fill writes them into zero rows, laid out
+    as the generators are built; `_accept_plan` lists them once a pattern.
     `planned_one_signed_kernel` gives the span rank and the sign
     pattern of a one-dimensional kernel from a fill of it, along the steps
     `_pivot_order` plans, rewriting only the cells the pattern can make
@@ -449,55 +451,54 @@ def accept_test(zeros_a, zeros_b) -> Callable[[list[int]], bool]:
     the empty generator list, as `_cone_from_kernel` does.
     """
     zeros_a, zeros_b = tuple(map(tuple, zeros_a)), tuple(map(tuple, zeros_b))
-    coords, plan, slots, count = _accept_plan(zeros_a, zeros_b)
+    height, cells, plan, count = _accept_plan(zeros_a, zeros_b)
 
     def filled(values: list[int]) -> list[list[int]]:
-        return [[values[k] for k in row] for row in slots]
+        rows = [[0] * count for _ in range(height)]
+        for t, g, slot in cells:
+            rows[t][g] = values[slot]
+        return rows
 
     def accepts(values: list[int]) -> bool:
         planned = planned_one_signed_kernel(filled(values), plan, count)
         span_rank, one_signed = planned or one_signed_kernel(filled(values), count)
-        if span_rank != len(coords):
+        if span_rank != height:
             return False
         if count - span_rank >= 2:
             columns = list(zip(*filled(values)))
-            return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
+            return zero_in_relative_interior(RationalMatrix.from_columns(columns, height)) is not None
         return one_signed or count == 0
 
     return accepts
 
 
 @lru_cache(maxsize=1)
-def _accept_plan(zeros_a: tuple, zeros_b: tuple) -> tuple[list, tuple, list[list[int]], int]:
-    """(coords, plan, slots, count) of `accept_test` for zero masks given
-    as tuples of tuples: the off-diagonal coordinates, row-major; the
-    `_pivot_order` plan; slots[t][g], the `_plan_values` slot that
-    generator g, in `_generator_plan` order, reads at coords[t], or -1 (the
-    closing 0) where it has no entry; and the number of generators.
+def _accept_plan(zeros_a: tuple, zeros_b: tuple) -> tuple[int, list[tuple], tuple, int]:
+    """(height, cells, plan, count) of `accept_test` for zero masks given
+    as tuples of tuples: the generator matrix's r^2 - r rows, its
+    `_generator_plan` cells, their `_pivot_order` plan, and its columns.
 
     Memoised for the pattern used last, so a search and the public test of
     its accepted draw plan the pattern once.  Every caller gets the same
     lists and must only read them.
     """
     r = len(zeros_b)
-    coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    generators = [g for _, g in _generator_plan(r, zeros_a, zeros_b)]
-    slots = [[g.get(coord, -1) for g in generators] for coord in coords]
-    return coords, _pivot_order(coords, generators), slots, len(generators)
+    sources, cells = _generator_plan(r, _off_diagonal(r), zeros_a, zeros_b)
+    return r * r - r, cells, _pivot_order(r * r - r, len(sources), cells), len(sources)
 
 
 # The field of the probe draw that `_pivot_order` eliminates alongside.
 _PROBE_PRIME = 2**61 - 1
 
 
-def _pivot_order(coords, generators) -> tuple[list, list[int], list[int], list[int]]:
+def _pivot_order(height: int, count: int, cells) -> tuple[list, list[int], list[int], list[int]]:
     """(steps, pivot rows, pivot columns, rest) of a greedy elimination of
-    the generator matrix's zero pattern, rows indexing `coords` and columns
-    `generators`, as `planned_one_signed_kernel` runs them: the pivot row
-    and column of each step in step order, and the rows no step pivots.
+    the zero pattern of a `height` x `count` matrix with the `cells` of
+    `_generator_plan`, as `planned_one_signed_kernel` runs them: the pivot
+    row and column of each step in step order, and the rows no step pivots.
 
     The elimination follows the pattern and one probe draw, a seeded value
-    for each slot of the generators, worked modulo `_PROBE_PRIME`.  Each
+    for each slot, drawn in cell order, worked modulo `_PROBE_PRIME`.  Each
     step takes the column that the fewest rows still hold, lowest index
     first, and pivots it at the first of those rows nonzero on the probe;
     every other holder is rewritten on the union of the two row patterns
@@ -510,17 +511,16 @@ def _pivot_order(coords, generators) -> tuple[list, list[int], list[int], list[i
     left over are zero, so the plan moves work, never a verdict.
     """
     draw, probe = random.Random(0), {}
-    row_of = {coord: i for i, coord in enumerate(coords)}
-    support = [{} for _ in coords]  # row: {column it may hold: probe value}
-    for c, generator in enumerate(generators):
-        for coord, slot in generator.items():
-            if slot not in probe:
-                probe[slot] = draw.getrandbits(60) + 1
-            support[row_of[coord]][c] = probe[slot]
-    holders = [{row_of[coord] for coord in generator} for generator in generators]
-    level = [0] * len(coords)  # row: steps run when it was last rewritten
-    steps, rest = [], set(range(len(coords)))
-    left = set(range(len(generators)))
+    support = [{} for _ in range(height)]  # row: {column it may hold: probe value}
+    holders = [set() for _ in range(count)]  # column: rows that may hold it
+    for t, c, slot in cells:
+        if slot not in probe:
+            probe[slot] = draw.getrandbits(60) + 1
+        support[t][c] = probe[slot]
+        holders[c].add(t)
+    level = [0] * height  # row: steps run when it was last rewritten
+    steps, rest = [], set(range(height))
+    left = set(range(count))
     while True:
         order = sorted((len(holders[c]), c) for c in left)
         col, pivot = next(((c, i) for _, c in order for i in sorted(holders[c]) if support[i][c]), (None, None))

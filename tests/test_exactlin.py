@@ -569,7 +569,8 @@ def test_planned_elimination_matches_one_signed_kernel_on_seeded_sparse_matrices
                 {i: rng.randrange(3) if shared else i * cols + j for i in range(n_rows) if rng.random() < 0.45}
                 for j in range(cols)
             ]
-        steps, pivot_rows, pivot_cols, rest = plan = _pivot_order(list(range(n_rows)), generators)
+        cells = [(i, j, slot) for j, g in enumerate(generators) for i, slot in g.items()]
+        steps, pivot_rows, pivot_cols, rest = plan = _pivot_order(n_rows, cols, cells)
         matrix = [[values[g[i]] if i in g else 0 for g in generators] for i in range(n_rows)]
         work = [list(row) for row in matrix]
         planned = planned_one_signed_kernel(work, plan, cols)

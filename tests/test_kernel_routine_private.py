@@ -1,9 +1,9 @@
 """The echelon and back-substitution steps stay inside `exactlin`.
 
 `integer_kernel` is the one routine that finishes an elimination into a
-kernel, and `rank` the one that stops after it.  No other module of the
-package names `_echelon` or `kernel_vector`, so every kernel is built the
-same way.
+kernel, and `integer_rank` the one that stops after it (`rank` clears
+rational rows for it).  No other module of the package names `_echelon`
+or `kernel_vector`, so every kernel is built the same way.
 """
 
 import ast

@@ -158,9 +158,9 @@ def test_seed1_sweep_plans_each_pattern_once(monkeypatch):
     counts = {"plans": 0, "planned": 0}
     pivot_order, run_steps = rigidity._pivot_order, rigidity.planned_one_signed_kernel
 
-    def counting_order(coords, generators):
+    def counting_order(height, count, cells):
         counts["plans"] += 1
-        return pivot_order(coords, generators)
+        return pivot_order(height, count, cells)
 
     def counting_steps(rows, plan, cols):
         counts["planned"] += 1

@@ -980,6 +980,27 @@ def test_accept_plan_matches_the_unplanned_test_on_the_seed1_search_stream(monke
     assert lps == [0]
 
 
+@pytest.mark.parametrize("m, n, r", [(1, 1, 1), (3, 2, 1), (1, 4, 2), (2, 4, 3), (5, 3, 4)])
+def test_value_layout_reads_back_and_lists_the_entries_off_the_zeros(m, n, r):
+    # `_plan_values` lays out A row-major, then -B row-major: `_value_rows`
+    # reads the factors back from it, and `_value_slots` gives its length
+    # and the (slot, sign) of each entry off the zeros, in slot order, the
+    # sign being the one the list gives the drawn entry.
+    from nmfrigid.rigidity import _plan_values, _value_rows, _value_slots
+
+    rng = random.Random(100 * m + 10 * n + r)
+    for _ in range(6):
+        zeros_a = [[rng.random() < 0.4 for _ in range(r)] for _ in range(m)]
+        zeros_b = [[rng.random() < 0.4 for _ in range(n)] for _ in range(r)]
+        a, b = draw(rng, zeros_a, zeros_b, 1, 50)
+        values = _plan_values(a, b)
+        assert _value_rows(values, m, r, n) == (a, b)
+        free, size = _value_slots(zeros_a, zeros_b)
+        assert len(values) == size == m * r + r * n
+        assert free == [(k, 1 if x > 0 else -1) for k, x in enumerate(values) if x]
+        assert [sign * values[k] for k, sign in free] == [x for row in a + b for x in row if x]
+
+
 def test_accept_plans_are_memoised_by_mask_value():
     # List and tuple masks of one pattern share one plan; verdicts read from
     # remembered plans are those of fresh ones; the memo keeps only the
@@ -1014,17 +1035,26 @@ def test_accept_plans_are_memoised_by_mask_value():
 # ---------------------------------------------------------------------------
 
 def generic_accept(zeros_a, zeros_b, a_rows, b_rows):
-    # The accept test without the plan's steps: `one_signed_kernel` on
-    # the generator matrix in `build_dual_generators` order, then the
-    # relint LP at kernel dimension two or more.
+    # The accept test without the plan: `one_signed_kernel` on the
+    # generator matrix built from the outer products, in
+    # `build_dual_generators` order, then the relint LP at kernel dimension
+    # two or more.  An A-zero (i, j) is the r x r matrix with A[i, k] at
+    # (k, j), a B-zero (i, j) the one with -B[l, j] at (i, l); each is read
+    # at the off-diagonal coordinates, row-major.
     from nmfrigid.cone import zero_in_relative_interior
     from nmfrigid.exactlin import one_signed_kernel
-    from nmfrigid.rigidity import _generator_plan, _plan_values
 
     r = len(b_rows)
     coords = [(k, l) for k in range(r) for l in range(r) if k != l]
-    values = _plan_values(a_rows, b_rows)
-    columns = [[values[g.get(coord, -1)] for coord in coords] for _, g in _generator_plan(r, zeros_a, zeros_b)]
+    outer = [
+        [[a_rows[i][k] if l == j else 0 for l in range(r)] for k in range(r)]
+        for i, zeros in enumerate(zeros_a) for j in range(r) if zeros[j]
+    ]
+    outer += [
+        [[-b_rows[l][j] if k == i else 0 for l in range(r)] for k in range(r)]
+        for i in range(r) for j, zero in enumerate(zeros_b[i]) if zero
+    ]
+    columns = [[g[k][l] for k, l in coords] for g in outer]
     count = len(columns)
     span_rank, one_signed = one_signed_kernel([list(row) for row in zip(*columns)], count)
     if span_rank != len(coords):
@@ -1032,6 +1062,25 @@ def generic_accept(zeros_a, zeros_b, a_rows, b_rows):
     if count - span_rank >= 2:
         return zero_in_relative_interior(RationalMatrix.from_columns(columns, len(coords))) is not None
     return one_signed
+
+
+def test_pivot_order_gives_no_slot_a_zero_probe(monkeypatch):
+    # Each probe value is a 60-bit draw plus one, so it is nonzero even
+    # where the draw is 0.  A draw that is one constant gives every slot
+    # the same probe value, which scales the zero pattern's entries alike,
+    # so the draws 0 and 1 plan the same steps, and some step pivots.
+    from types import SimpleNamespace
+
+    from nmfrigid import rigidity
+
+    pattern = table1_representatives()[0]
+    height, cells, _, count = rigidity._accept_plan(pattern.zeros_a, pattern.zeros_b)
+    plans = []
+    for bits in (0, 1):
+        stream = SimpleNamespace(getrandbits=lambda _, bits=bits: bits)
+        monkeypatch.setattr(rigidity, "random", SimpleNamespace(Random=lambda _: stream))
+        plans.append(rigidity._pivot_order(height, count, cells))
+    assert plans[0] == plans[1] and plans[0][0]
 
 
 def test_planned_steps_match_the_generic_elimination(monkeypatch):
