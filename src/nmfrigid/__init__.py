@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .cone import lineality_dimension, lp_feasible, zero_in_relative_interior
 from .cpr import SymmetricFactor, build_skew_generators, certify_cp, cp_necessary_conditions
 from .exactlin import RationalMatrix, matmul, nullspace_basis, rank
-from .patterns import PatternFilter, ZeroPattern, canonical_form, check_column_bound, check_wpoint, check_zero_rectangles, enumerate_patterns, forces_product_zero, table1_filters
+from .patterns import PatternFilter, PatternGroupElement, ZeroPattern, canonical_form, canonical_symmetric_pattern, check_column_bound, check_wpoint, check_zero_rectangles, enumerate_patterns, enumerate_symmetric_patterns, forces_product_zero, table1_filters
 from .realize import RealizationSearchConfig, extend_positive, lift_partially_rigid, realize_pattern
 from .rigidity import Classification, FactorizationPair, RigidityCertificate, build_dual_generators, certify, necessary_conditions_report
 
@@ -31,12 +31,15 @@ __all__ = [
     "nullspace_basis",
     "rank",
     "PatternFilter",
+    "PatternGroupElement",
     "ZeroPattern",
     "canonical_form",
+    "canonical_symmetric_pattern",
     "check_column_bound",
     "check_wpoint",
     "check_zero_rectangles",
     "enumerate_patterns",
+    "enumerate_symmetric_patterns",
     "forces_product_zero",
     "table1_filters",
     "RealizationSearchConfig",

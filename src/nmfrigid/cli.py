@@ -38,21 +38,20 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _require_out_dir(out: str | None) -> None:
-    # Fail before the work with the error the final write would raise.
-    if out is not None and not Path(out).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, "No such file or directory", out)
-
-
-def _require_out_tree(out: str | None) -> None:
-    # Fail before the enumeration with the error that
-    # mkdir(parents=True, exist_ok=True) would raise after it, creating nothing.
+def _require_out(out: str | None, tree: bool = False) -> None:
+    # Fail before the work, creating nothing, with the error that the final
+    # write (mkdir(parents=True, exist_ok=True) for a tree) would raise.
     if out is None:
         return
     path = Path(out)
     nearest = next(p for p in (path, *path.parents) if p.exists())
-    if not nearest.is_dir():
-        code = errno.EEXIST if nearest == path else errno.ENOTDIR
+    if nearest != path and not nearest.is_dir():
+        code = errno.ENOTDIR
+    elif tree:
+        code = 0 if nearest.is_dir() else errno.EEXIST
+    else:
+        code = errno.EISDIR if path.is_dir() else 0 if nearest in (path, path.parent) else errno.ENOENT
+    if code:
         raise OSError(code, os.strerror(code), str(path))
 
 
@@ -109,7 +108,7 @@ def _parse_filters(spec: str, m: int, n: int) -> frozenset[PatternFilter]:
 def cmd_enumerate(args) -> int:
     m, n = args.shape
     filters = _parse_filters(args.filters, m, n)
-    _require_out_tree(args.out)
+    _require_out(args.out, tree=True)
     reps = enumerate_patterns(m, n, args.rank, args.zeros, filters)
     if args.out is not None:
         # Written before the count, so an unwritable directory leaves stdout
@@ -135,7 +134,7 @@ def cmd_realize(args) -> int:
         max_samples=args.max_samples,
         seed=args.seed,
     )
-    _require_out_dir(args.out)
+    _require_out(args.out)
     pair = realize_pattern(pattern, config)
     if pair is None:
         print(f"no rigid realization within {args.max_samples} samples", file=sys.stderr)
@@ -192,7 +191,7 @@ def cmd_verify_fixtures(_args) -> int:
 
 def cmd_lift(args) -> int:
     pair = formats.load_factorization(_read_text(args.path))
-    _require_out_dir(args.out)
+    _require_out(args.out)
     try:
         lifted = lift_partially_rigid(pair)
     except LiftInfeasibleError as exc:

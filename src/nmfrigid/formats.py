@@ -108,10 +108,6 @@ def _matrix_from_block(lines: list[str]) -> RationalMatrix:
     return RationalMatrix(rows, cols, tuple(data))
 
 
-def load_matrix(text: str) -> RationalMatrix:
-    return _matrix_from_block(*_blocks(text, 1, "matrix file must contain one block"))
-
-
 def dump_matrix(matrix: RationalMatrix) -> str:
     lines = [f"{matrix.rows} {matrix.cols}"]
     for i in range(matrix.rows):
@@ -131,10 +127,6 @@ def dump_factorization(pair: FactorizationPair) -> str:
 def load_symmetric_factor(text: str) -> SymmetricFactor:
     (block,) = _blocks(text, 1, "symmetric factor file must contain one block")
     return SymmetricFactor(_matrix_from_block(block))
-
-
-def dump_symmetric_factor(factor: SymmetricFactor) -> str:
-    return dump_matrix(factor.a)
 
 
 def load_pattern(text: str) -> ZeroPattern:

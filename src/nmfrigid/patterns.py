@@ -271,10 +271,6 @@ class ConditionResult:
 class NecessaryConditionsReport:
     conditions: tuple[ConditionResult, ...]
 
-    @property
-    def all_applicable_pass(self) -> bool:
-        return all(c.passed for c in self.conditions if c.applicable)
-
 
 def condition_report(support: ZeroSupport, labels) -> NecessaryConditionsReport:
     """Report the labelled conditions on one support.

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import pytest
 import nmfrigid
 from nmfrigid import formats
 from nmfrigid.cli import main
-from nmfrigid.cpr import SymmetricFactor
-from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_pair
+from nmfrigid.fixtures import RIGID_5X5
+from reference_data import circulant_pair, lift_demo_lifted_pair, lift_demo_pair, twelve_zero_pattern_5x7
 from test_exactlin import identity_matrix
 
 
@@ -77,7 +78,7 @@ def test_check_rank_deficient_is_input_error(capsys, tmp_path):
 
 def test_cp_check(capsys, tmp_path):
     path = tmp_path / "ident.txt"
-    path.write_text(formats.dump_symmetric_factor(SymmetricFactor(identity_matrix(3))))
+    path.write_text(formats.dump_matrix(identity_matrix(3)))
     code, out, _ = run(capsys, "cp-check", str(path))
     assert code == 0
     assert "infinitesimally-rigid" in out
@@ -234,21 +235,30 @@ def test_out_in_a_missing_directory_is_input_error(
 ):
     from nmfrigid import cli
 
-    # The directory is checked before the search or the lift runs.
+    # The target is checked before the search or the lift runs, and fails
+    # with the error the final write would raise.
     called = []
     monkeypatch.setattr(cli, "realize_pattern", lambda *a: called.append("realize"))
     monkeypatch.setattr(cli, "lift_partially_rigid", lambda *a: called.append("lift"))
-    target = str(tmp_path / "missing" / "x.txt")
     if command == "realize":
         pattern = tmp_path / "pattern.txt"
         pattern.write_text(formats.dump_pattern(RIGID_5X5[0].pair().zero_pattern()))
         args = ("realize", "--pattern", str(pattern), "--seed", "1")
     else:
         args = ("lift", str(fixture_file))
-    code, out, err = run(capsys, *args, "--out", target)
-    assert_one_input_error(code, out, err)
+    (tmp_path / "taken").write_text("")
+    for target, error in [
+        (tmp_path / "missing" / "x.txt", "[Errno 2] No such file or directory"),
+        (tmp_path, "[Errno 21] Is a directory"),
+        (tmp_path / "taken" / "x.txt", "[Errno 20] Not a directory"),
+        (tmp_path / "taken" / "missing" / "x.txt", "[Errno 20] Not a directory"),
+    ]:
+        code, out, err = run(capsys, *args, "--out", str(target))
+        assert_one_input_error(code, out, err)
+        assert err == f"error: {error}: {str(target)!r}\n"
+        with pytest.raises(OSError, match=re.escape(error)):
+            target.write_text("")
     assert called == []
-    assert err == f"error: [Errno 2] No such file or directory: {target!r}\n"
 
 
 def test_enumerate_unknown_filter(capsys):
@@ -278,8 +288,6 @@ def test_realize_round_trip(capsys, tmp_path, fixture_file):
 
 
 def test_realize_refuses_wpoint_failure(capsys, tmp_path):
-    from nmfrigid.fixtures import twelve_zero_pattern_5x7
-
     path = tmp_path / "pattern.txt"
     path.write_text(formats.dump_pattern(twelve_zero_pattern_5x7()))
     code, _, err = run(capsys, "realize", "--pattern", str(path))
@@ -288,7 +296,6 @@ def test_realize_refuses_wpoint_failure(capsys, tmp_path):
 
 
 def test_realize_refusal_reads_the_same_in_the_library_and_the_cli(capsys, tmp_path):
-    from nmfrigid.fixtures import twelve_zero_pattern_5x7
     from nmfrigid.realize import RealizationSearchConfig, realize_pattern
 
     pattern = twelve_zero_pattern_5x7()
@@ -413,6 +420,15 @@ def test_lift_demo(capsys, tmp_path):
     assert doc["certificate"]["v_support"] == [[0, 3], [1, 3], [2, 3]]
     lifted = formats.load_factorization(out_path.read_text())
     assert formats.verify_certificate_document(doc, lifted)
+
+
+def test_check_text_names_the_v_support_one_based_and_takes_a_zero_budget(capsys, tmp_path):
+    path = tmp_path / "lifted.txt"
+    path.write_text(formats.dump_factorization(lift_demo_lifted_pair()))
+    code, out, err = run(capsys, "check", str(path), "--kruskal-budget", "0")
+    assert (code, err) == (0, "")
+    assert "  kruskal rank   : not computed (budget)\n" in out
+    assert out.endswith("  V support      : (1,4), (2,4), (3,4)\n")
 
 
 def test_lift_refuses_non_rigid(capsys, tmp_path):
@@ -681,7 +697,7 @@ def test_check_symmetric_is_cp_check(capsys, tmp_path, json_flag):
         pair = fixture.pair()
         for side, a in (("a", pair.a), ("bt", pair.b.transpose())):
             path = tmp_path / f"factor-{index:02d}-{side}.txt"
-            path.write_text(formats.dump_symmetric_factor(SymmetricFactor(a)))
+            path.write_text(formats.dump_matrix(a))
             cp = run(capsys, "cp-check", str(path), *json_flag)
             assert run(capsys, "check", "--symmetric", str(path), *json_flag) == cp
             assert cp[0] == 0 and cp[2] == ""

@@ -14,7 +14,6 @@ import hashlib
 
 from nmfrigid import cone, formats, realize
 from nmfrigid.cli import main
-from nmfrigid.cpr import SymmetricFactor
 from nmfrigid.fixtures import RIGID_5X5
 from nmfrigid.patterns import enumerate_patterns, table1_filters
 from test_cone import _cap_pivots, _fraction_simplex
@@ -41,7 +40,7 @@ def corpus_argvs(tmp_path):
             ["lift", path],
         ]
         for side, factor in (("a", pair.a), ("bt", pair.b.transpose())):
-            sym = write(f"{fx.name}-{side}.txt", formats.dump_symmetric_factor(SymmetricFactor(factor)))
+            sym = write(f"{fx.name}-{side}.txt", formats.dump_matrix(factor))
             argvs += [["cp-check", sym], ["cp-check", sym, "--json"]]
     for fx in RIGID_5X5:
         for k, variant in enumerate(twelve_zero_variants(fx.pair())):

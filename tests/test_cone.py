@@ -20,8 +20,9 @@ from nmfrigid.exactlin import (
     vec_neg,
     zero_vector,
 )
-from nmfrigid.fixtures import RIGID_5X5, circulant_pair
+from nmfrigid.fixtures import RIGID_5X5
 from nmfrigid.rigidity import FactorizationPair, build_dual_generators, certify
+from reference_data import circulant_pair
 from test_exactlin import is_zero_vector, matvec, vec_dot
 from test_rigidity import twelve_zero_variants
 

@@ -15,9 +15,10 @@ from fractions import Fraction
 
 from nmfrigid.cone import lp_feasible
 from nmfrigid.exactlin import RationalMatrix, matmul
-from nmfrigid.fixtures import RIGID_5X5, circulant_pair, lift_demo_lifted_pair
+from nmfrigid.fixtures import RIGID_5X5
 from nmfrigid.patterns import ZeroPattern, canonical_form
 from nmfrigid.rigidity import Classification, build_dual_generators, certify
+from reference_data import circulant_pair, lift_demo_lifted_pair
 from test_exactlin import matvec, zero_matrix
 from test_rigidity import pair_from, rand_pair
 

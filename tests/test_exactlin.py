@@ -18,8 +18,9 @@ from nmfrigid.exactlin import (
     planned_one_signed_kernel,
     rank,
 )
-from nmfrigid.fixtures import RIGID_5X5, circulant_pair
+from nmfrigid.fixtures import RIGID_5X5
 from nmfrigid.rigidity import build_dual_generators
+from reference_data import circulant_pair
 
 
 def zero_matrix(rows, cols):

@@ -6,8 +6,9 @@ import pytest
 from nmfrigid import formats
 from nmfrigid.cpr import SymmetricFactor, certify_cp
 from nmfrigid.exactlin import RationalMatrix
-from nmfrigid.fixtures import RIGID_5X5, lift_demo_pair, unique_7_zero_pattern_r3
-from nmfrigid.rigidity import Classification, certify
+from nmfrigid.fixtures import RIGID_5X5
+from nmfrigid.rigidity import Classification, FactorizationPair, certify
+from reference_data import lift_demo_pair, unique_7_zero_pattern_r3
 from test_exactlin import identity_matrix
 
 
@@ -59,22 +60,25 @@ def test_parse_rational_rejects_tokens_over_the_digit_limit():
 
 
 def test_matrix_round_trip():
-    m = RationalMatrix.from_rows([[Fraction(1, 2), 3], [Fraction(-5, 7), 0]])
-    assert formats.load_matrix(formats.dump_matrix(m)) == m
+    # Every loader takes nonnegative input only, so the fractions ride in a pair.
+    m = RationalMatrix.from_rows([[Fraction(1, 2), 3], [Fraction(5, 7), 0]])
+    again = formats.load_factorization(formats.dump_factorization(FactorizationPair(m, m)))
+    assert again.a == m and again.b == m
 
 
 def test_matrix_header_errors():
+    # A malformed block fails in the parser, before the factor is checked.
     with pytest.raises(formats.ParseError, match="header"):
-        formats.load_matrix("2\n1 2\n3 4\n")
+        formats.load_symmetric_factor("2\n1 2\n3 4\n")
     with pytest.raises(formats.ParseError, match="rows"):
-        formats.load_matrix("3 2\n1 2\n3 4\n")
+        formats.load_symmetric_factor("3 2\n1 2\n3 4\n")
     with pytest.raises(formats.ParseError, match="entries"):
-        formats.load_matrix("2 2\n1 2 3\n4 5\n")
+        formats.load_symmetric_factor("2 2\n1 2 3\n4 5\n")
 
 
 def test_matrix_row_count_error_names_both_counts():
     with pytest.raises(formats.ParseError, match=r"^expected 3 matrix rows, found 2$"):
-        formats.load_matrix("3 2\n1 2\n3 4\n")
+        formats.load_symmetric_factor("3 2\n1 2\n3 4\n")
 
 
 def test_factorization_round_trip():
@@ -90,7 +94,7 @@ def test_factorization_requires_two_blocks():
 
 def test_symmetric_round_trip():
     factor = SymmetricFactor(identity_matrix(3))
-    again = formats.load_symmetric_factor(formats.dump_symmetric_factor(factor))
+    again = formats.load_symmetric_factor(formats.dump_matrix(factor.a))
     assert again.a == factor.a
 
 

@@ -7,12 +7,7 @@ import pytest
 
 from nmfrigid import formats, patterns
 from nmfrigid.cli import _parse_filters
-from nmfrigid.fixtures import (
-    RIGID_5X5,
-    rectangle_violation_pattern_6x5,
-    twelve_zero_pattern_5x7,
-    unique_7_zero_pattern_r3,
-)
+from nmfrigid.fixtures import RIGID_5X5
 from nmfrigid.patterns import (
     PatternFilter,
     PatternGroupElement,
@@ -29,6 +24,11 @@ from nmfrigid.patterns import (
     enumerate_patterns,
     forces_product_zero,
     table1_filters,
+)
+from reference_data import (
+    rectangle_violation_pattern_6x5,
+    twelve_zero_pattern_5x7,
+    unique_7_zero_pattern_r3,
 )
 
 

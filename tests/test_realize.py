@@ -5,14 +5,7 @@ import pytest
 
 from nmfrigid.cone import lp_feasible
 from nmfrigid.exactlin import RationalMatrix, matmul, rank
-from nmfrigid.fixtures import (
-    LIFT_DEMO_LIFTED_A,
-    LIFT_DEMO_LIFTED_B,
-    RIGID_5X5,
-    circulant_pair,
-    lift_demo_pair,
-    twelve_zero_pattern_5x7,
-)
+from nmfrigid.fixtures import RIGID_5X5
 from nmfrigid.patterns import ZeroPattern
 from nmfrigid.realize import (
     LiftInfeasibleError,
@@ -27,6 +20,13 @@ from nmfrigid.rigidity import (
     build_dual_generators,
     certify,
     is_infinitesimally_rigid,
+)
+from reference_data import (
+    LIFT_DEMO_LIFTED_A,
+    LIFT_DEMO_LIFTED_B,
+    circulant_pair,
+    lift_demo_pair,
+    twelve_zero_pattern_5x7,
 )
 
 
